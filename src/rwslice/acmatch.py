@@ -64,10 +64,6 @@ def needs_flat(node: Term, sig: Signature) -> bool:
     return keys != sorted(keys)
 
 
-def is_canonical(t: Term, sig: Signature) -> bool:
-    return all(not needs_flat(subterm_at(t, p), sig) for p in postorder_positions(t))
-
-
 def flatten(t: Term, sig: Signature) -> tuple[Term, list[FlatEvent]]:
     """AC canonical form of t plus the innermost-first flattening events."""
     events: list[FlatEvent] = []

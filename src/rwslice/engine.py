@@ -9,24 +9,25 @@ Every elementary transformation becomes one trace step.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import combinations
 
 from . import builtin_ops
 from .acmatch import (
-    flat_merge_sources,
     flatten,
     flatten_term,
     match_modulo_ac,
     needs_flat,
     one_level_flat,
     plan_unflat,
-    spine_leaves,
     unflat_leaf_mapping,
 )
 from .terms import (
     EMPTY_SUBST,
+    HOLE_TERM,
     Position,
+    PositionOutOfRange,
     ROOT,
     Signature,
     Substitution,
@@ -34,6 +35,7 @@ from .terms import (
     Term,
     Variable,
     is_ground,
+    match,
     postorder_positions,
     pretty,
     replace_at,
@@ -108,8 +110,6 @@ class Rule:
 
 
 def _to_pattern(t: Term) -> Term:
-    from .terms import HOLE_TERM
-
     if isinstance(t.root, Variable):
         return HOLE_TERM
     return Term(t.root, tuple(_to_pattern(a) for a in t.args))
@@ -239,19 +239,13 @@ def _candidates_at(node: Term, rules: list[Rule], sig: Signature):
                         yield (rule, sub, target, Position((1,)))
 
 
-def _scan(t: Term, rules: list[Rule], sig: Signature, choice=None):
-    """First applicable candidate in leftmost-innermost position order,
-    or the choice-designated one. Returns (node position, candidate)."""
-    if choice is None:
-        for q in postorder_positions(t):
-            for cand in _candidates_at(subterm_at(t, q), rules, sig):
-                return q, cand
-        return None
-    rule_name, q, matcher_index = choice
-    wanted = [c for c in _candidates_at(subterm_at(t, q), rules, sig) if c[0].name == rule_name]
-    if matcher_index >= len(wanted):
-        return None
-    return q, wanted[matcher_index]
+def _scan(t: Term, rules: list[Rule], sig: Signature):
+    """First applicable candidate in leftmost-innermost position order.
+    Returns (node position, candidate)."""
+    for q in postorder_positions(t):
+        for cand in _candidates_at(subterm_at(t, q), rules, sig):
+            return q, cand
+    return None
 
 
 def _emit_flatten(t: Term, th: RewriteTheory, budget: _Budget, out: list[TraceStep]) -> Term:
@@ -328,25 +322,43 @@ def normalize(t: Term, th: RewriteTheory, max_steps: int | None = None) -> tuple
     return result, out
 
 
+def _drive(
+    t0: Term,
+    th: RewriteTheory,
+    max_steps: int | None,
+    done: Callable[[Term, int], bool],
+) -> tuple[InstrumentedTrace, bool]:
+    """The deterministic strategy from t0: normalize, then apply one rule
+    and normalize again until done(term, rule steps taken) holds at a
+    rule-step boundary. `finished` is False when the run stopped earlier
+    because no rule applies."""
+    budget = _Budget(DEFAULT_STEP_BUDGET if max_steps is None else max_steps)
+    out: list[TraceStep] = []
+    t = _normalize_into(t0, th, budget, out)
+    rule_steps = 0
+    while not done(t, rule_steps):
+        found = _scan(t, th.rules, th.signature)
+        if found is None:
+            return InstrumentedTrace(th, t0, out), False
+        q, cand = found
+        t = _apply_candidate(t, q, cand, th, budget, out)
+        t = _normalize_into(t, th, budget, out)
+        rule_steps += 1
+    return InstrumentedTrace(th, t0, out), True
+
+
 def rewrite_step_modulo_E(
     t: Term,
     th: RewriteTheory,
-    rule_choice: tuple[str, Position, int] | None = None,
     max_steps: int | None = None,
 ) -> tuple[Term, list[TraceStep]]:
     """One rule application modulo the equational theory, fully expanded:
     simplification of t, the regrouping steps the AC match needs, the rule
     step itself, and simplification of the result."""
-    budget = _Budget(DEFAULT_STEP_BUDGET if max_steps is None else max_steps)
-    out: list[TraceStep] = []
-    canon = _normalize_into(t, th, budget, out)
-    found = _scan(canon, th.rules, th.signature, rule_choice)
-    if found is None:
-        raise NoRuleApplicable(f"no rule applies to {pretty(canon)}")
-    q, cand = found
-    after = _apply_candidate(canon, q, cand, th, budget, out)
-    _normalize_into(after, th, budget, out)
-    return (out[-1].after if out else canon), out
+    trace, finished = _drive(t, th, max_steps, lambda _, n: n == 1)
+    if not finished:
+        raise NoRuleApplicable(f"no rule applies to {pretty(trace.final())}")
+    return trace.final(), trace.steps
 
 
 def run(
@@ -357,17 +369,7 @@ def run(
 ) -> InstrumentedTrace:
     """Deterministic instrumented run: up to max_rule_steps rule
     applications, stopping early when no rule applies."""
-    budget = _Budget(DEFAULT_STEP_BUDGET if max_steps is None else max_steps)
-    out: list[TraceStep] = []
-    t = _normalize_into(t0, th, budget, out)
-    for _ in range(max_rule_steps):
-        found = _scan(t, th.rules, th.signature)
-        if found is None:
-            break
-        q, cand = found
-        t = _apply_candidate(t, q, cand, th, budget, out)
-        t = _normalize_into(t, th, budget, out)
-    return InstrumentedTrace(th, t0, out)
+    return _drive(t0, th, max_steps, lambda _, n: n >= max_rule_steps)[0]
 
 
 def run_until(
@@ -380,67 +382,85 @@ def run_until(
     shows up at a rule-step boundary. Raises NoRuleApplicable when the run
     stops elsewhere, StepBudgetExceeded when the budget runs out first."""
     target = flatten_term(end, th.signature)
-    budget = _Budget(DEFAULT_STEP_BUDGET if max_steps is None else max_steps)
-    out: list[TraceStep] = []
-    t = _normalize_into(t0, th, budget, out)
-    while t != target:
-        found = _scan(t, th.rules, th.signature)
-        if found is None:
-            raise NoRuleApplicable(
-                f"end state {pretty(end)} not reached; the run stops at {pretty(t)}"
-            )
-        q, cand = found
-        t = _apply_candidate(t, q, cand, th, budget, out)
-        t = _normalize_into(t, th, budget, out)
-    return InstrumentedTrace(th, t0, out)
+    trace, finished = _drive(t0, th, max_steps, lambda t, _: t == target)
+    if not finished:
+        raise NoRuleApplicable(
+            f"end state {pretty(end)} not reached; the run stops at {pretty(trace.final())}"
+        )
+    return trace
+
+
+def apply_step(step: TraceStep, th: RewriteTheory, t: Term) -> Term:
+    """The step's transformation applied to any term t. Rule and equation
+    steps match the rule's left-hand side syntactically at the step's
+    position, builtin steps evaluate the ground call there, and flat and
+    unflat steps replay the regrouping read from the step's own before and
+    after terms position by position on t's arguments. Raises MalformedStep
+    when the step does not apply to t."""
+    q = step.position
+    try:
+        node = subterm_at(t, q)
+        if step.kind in ("rule", "equation"):
+            rule = th.find_rule(step.rule_name or "")
+            if rule is None or rule.kind != step.kind:
+                raise MalformedStep(f"no {step.kind} named {step.rule_name}")
+            sub = match(rule.lhs, node)
+            if sub is None:
+                raise MalformedStep(f"{rule.name} does not match {pretty(node)}")
+            new_node = sub.apply(rule.rhs)
+        elif step.kind == "builtin":
+            op = builtin_ops.REGISTRY.get(node.root.name)
+            if not (th.signature.is_builtin(node.root) and op is not None and is_ground(node)):
+                raise MalformedStep(f"not a ground builtin call: {pretty(node)}")
+            new_node = builtin_ops.eval_builtin(op, node.args)
+            if new_node is None:
+                raise MalformedStep(f"builtin undefined on {pretty(node)}")
+        elif step.kind == "flat":
+            # positional, independent of the order t's arguments would sort into
+            _, sources = one_level_flat(subterm_at(step.before, q))
+            new_node = Term(node.root, tuple(
+                node.args[src[0] - 1] if len(src) == 1 else node.args[src[0] - 1].args[src[1] - 1]
+                for src in sources
+            ))
+        elif step.kind == "unflat":
+            flat, grouped = subterm_at(step.before, q), subterm_at(step.after, q)
+            if len(node.args) != len(flat.args):
+                raise MalformedStep("argument count changed under regrouping")
+            mapping = {rel.path: i for rel, i in unflat_leaf_mapping(flat, grouped)}
+
+            def rebuild(shape: Term, rel: tuple[int, ...]) -> Term:
+                if rel in mapping:
+                    return node.args[mapping[rel]]
+                return Term(shape.root, tuple(rebuild(a, rel + (i,)) for i, a in enumerate(shape.args, 1)))
+
+            new_node = rebuild(grouped, ())
+        else:
+            raise MalformedStep(f"unknown step kind {step.kind}")
+    except (PositionOutOfRange, IndexError, ValueError) as exc:
+        raise MalformedStep(str(exc)) from None
+    return replace_at(t, q, new_node)
 
 
 def check_step(step: TraceStep, th: RewriteTheory) -> bool:
-    """Replay check: recompute the step's after term from its before term,
-    kind, position, rule, and matcher."""
+    """Replay check: the step's kind-specific preconditions hold and
+    apply_step recomputes its after term from its before term."""
     try:
         node = subterm_at(step.before, step.position)
-    except Exception:
-        return False
-    if step.kind in ("rule", "equation"):
-        rule = th.find_rule(step.rule_name or "")
-        if rule is None or rule.kind != step.kind:
-            return False
-        if step.matcher.apply(rule.lhs) != node:
-            return False
-        return step.after == replace_at(step.before, step.position, step.matcher.apply(rule.rhs))
-    if step.kind == "flat":
-        if not needs_flat(node, th.signature):
-            return False
-        new_node, _ = one_level_flat(node)
-        return step.after == replace_at(step.before, step.position, new_node)
-    if step.kind == "unflat":
-        try:
+        if step.kind in ("rule", "equation"):
+            rule = th.find_rule(step.rule_name or "")
+            if rule is None or step.matcher.apply(rule.lhs) != node:
+                return False
+        elif step.kind == "flat":
+            if not needs_flat(node, th.signature):
+                return False
+        elif step.kind == "unflat":
             after_node = subterm_at(step.after, step.position)
-        except Exception:
-            return False
-        if not (
-            isinstance(node.root, Symbol)
-            and th.signature.is_ac(node.root)
-            and node.root == after_node.root
-        ):
-            return False
-        try:
-            unflat_leaf_mapping(node, after_node)
-        except ValueError:
-            return False
-        if flatten_term(after_node, th.signature) != node:
-            return False
-        return step.after == replace_at(step.before, step.position, after_node)
-    if step.kind == "builtin":
-        root = node.root
-        if not (isinstance(root, Symbol) and th.signature.is_builtin(root) and is_ground(node)):
-            return False
-        op = builtin_ops.REGISTRY.get(root.name)
-        if op is None:
-            return False
-        value = builtin_ops.eval_builtin(op, node.args)
-        if value is None:
-            return False
-        return step.after == replace_at(step.before, step.position, value)
-    return False
+            if not (
+                th.signature.is_ac(node.root)
+                and node.root == after_node.root
+                and flatten_term(after_node, th.signature) == node
+            ):
+                return False
+        return apply_step(step, th, step.before) == step.after
+    except (PositionOutOfRange, MalformedStep):
+        return False

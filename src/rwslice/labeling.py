@@ -253,10 +253,7 @@ def label_ac_segment(steps: list[TraceStep], supply: LabelSupply) -> list[Labele
 def render_labeled(t: Term, labeling: Labeling, pos: Position = ROOT) -> str:
     """Debug rendering of a labeled term: singleton labels as sym^a,
     composite ones as sym^{ab}."""
-    if isinstance(t.root, Variable):
-        name = t.root.name
-    else:
-        name = t.root.name
+    name = t.root.name
     label = labeling.get(pos)
     if label:
         text = label_text(label)

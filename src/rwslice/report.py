@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .slicer import TraceSlice
-from .terms import Position, pretty
+from .terms import pretty
 
 _HEADER = "rwslice-report 1"
 

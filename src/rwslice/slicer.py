@@ -12,25 +12,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .engine import InstrumentedTrace, RewriteTheory, TraceStep
+from .engine import InstrumentedTrace, MalformedStep, RewriteTheory, apply_step
 from .labeling import LabeledStep, LabelSupply, label_step
 from .terms import (
     BULLET_TERM,
     Position,
     PositionOutOfRange,
-    Substitution,
     Term,
     Variable,
     is_bullet,
-    is_ground,
     match,
     positions,
     pretty,
-    replace_at,
-    subterm_at,
 )
-from .acmatch import one_level_flat, spine_leaves, unflat_leaf_mapping
-from . import builtin_ops
 
 
 class InvalidCriterion(Exception):
@@ -224,57 +218,10 @@ def check_soundness(ts: TraceSlice, th: RewriteTheory, concretization: Term) -> 
     for k, sliced in enumerate(ts.steps):
         if not concretizes(sliced.before_slice, current):
             raise ReplayFailure(k, "replayed term escaped the before slice")
-        current = _replay(sliced, ts.trace.steps[sliced.index], th, current, k)
+        try:
+            current = apply_step(ts.trace.steps[sliced.index], th, current)
+        except MalformedStep as exc:
+            raise ReplayFailure(k, str(exc)) from None
         if not concretizes(sliced.after_slice, current):
             raise ReplayFailure(k, "replayed term escaped the after slice")
     return True
-
-
-def _replay(sliced: SlicedStep, original: TraceStep, th: RewriteTheory, t: Term, k: int) -> Term:
-    q = sliced.position
-    try:
-        node = subterm_at(t, q)
-    except PositionOutOfRange as exc:
-        raise ReplayFailure(k, str(exc))
-    if sliced.kind in ("rule", "equation"):
-        rule = th.find_rule(sliced.rule_name or "")
-        if rule is None:
-            raise ReplayFailure(k, f"unknown rule {sliced.rule_name}")
-        matcher = match(rule.lhs, node)
-        if matcher is None:
-            raise ReplayFailure(k, f"{rule.name} does not match {pretty(node)}")
-        return replace_at(t, q, matcher.apply(rule.rhs))
-    if sliced.kind == "builtin":
-        root = node.root
-        op = builtin_ops.REGISTRY.get(getattr(root, "name", ""))
-        if op is None or not is_ground(node):
-            raise ReplayFailure(k, f"not a ground builtin call: {pretty(node)}")
-        value = builtin_ops.eval_builtin(op, node.args)
-        if value is None:
-            raise ReplayFailure(k, f"builtin undefined on {pretty(node)}")
-        return replace_at(t, q, value)
-    if sliced.kind == "flat":
-        # positional replay of the recorded merge, independent of the
-        # ordering the concretized arguments would sort into
-        orig_node = subterm_at(original.before, q)
-        _, sources = one_level_flat(orig_node)
-        try:
-            new_args = tuple(subterm_at(node, Position(src)) for src in sources)
-        except PositionOutOfRange as exc:
-            raise ReplayFailure(k, str(exc))
-        return replace_at(t, q, Term(node.root, new_args))
-    if sliced.kind == "unflat":
-        orig_before = subterm_at(original.before, q)
-        orig_after = subterm_at(original.after, q)
-        mapping = dict(unflat_leaf_mapping(orig_before, orig_after))
-        if len(node.args) != len(orig_before.args):
-            raise ReplayFailure(k, "argument count changed under regrouping")
-
-        def rebuild(shape: Term, rel: tuple[int, ...]) -> Term:
-            pos = Position(rel)
-            if pos in mapping:
-                return node.args[mapping[pos]]
-            return Term(shape.root, tuple(rebuild(a, rel + (i,)) for i, a in enumerate(shape.args, 1)))
-
-        return replace_at(t, q, rebuild(orig_after, ()))
-    raise ReplayFailure(k, f"unknown step kind {sliced.kind}")

@@ -110,10 +110,6 @@ HOLE_TERM = Term(HOLE)
 BULLET_TERM = Term(BULLET)
 
 
-def mk(root: Symbol, *args: Term) -> Term:
-    return Term(root, tuple(args))
-
-
 def var(name: str) -> Term:
     return Term(Variable(name))
 
@@ -211,12 +207,6 @@ def is_ground(t: Term) -> bool:
     return all(is_ground(a) for a in t.args)
 
 
-def contains_bullet(t: Term) -> bool:
-    if is_bullet(t):
-        return True
-    return any(contains_bullet(a) for a in t.args)
-
-
 def term_key(t: Term):
     """Total order key: root name, then node class, then arity, then
     arguments left to right."""
@@ -293,16 +283,12 @@ def match(pattern: Term, subject: Term) -> Substitution | None:
     return Substitution(bindings) if go(pattern, subject) else None
 
 
-def pretty(t: Term, ascii_bullet: bool = False) -> str:
+def pretty(t: Term) -> str:
     """Canonical printing: no whitespace, arguments comma-separated."""
-    if isinstance(t.root, Variable):
-        return t.root.name
     name = t.root.name
-    if t.root.kind == "bullet" and ascii_bullet:
-        name = "_"
     if not t.args:
         return name
-    return name + "(" + ",".join(pretty(a, ascii_bullet) for a in t.args) + ")"
+    return name + "(" + ",".join(pretty(a) for a in t.args) + ")"
 
 
 _NUMERAL_RE = re.compile(r"-?\d+")

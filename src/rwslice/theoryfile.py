@@ -23,6 +23,7 @@ from .terms import (
     BULLET_TERM,
     Signature,
     SignatureError,
+    Symbol,
     Term,
     Variable,
     is_numeral_name,
@@ -143,12 +144,8 @@ class _TermParser:
         if is_numeral_name(name) or name in ("true", "false"):
             if args:
                 raise ArityMismatchError(f"{name} is a constant", tok.line, tok.col)
-            from .terms import Symbol
-
             return Term(Symbol(name, 0))
         if self.sig is None:
-            from .terms import Symbol
-
             return Term(Symbol(name, len(args)), tuple(args))
         decl = self.sig.lookup(name, len(args))
         if decl is None:

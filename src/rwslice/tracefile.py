@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .acmatch import flatten_term
 from .engine import InstrumentedTrace, MalformedStep, RewriteTheory, TraceStep, check_step
-from .terms import EMPTY_SUBST, Position, Substitution, Term, Variable, pretty
+from .terms import EMPTY_SUBST, Position, Substitution, Variable, pretty
 from .theoryfile import TheorySyntaxError, parse_term
 
 _HEADER = "rwtrace 1"

@@ -7,6 +7,7 @@ and matches syntactically; it shares no code with the matcher under test.
 from __future__ import annotations
 
 import random
+import zlib
 from itertools import product
 
 from rwslice.acmatch import flatten_term
@@ -285,3 +286,22 @@ def soundness_case(rng: random.Random, category: str):
     ts = trace_slice(trace, criterion)
     conc = random_concretization(rng, th.signature, ts.slices[0])
     return th, ts, conc
+
+
+def category_seed(category: str) -> int:
+    """Seed for a category's randomized cases; unlike hash(), the same in
+    every process."""
+    return zlib.crc32(category.encode()) & 0xFFFF
+
+
+def seeded_traces(per_category: int = 50):
+    """(theory, trace) pairs drawn from every category's seed. Together
+    their steps cover all five step kinds; equation steps first show up
+    in the 45th elementary case."""
+    out = []
+    for category in CATEGORIES:
+        rng = random.Random(category_seed(category))
+        for _ in range(per_category):
+            th, trace, _ = random_case(rng, category)
+            out.append((th, trace))
+    return out

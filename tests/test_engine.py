@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from rwslice import bundled_example_path
@@ -8,13 +10,16 @@ from rwslice.engine import (
     Rule,
     StepBudgetExceeded,
     TheoryError,
+    apply_step,
     check_step,
     normalize,
     rewrite_step_modulo_E,
     run,
 )
-from rwslice.terms import Position, Signature, Term, Variable, pretty
+from rwslice.terms import BULLET_TERM, Signature, Substitution, Term, Variable, positions, pretty, replace_at
 from rwslice.theoryfile import parse_term, parse_theory
+
+from genutil import seeded_traces
 
 
 def T(text, sig, variables=None):
@@ -125,16 +130,6 @@ def test_rewrite_step_is_pure_rule_without_equations(basic_theory):
     assert len(steps) == 1 and steps[0].kind == "rule"
 
 
-def test_rule_choice(basic_theory):
-    sig = basic_theory.signature
-    t = T("g(f(b))", sig)
-    # default order fires r1 innermost; force r2 by a bogus choice first
-    _, steps = rewrite_step_modulo_E(t, basic_theory, rule_choice=("r1", Position((1,)), 0))
-    assert steps[0].rule_name == "r1"
-    with pytest.raises(NoRuleApplicable):
-        rewrite_step_modulo_E(t, basic_theory, rule_choice=("r2", Position((1,)), 0))
-
-
 def test_run_two_step_trace(basic_theory):
     trace = run(T("g(f(a))", basic_theory.signature), basic_theory, 10)
     assert pretty(trace.final()) == "m(a)"
@@ -182,6 +177,38 @@ def test_producer_consumer_run_chains_and_replays():
         assert check_step(step, th)
     # after make,eat,make,eat,make the token is held by the producer side
     assert pretty(trace.final()) == "cfg(cons(2,1),item(2),prod(3))"
+
+
+@pytest.fixture(scope="module")
+def generated_steps():
+    steps = [(th, s) for th, trace in seeded_traces() for s in trace.steps]
+    assert {s.kind for _, s in steps} == {"rule", "equation", "builtin", "flat", "unflat"}
+    return steps
+
+
+def test_apply_step_reproduces_every_step(generated_steps):
+    for th, s in generated_steps:
+        assert apply_step(s, th, s.before) == s.after, s
+        assert check_step(s, th), s
+
+
+def test_check_step_rejects_single_field_tampering(generated_steps):
+    swapped_kind = {"flat": "unflat", "unflat": "flat"}
+    for th, s in generated_steps:
+        tampered = [
+            dataclasses.replace(s, after=replace_at(s.after, positions(s.after)[-1], BULLET_TERM)),
+            *(dataclasses.replace(s, position=p) for p in positions(s.before) if p != s.position),
+        ]
+        if s.kind in ("rule", "equation"):
+            others = [r.name for r in th.equations + th.rules if r.name != s.rule_name]
+            tampered += [dataclasses.replace(s, rule_name=n) for n in others + ["unknown"]]
+        if s.kind in swapped_kind:
+            tampered.append(dataclasses.replace(s, kind=swapped_kind[s.kind]))
+        for v, _ in s.matcher.items():
+            rebound = Substitution({**dict(s.matcher.items()), v: BULLET_TERM})
+            tampered.append(dataclasses.replace(s, matcher=rebound))
+        for bad in tampered:
+            assert not check_step(bad, th), bad
 
 
 def test_sub_multiset_rewriting_keeps_rest():

@@ -1,8 +1,9 @@
+import dataclasses
 import random
 
 import pytest
 
-from rwslice.engine import RewriteTheory, Rule, run
+from rwslice.engine import InstrumentedTrace, RewriteTheory, Rule, run
 from rwslice.labeling import LabelSupply, label_step
 from rwslice.slicer import (
     InvalidCriterion,
@@ -27,7 +28,7 @@ from rwslice.terms import (
 )
 from rwslice.theoryfile import parse_term
 
-from genutil import soundness_case
+from genutil import category_seed, soundness_case
 
 
 def P(text):
@@ -297,6 +298,25 @@ def test_check_soundness_randomized_smoke():
         for _ in range(25):
             th, ts, conc = soundness_case(rng, category)
             assert check_soundness(ts, th, conc) is True
+
+
+def test_check_soundness_names_failing_step():
+    # a case whose last kept rule step is not the first kept step
+    rng = random.Random(category_seed("elementary"))
+    for _ in range(100):
+        th, ts, conc = soundness_case(rng, "elementary")
+        k = max((i for i, s in enumerate(ts.steps) if s.kind == "rule"), default=0)
+        if k > 0:
+            break
+    assert k > 0
+    steps = list(ts.trace.steps)
+    j = ts.steps[k].index
+    steps[j] = dataclasses.replace(steps[j], rule_name="unknown")
+    broken = dataclasses.replace(ts, trace=InstrumentedTrace(th, ts.trace.initial, steps))
+    with pytest.raises(ReplayFailure) as info:
+        check_soundness(broken, th, conc)
+    assert info.value.index == k
+    assert check_soundness(ts, th, conc) is True
 
 
 def test_stats_metrics(step_theory, labeled_step):
