@@ -262,6 +262,15 @@ def _pattern_spine(p: Term) -> list[Term]:
     return out
 
 
+def ac_group_sizes(pattern: Term, n: int) -> range:
+    """Sizes, largest first and at most n, of the argument groups an
+    AC-rooted pattern can match: each spine subpattern takes one argument,
+    a spine variable may take more."""
+    spine = _pattern_spine(pattern)
+    vary = any(isinstance(p.root, Variable) for p in spine)
+    return range(n if vary else min(n, len(spine)), len(spine) - 1, -1)
+
+
 def _ac_args_match(pats: list[Term], args: list[Term], op: Symbol, binding: dict, sig: Signature):
     """Backtracking multiset match of spine subpatterns against a flattened
     argument list. Variables absorb any nonempty subset (a single argument,

@@ -15,6 +15,7 @@ from itertools import combinations
 
 from . import builtin_ops
 from .acmatch import (
+    ac_group_sizes,
     flatten,
     flatten_term,
     match_modulo_ac,
@@ -217,26 +218,25 @@ def _candidates_at(node: Term, rules: list[Rule], sig: Signature):
     """Deterministic candidate enumeration at one node: rules in declaration
     order; per rule, matches over the whole node first, then over proper
     sub-multisets of a flattened AC node (the remaining arguments stay put,
-    larger groups first)."""
+    larger groups first, `combinations` order within a size). Only the
+    sizes `ac_group_sizes` gives for the rule are tried, the whole node
+    being of size n: a group of any other size has no matcher, so the
+    sequence is the one over all sizes."""
+    n = len(node.args)
     for rule in rules:
-        for sub, shape in match_modulo_ac(rule.lhs, node, sig):
-            yield (rule, sub, shape, ROOT)
         root = rule.lhs.root
-        if (
-            isinstance(root, Symbol)
-            and sig.is_ac(root)
-            and isinstance(node.root, Symbol)
-            and node.root == root
-            and len(node.args) >= 3
-        ):
-            n = len(node.args)
-            for size in range(n - 1, 1, -1):
-                for idxs in combinations(range(n), size):
-                    group = Term(node.root, tuple(node.args[i] for i in idxs))
-                    for sub, shape in match_modulo_ac(rule.lhs, group, sig):
-                        rest = tuple(node.args[i] for i in range(n) if i not in idxs)
-                        target = Term(node.root, (shape,) + rest)
-                        yield (rule, sub, target, Position((1,)))
+        ac = isinstance(root, Symbol) and sig.is_ac(root) and node.root == root
+        for size in ac_group_sizes(rule.lhs, n) if ac else (n,):
+            if size == n:
+                for sub, shape in match_modulo_ac(rule.lhs, node, sig):
+                    yield (rule, sub, shape, ROOT)
+                continue
+            for idxs in combinations(range(n), size):
+                group = Term(node.root, tuple(node.args[i] for i in idxs))
+                for sub, shape in match_modulo_ac(rule.lhs, group, sig):
+                    rest = tuple(node.args[i] for i in range(n) if i not in idxs)
+                    target = Term(node.root, (shape,) + rest)
+                    yield (rule, sub, target, Position((1,)))
 
 
 def _scan(t: Term, rules: list[Rule], sig: Signature):
@@ -458,6 +458,7 @@ def check_step(step: TraceStep, th: RewriteTheory) -> bool:
             if not (
                 th.signature.is_ac(node.root)
                 and node.root == after_node.root
+                and node != after_node
                 and flatten_term(after_node, th.signature) == node
             ):
                 return False

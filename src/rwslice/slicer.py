@@ -24,6 +24,7 @@ from .terms import (
     match,
     positions,
     pretty,
+    subterm_at,
 )
 
 
@@ -54,14 +55,24 @@ class SlicingCriterion:
 def origin_positions(ls: LabeledStep, w: Position) -> frozenset[Position]:
     """Positions of the step's source term whose labels are contained in
     some label on the root-to-w path of the target term."""
+    return _origins(ls, (w,))
+
+
+def _origins(ls: LabeledStep, targets: Iterable[Position]) -> frozenset[Position]:
+    """The union of origin_positions(ls, w) over the targets, in one sweep.
+    A singleton label inside the union of the path labels lies in one of
+    them, so only composite labels need the subset scan."""
     after = ls.step.after
-    if w not in set(positions(after)):
-        raise PositionOutOfRange(f"{w} is not a position of {pretty(after)}")
-    path_labels = [ls.after_labeling[p] for p in w.prefixes() if p in ls.after_labeling]
+    path: set[Position] = set()
+    for w in targets:
+        subterm_at(after, w)  # PositionOutOfRange for a bad w
+        path.update(w.prefixes())
+    labels = {ls.after_labeling[p] for p in path if p in ls.after_labeling}
+    covered = frozenset().union(*labels)
     return frozenset(
         v
         for v, lv in ls.before_labeling.items()
-        if any(lv <= lp for lp in path_labels)
+        if lv <= covered and (len(lv) == 1 or any(lv <= lp for lp in labels))
     )
 
 
@@ -81,15 +92,10 @@ def relevant_positions(
         raise InvalidCriterion(
             f"criterion positions {sorted(bad)} are not positions of {pretty(trace.final())}"
         )
-    n = len(trace.steps)
-    sets: list[frozenset[Position]] = [frozenset()] * (n + 1)
-    sets[n] = crit
-    for j in range(n - 1, -1, -1):
-        acc: set[Position] = set()
-        for w in sets[j + 1]:
-            acc |= origin_positions(labeled[j], w)
-        sets[j] = frozenset(acc)
-    return sets
+    sets = [crit]
+    for ls in reversed(labeled):
+        sets.append(_origins(ls, sets[-1]))
+    return sets[::-1]
 
 
 def _criterion_set(criterion) -> frozenset[Position]:

@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import random
 import zlib
-from itertools import product
+from itertools import combinations, product
 
-from rwslice.acmatch import flatten_term
+from rwslice.acmatch import flatten_term, match_modulo_ac
 from rwslice.engine import RewriteTheory, Rule, run
 from rwslice.slicer import trace_slice
 from rwslice.terms import (
     Position,
+    ROOT,
     Signature,
     Substitution,
     Symbol,
@@ -80,6 +81,26 @@ def oracle_ac_matchers(
         if m is not None:
             out.add(Substitution({v: flatten_term(t, sig) for v, t in m.items()}))
     return frozenset(out)
+
+
+def all_sizes_candidates(node: Term, rules: list[Rule], sig: Signature) -> list:
+    """The engine's candidate sequence at one node, computed by trying every
+    sub-multiset of a flattened AC node from size n-1 down to 2, whatever
+    the rule's pattern."""
+    out = []
+    for rule in rules:
+        for sub, shape in match_modulo_ac(rule.lhs, node, sig):
+            out.append((rule, sub, shape, ROOT))
+        root = rule.lhs.root
+        if sig.is_ac(root) and node.root == root and len(node.args) >= 3:
+            n = len(node.args)
+            for size in range(n - 1, 1, -1):
+                for idxs in combinations(range(n), size):
+                    group = Term(node.root, tuple(node.args[i] for i in idxs))
+                    for sub, shape in match_modulo_ac(rule.lhs, group, sig):
+                        rest = tuple(node.args[i] for i in range(n) if i not in idxs)
+                        out.append((rule, sub, Term(node.root, (shape,) + rest), Position((1,))))
+    return out
 
 
 # ------------------------------------------------- random term machinery

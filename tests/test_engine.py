@@ -1,8 +1,10 @@
 import dataclasses
+import random
 
 import pytest
 
-from rwslice import bundled_example_path
+from rwslice import bundled_example_path, engine
+from rwslice.acmatch import flatten_term, match_modulo_ac
 from rwslice.engine import (
     InstrumentedTrace,
     NoRuleApplicable,
@@ -10,16 +12,28 @@ from rwslice.engine import (
     Rule,
     StepBudgetExceeded,
     TheoryError,
+    TraceStep,
     apply_step,
     check_step,
     normalize,
     rewrite_step_modulo_E,
     run,
 )
-from rwslice.terms import BULLET_TERM, Signature, Substitution, Term, Variable, positions, pretty, replace_at
+from rwslice.terms import (
+    BULLET_TERM,
+    EMPTY_SUBST,
+    ROOT,
+    Signature,
+    Substitution,
+    Term,
+    Variable,
+    positions,
+    pretty,
+    replace_at,
+)
 from rwslice.theoryfile import parse_term, parse_theory
 
-from genutil import seeded_traces
+from genutil import all_sizes_candidates, seeded_traces
 
 
 def T(text, sig, variables=None):
@@ -224,3 +238,74 @@ def test_instrumented_trace_terms(basic_theory):
     terms = trace.terms()
     assert terms[0] == t and terms[-1] == trace.final()
     assert len(terms) == len(trace.steps) + 1
+
+
+def test_check_step_rejects_identity_unflat():
+    th = parse_theory(bundled_example_path("client_server.rwt").read_text())
+    t = flatten_term(T("net(srv(0),cli(1,3,none),cli(2,4,none))", th.signature), th.signature)
+    assert len(t.args) == 3
+    assert not check_step(TraceStep("unflat", None, ROOT, EMPTY_SUBST, t, t), th)
+
+
+def test_candidates_at_equals_all_sizes_reference():
+    sig = Signature()
+    sig.declare("f", 2, assoc=True, comm=True)
+    sig.declare("g", 1)
+    for name in "abc":
+        sig.declare(name, 0)
+    xy = {"x", "y"}
+    pool = [
+        Rule("ground", T("f(a,g(b))", sig), T("a", sig)),
+        Rule("ground3", T("f(a,f(b,c))", sig), T("a", sig)),
+        Rule("onevar", T("f(x,g(a))", sig, xy), T("a", sig)),
+        Rule("twovars", T("f(x,f(y,g(a)))", sig, xy), T("a", sig)),
+        Rule("twovars3", T("f(x,f(y,b))", sig, xy), T("a", sig)),
+        Rule("repeated", T("f(x,x)", sig, xy), T("a", sig)),
+        Rule("boundvar", T("f(g(x),x)", sig, xy), T("a", sig)),
+        Rule("nested", T("f(f(x,a),b)", sig, xy), T("a", sig)),
+        Rule("nonac", T("g(x)", sig, xy), T("a", sig)),
+    ]
+    leaves = [T(text, sig) for text in ("a", "b", "c", "g(a)", "g(b)", "g(g(a))")]
+    rng = random.Random(7)
+    matched = 0
+    for _ in range(40):
+        args = tuple(rng.choice(leaves) for _ in range(rng.randint(3, 7)))
+        node = flatten_term(Term(sig.lookup("f", 2).symbol, args), sig)
+        rules = rng.sample(pool, k=rng.randint(1, 4))
+        expected = all_sizes_candidates(node, rules, sig)
+        assert list(engine._candidates_at(node, rules, sig)) == expected, (node, rules)
+        matched += bool(expected)
+    assert matched > 15
+
+
+def _count_match_calls(monkeypatch, bound):
+    """Replace the engine's matcher by one that counts its calls and fails
+    the test as soon as the count passes the bound."""
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        if calls[0] > bound:
+            pytest.fail(f"more than {bound} match_modulo_ac calls")
+        return match_modulo_ac(*args)
+
+    monkeypatch.setattr(engine, "match_modulo_ac", counted)
+    return calls
+
+
+def test_match_calls_on_wide_soup(monkeypatch):
+    th = parse_theory("op c : 2 [assoc comm] .\nop a : 1 .\nop b : 1 .\nrl [r] : c(a(X),b(X)) => b(X) .\n")
+    soup = T("c(" + ",".join(f"a({i})" for i in range(20)) + ",b(19))", th.signature)
+    calls = _count_match_calls(monkeypatch, 1_000)
+    trace = run(soup, th, 1)
+    assert [s.rule_name for s in trace.steps if s.kind == "rule"] == ["r"]
+    assert calls[0] > 0
+
+
+def test_match_calls_on_eight_clients(monkeypatch):
+    th = parse_theory(bundled_example_path("client_server.rwt").read_text())
+    clients = ",".join(f"cli({i},{i + 2},none)" for i in range(1, 9))
+    calls = _count_match_calls(monkeypatch, 20_000)
+    trace = run(T(f"net(srv(0),{clients})", th.signature), th, 24)
+    assert sum(1 for s in trace.steps if s.kind == "rule") == 24
+    assert calls[0] > 0

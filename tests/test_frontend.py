@@ -143,6 +143,18 @@ def test_trace_load_rejects_tampering(tmp_path):
         parse_trace(broken, th)
 
 
+def test_trace_load_rejects_identity_unflat(tmp_path):
+    th = parse_theory(bundled_example_path("client_server.rwt").read_text())
+    init = parse_term("net(cli(1,3,none),srv(0))", th.signature)
+    lines = render_trace(run(init, th, 3), "client_server").splitlines()
+    assert lines[2] == f"init {pretty(init)}"
+    lines.insert(3, f"step unflat - ^ - {pretty(init)} {pretty(init)}")
+    path = tmp_path / "identity.rwtrace"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(MalformedStep):
+        load_trace(path, th)
+
+
 def test_trace_load_warns_on_noncanonical_tail(tmp_path):
     th = parse_theory("op f : 2 [assoc comm] .\nop a : 0 .\nop b : 0 .\n")
     text = "rwtrace 1\ntheory x\ninit f(b,a)\n"

@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from rwslice.engine import InstrumentedTrace, RewriteTheory, Rule, run
-from rwslice.labeling import LabelSupply, label_step
+from rwslice.acmatch import flatten, plan_unflat
+from rwslice.engine import InstrumentedTrace, RewriteTheory, Rule, TraceStep, run
+from rwslice.labeling import Labeling, LabelSupply, label_ac_segment, label_step
 from rwslice.slicer import (
     InvalidCriterion,
     ReplayFailure,
@@ -18,6 +19,7 @@ from rwslice.slicer import (
 )
 from rwslice.terms import (
     BULLET_TERM,
+    EMPTY_SUBST,
     Position,
     PositionOutOfRange,
     Signature,
@@ -28,7 +30,7 @@ from rwslice.terms import (
 )
 from rwslice.theoryfile import parse_term
 
-from genutil import category_seed, soundness_case
+from genutil import category_seed, random_criterion, seeded_traces, soundness_case
 
 
 def P(text):
@@ -64,6 +66,18 @@ def independent_origin_scan(ls, w):
     return out
 
 
+def independent_backward_pass(labeled, criterion):
+    """relevant_positions recomputed step by step as the union of the
+    in-test scan over every relevant position."""
+    expect = [frozenset(criterion)]
+    for ls in reversed(labeled):
+        acc = set()
+        for w in expect[0]:
+            acc |= independent_origin_scan(ls, w)
+        expect.insert(0, frozenset(acc))
+    return expect
+
+
 def test_origin_positions_golden(labeled_step):
     _, ls = labeled_step
     assert origin_positions(ls, P("1.2")) == {P("1.1.2"), P("1"), P("1.1"), P("1.2"), P("^")}
@@ -79,6 +93,18 @@ def test_origin_positions_out_of_range(labeled_step):
     _, ls = labeled_step
     with pytest.raises(PositionOutOfRange):
         origin_positions(ls, P("3.7"))
+
+
+def test_origin_positions_composite_label_needs_one_containing_label(labeled_step):
+    # {1,2} lies inside the union of the path labels {1} and {2}, but in
+    # neither of them
+    _, ls = labeled_step
+    ls = dataclasses.replace(
+        ls,
+        before_labeling=Labeling({P("^"): frozenset({1, 2}), P("1"): frozenset({2})}),
+        after_labeling=Labeling({P("^"): frozenset({1}), P("1"): frozenset({2})}),
+    )
+    assert origin_positions(ls, P("1")) == independent_origin_scan(ls, P("1")) == {P("1")}
 
 
 def test_origin_positions_collapsing_brute_force():
@@ -126,18 +152,41 @@ def test_relevant_positions_two_step_chain():
     trace = run(T("g(f(a))", sig), th, 10)
     labeled = [label_step(s, th, LabelSupply()) for s in trace.steps]
     sets = relevant_positions(trace, labeled, frozenset({Position()}))
-    # recompute each set with the in-test scan
-    expect = [frozenset({Position()})]
-    for ls in reversed(labeled):
-        acc = set()
-        for w in expect[0]:
-            acc |= independent_origin_scan(ls, w)
-        expect.insert(0, frozenset(acc))
-    assert sets == expect
+    assert sets == independent_backward_pass(labeled, frozenset({Position()}))
     assert sets[2] == {P("^")}
     # m's join carries both redex labels, so all of g(b) is relevant
     assert sets[1] == {P("^"), P("1")}
     assert sets[0] == {P("^"), P("1")}
+
+
+def test_relevant_positions_equals_scan_on_generated_traces():
+    rng = random.Random(5)
+    for th, trace in seeded_traces():
+        labeled = [label_step(s, th, LabelSupply()) for s in trace.steps]
+        final = positions(trace.final())
+        criteria = [{Position()}, {final[-1]}, set(final), random_criterion(rng, trace.final())]
+        for crit in criteria:
+            got = relevant_positions(trace, labeled, crit)
+            assert got == independent_backward_pass(labeled, crit), (trace.initial, crit)
+
+
+def test_relevant_positions_equals_scan_on_chained_ac_segment():
+    # chained labels are joins, so the subset test behind `covered` decides
+    sig = Signature()
+    sig.declare("f", 2, assoc=True, comm=True)
+    for name in "abc":
+        sig.declare(name, 0)
+    t0 = T("f(b,f(b,f(a,c)))", sig)
+    canon, flat_events = flatten(t0, sig)
+    _, unflat_events = plan_unflat(canon, Position(), T("f(f(b,c),f(a,b))", sig), sig)
+    steps = [TraceStep("flat", None, p, EMPTY_SUBST, b, a) for p, b, a in flat_events]
+    steps += [TraceStep("unflat", None, p, EMPTY_SUBST, b, a) for p, b, a in unflat_events]
+    trace = InstrumentedTrace(RewriteTheory(sig), t0, steps)
+    labeled = label_ac_segment(steps, LabelSupply())
+    assert any(len(l) > 1 for ls in labeled for l in ls.before_labeling.values())
+    final = positions(trace.final())
+    for crit in [{w} for w in final] + [set(final)]:
+        assert relevant_positions(trace, labeled, crit) == independent_backward_pass(labeled, crit)
 
 
 def test_relevant_positions_invalid_criterion(labeled_step):
