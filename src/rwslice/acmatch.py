@@ -20,8 +20,8 @@ from .terms import (
     Symbol,
     Term,
     Variable,
+    first_postorder,
     pretty,
-    postorder_positions,
     replace_at,
     subterm_at,
     term_key,
@@ -64,15 +64,19 @@ def needs_flat(node: Term, sig: Signature) -> bool:
     return keys != sorted(keys)
 
 
-def flatten(t: Term, sig: Signature) -> tuple[Term, list[FlatEvent]]:
-    """AC canonical form of t plus the innermost-first flattening events."""
+def flatten(t: Term, sig: Signature, searched: dict[int, Term] | None = None) -> tuple[Term, list[FlatEvent]]:
+    """AC canonical form of t plus the innermost-first flattening events.
+    `searched` holds the nodes with nothing to flatten in their subtree
+    (`first_postorder`); a caller may carry it from one call to the next."""
+    if searched is None:
+        searched = {}
     events: list[FlatEvent] = []
     current = t
     while True:
-        pos = _first_flat_position(current, sig)
-        if pos is None:
+        hit = first_postorder(current, lambda node: node if needs_flat(node, sig) else None, searched)
+        if hit is None:
             return current, events
-        node = subterm_at(current, pos)
+        pos, node = hit
         new_node, _ = one_level_flat(node)
         after = replace_at(current, pos, new_node)
         events.append((pos, current, after))
@@ -81,13 +85,6 @@ def flatten(t: Term, sig: Signature) -> tuple[Term, list[FlatEvent]]:
 
 def flatten_term(t: Term, sig: Signature) -> Term:
     return flatten(t, sig)[0]
-
-
-def _first_flat_position(t: Term, sig: Signature) -> Position | None:
-    for p in postorder_positions(t):
-        if needs_flat(subterm_at(t, p), sig):
-            return p
-    return None
 
 
 def flat_merge_sources(before_node: Term) -> list[Position]:

@@ -35,9 +35,9 @@ from .terms import (
     Symbol,
     Term,
     Variable,
+    first_postorder,
     is_ground,
     match,
-    postorder_positions,
     pretty,
     replace_at,
     subterm_at,
@@ -221,11 +221,15 @@ def _candidates_at(node: Term, rules: list[Rule], sig: Signature):
     larger groups first, `combinations` order within a size). Only the
     sizes `ac_group_sizes` gives for the rule are tried, the whole node
     being of size n: a group of any other size has no matcher, so the
-    sequence is the one over all sizes."""
+    sequence is the one over all sizes. A rule whose left-hand side has
+    another root symbol than the node is skipped: it cannot match there,
+    and a flattened AC node keeps its binary symbol as root."""
     n = len(node.args)
     for rule in rules:
         root = rule.lhs.root
-        ac = isinstance(root, Symbol) and sig.is_ac(root) and node.root == root
+        if root != node.root:
+            continue
+        ac = sig.is_ac(root)
         for size in ac_group_sizes(rule.lhs, n) if ac else (n,):
             if size == n:
                 for sub, shape in match_modulo_ac(rule.lhs, node, sig):
@@ -239,17 +243,18 @@ def _candidates_at(node: Term, rules: list[Rule], sig: Signature):
                     yield (rule, sub, target, Position((1,)))
 
 
-def _scan(t: Term, rules: list[Rule], sig: Signature):
+def _scan(t: Term, rules: list[Rule], sig: Signature, searched: dict[int, Term]):
     """First applicable candidate in leftmost-innermost position order.
-    Returns (node position, candidate)."""
-    for q in postorder_positions(t):
-        for cand in _candidates_at(subterm_at(t, q), rules, sig):
-            return q, cand
-    return None
+    Returns (node position, candidate). `searched` holds the nodes already
+    known to have no candidate for these rules anywhere in their subtree;
+    see `first_postorder`."""
+    if not rules:
+        return None
+    return first_postorder(t, lambda node: next(_candidates_at(node, rules, sig), None), searched)
 
 
-def _emit_flatten(t: Term, th: RewriteTheory, budget: _Budget, out: list[TraceStep]) -> Term:
-    canon, events = flatten(t, th.signature)
+def _emit_flatten(t: Term, th: RewriteTheory, budget: _Budget, out: list[TraceStep], searched: dict) -> Term:
+    canon, events = flatten(t, th.signature, searched["flat"])
     for pos, before, after in events:
         budget.spend()
         out.append(TraceStep("flat", None, pos, EMPTY_SUBST, before, after))
@@ -278,36 +283,38 @@ def _apply_candidate(
     return after
 
 
-def _eval_builtin_at(t: Term, th: RewriteTheory):
-    sig = th.signature
-    for q in postorder_positions(t):
-        node = subterm_at(t, q)
-        root = node.root
-        if isinstance(root, Symbol) and sig.is_builtin(root) and is_ground(node):
-            op = builtin_ops.REGISTRY[root.name]
-            value = builtin_ops.eval_builtin(op, node.args)
-            if value is not None:
-                return q, root.name, value
+def _builtin_value(node: Term, sig: Signature):
+    """(operator name, value) of a ground builtin call that evaluates."""
+    root = node.root
+    if isinstance(root, Symbol) and sig.is_builtin(root) and is_ground(node):
+        value = builtin_ops.eval_builtin(builtin_ops.REGISTRY[root.name], node.args)
+        if value is not None:
+            return root.name, value
     return None
 
 
-def _normalize_into(t: Term, th: RewriteTheory, budget: _Budget, out: list[TraceStep]) -> Term:
-    t = _emit_flatten(t, th, budget, out)
+def _normalize_into(t: Term, th: RewriteTheory, budget: _Budget, out: list[TraceStep], searched: dict) -> Term:
+    t = _emit_flatten(t, th, budget, out, searched)
     while True:
-        hit = _eval_builtin_at(t, th)
+        hit = first_postorder(t, lambda node: _builtin_value(node, th.signature), searched["builtin"])
         if hit is not None:
-            q, opname, value = hit
+            q, (opname, value) = hit
             after = replace_at(t, q, value)
             budget.spend()
             out.append(TraceStep("builtin", opname, q, EMPTY_SUBST, t, after))
-            t = _emit_flatten(after, th, budget, out)
+            t = _emit_flatten(after, th, budget, out, searched)
             continue
-        found = _scan(t, th.equations, th.signature)
+        found = _scan(t, th.equations, th.signature, searched["equation"])
         if found is None:
             return t
         q, cand = found
         t = _apply_candidate(t, q, cand, th, budget, out)
-        t = _emit_flatten(t, th, budget, out)
+        t = _emit_flatten(t, th, budget, out, searched)
+
+
+def _new_searched() -> dict[str, dict[int, Term]]:
+    """Per scan kind, the nodes searched without a hit (`first_postorder`)."""
+    return {kind: {} for kind in ("flat", "builtin", "equation", "rule")}
 
 
 def normalize(t: Term, th: RewriteTheory, max_steps: int | None = None) -> tuple[Term, list[TraceStep]]:
@@ -318,7 +325,7 @@ def normalize(t: Term, th: RewriteTheory, max_steps: int | None = None) -> tuple
     order), re-flattening after each contraction."""
     budget = _Budget(DEFAULT_STEP_BUDGET if max_steps is None else max_steps)
     out: list[TraceStep] = []
-    result = _normalize_into(t, th, budget, out)
+    result = _normalize_into(t, th, budget, out, _new_searched())
     return result, out
 
 
@@ -331,18 +338,23 @@ def _drive(
     """The deterministic strategy from t0: normalize, then apply one rule
     and normalize again until done(term, rule steps taken) holds at a
     rule-step boundary. `finished` is False when the run stopped earlier
-    because no rule applies."""
+    because no rule applies. Each scan kind keeps the nodes it searched
+    without a hit for the whole run (`first_postorder`): a step shares
+    every subtree off its path, so later scans search only the contractum
+    and its new ancestors. The dicts live for one run: the tests depend on
+    its theory, and the nodes they hold would otherwise outlive the trace."""
     budget = _Budget(DEFAULT_STEP_BUDGET if max_steps is None else max_steps)
     out: list[TraceStep] = []
-    t = _normalize_into(t0, th, budget, out)
+    searched = _new_searched()
+    t = _normalize_into(t0, th, budget, out, searched)
     rule_steps = 0
     while not done(t, rule_steps):
-        found = _scan(t, th.rules, th.signature)
+        found = _scan(t, th.rules, th.signature, searched["rule"])
         if found is None:
             return InstrumentedTrace(th, t0, out), False
         q, cand = found
         t = _apply_candidate(t, q, cand, th, budget, out)
-        t = _normalize_into(t, th, budget, out)
+        t = _normalize_into(t, th, budget, out, searched)
         rule_steps += 1
     return InstrumentedTrace(th, t0, out), True
 

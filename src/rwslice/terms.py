@@ -140,18 +140,34 @@ def positions(t: Term) -> list[Position]:
     return out
 
 
-def postorder_positions(t: Term) -> list[Position]:
-    """Positions with children before their parent (leftmost-innermost)."""
-    out: list[Position] = []
+def first_postorder(t: Term, test, searched: dict[int, Term]):
+    """First node of t in leftmost-innermost (postorder) order for which
+    test(node) is not None, as (position, result), or None.
 
-    def walk(node: Term, pos: Position):
-        for i, arg in enumerate(node.args, start=1):
-            walk(arg, pos.child(i))
-        if not is_hole(node):
-            out.append(pos)
-
-    walk(t, ROOT)
-    return out
+    `searched` maps id(node) to node for the subtrees searched without a
+    hit; the walk skips them and adds each subtree it searches without a
+    hit. When test depends on nothing but its node's subtree, a skipped
+    subtree has no hit wherever it is shared, terms being immutable, so
+    the first hit is the one a full walk finds. Holding the node keeps its
+    id from being reused. The walk uses an explicit stack, not recursion,
+    and builds a position only for the hit.
+    """
+    nodes, next_child = ([], []) if id(t) in searched else ([t], [0])
+    while nodes:
+        node, i = nodes[-1], next_child[-1]
+        if i < len(node.args):
+            next_child[-1] = i + 1
+            if id(node.args[i]) not in searched:
+                nodes.append(node.args[i])
+                next_child.append(0)
+            continue
+        result = test(node)
+        if result is not None:
+            return Position(tuple(next_child[:-1])), result
+        searched[id(node)] = node
+        nodes.pop()
+        next_child.pop()
+    return None
 
 
 def subterm_at(t: Term, u: Position) -> Term:

@@ -70,9 +70,9 @@ def parse_trace(text: str, theory: RewriteTheory) -> InstrumentedTrace:
         raise MalformedStep(f"expected header {_HEADER!r}")
     if len(lines) < 3 or not lines[1].startswith("theory ") or not lines[2].startswith("init "):
         raise MalformedStep("expected theory and init lines")
-    initial = parse_term(lines[2][len("init ") :], theory.signature)
+    prev_txt = lines[2][len("init ") :]
+    initial = prev = parse_term(prev_txt, theory.signature)
     steps: list[TraceStep] = []
-    prev = initial
     for lineno, line in enumerate(lines[3:], start=4):
         fields = line.split()
         if len(fields) != 7 or fields[0] != "step":
@@ -84,7 +84,8 @@ def parse_trace(text: str, theory: RewriteTheory) -> InstrumentedTrace:
                 rule_name=None if rule == "-" else rule,
                 position=Position.parse(pos),
                 matcher=_parse_bindings(bind, theory),
-                before=parse_term(before_txt, theory.signature),
+                # a step's before usually repeats the last after: parse it once
+                before=prev if before_txt == prev_txt else parse_term(before_txt, theory.signature),
                 after=parse_term(after_txt, theory.signature),
             )
         except (ValueError, TheorySyntaxError) as exc:
@@ -94,7 +95,7 @@ def parse_trace(text: str, theory: RewriteTheory) -> InstrumentedTrace:
         if not check_step(step, theory):
             raise MalformedStep(f"line {lineno}: step does not replay against the theory")
         steps.append(step)
-        prev = step.after
+        prev, prev_txt = step.after, after_txt
     trace = InstrumentedTrace(theory, initial, steps)
     final = trace.final()
     if flatten_term(final, theory.signature) != final:

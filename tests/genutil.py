@@ -22,6 +22,7 @@ from rwslice.terms import (
     Term,
     Variable,
     is_bullet,
+    is_hole,
     match,
     positions,
     replace_at,
@@ -101,6 +102,26 @@ def all_sizes_candidates(node: Term, rules: list[Rule], sig: Signature) -> list:
                         rest = tuple(node.args[i] for i in range(n) if i not in idxs)
                         out.append((rule, sub, Term(node.root, (shape,) + rest), Position((1,))))
     return out
+
+
+def postorder_scan(t: Term, test):
+    """First (position, result) with test(node) not None, children before
+    their parent, visiting every non-hole position from the root with
+    `subterm_at`: the engine's scan before it skipped searched subtrees."""
+    out: list[Position] = []
+
+    def walk(node: Term, pos: Position):
+        for i, arg in enumerate(node.args, start=1):
+            walk(arg, pos.child(i))
+        if not is_hole(node):
+            out.append(pos)
+
+    walk(t, ROOT)
+    for q in out:
+        result = test(subterm_at(t, q))
+        if result is not None:
+            return q, result
+    return None
 
 
 # ------------------------------------------------- random term machinery

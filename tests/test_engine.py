@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from rwslice import bundled_example_path, engine
-from rwslice.acmatch import flatten_term, match_modulo_ac
+from rwslice import acmatch, bundled_example_path, engine
+from rwslice.acmatch import flatten_term, match_modulo_ac, needs_flat
 from rwslice.engine import (
     InstrumentedTrace,
     NoRuleApplicable,
@@ -27,13 +27,14 @@ from rwslice.terms import (
     Substitution,
     Term,
     Variable,
+    first_postorder,
     positions,
     pretty,
     replace_at,
 )
 from rwslice.theoryfile import parse_term, parse_theory
 
-from genutil import all_sizes_candidates, seeded_traces
+from genutil import all_sizes_candidates, postorder_scan, seeded_traces
 
 
 def T(text, sig, variables=None):
@@ -194,8 +195,13 @@ def test_producer_consumer_run_chains_and_replays():
 
 
 @pytest.fixture(scope="module")
-def generated_steps():
-    steps = [(th, s) for th, trace in seeded_traces() for s in trace.steps]
+def generated_traces():
+    return seeded_traces()
+
+
+@pytest.fixture(scope="module")
+def generated_steps(generated_traces):
+    steps = [(th, s) for th, trace in generated_traces for s in trace.steps]
     assert {s.kind for _, s in steps} == {"rule", "equation", "builtin", "flat", "unflat"}
     return steps
 
@@ -309,3 +315,91 @@ def test_match_calls_on_eight_clients(monkeypatch):
     trace = run(T(f"net(srv(0),{clients})", th.signature), th, 24)
     assert sum(1 for s in trace.steps if s.kind == "rule") == 24
     assert calls[0] > 0
+
+
+def test_candidates_only_at_nodes_with_the_rule_root(monkeypatch):
+    def same_root(pattern, subject, sig):
+        assert pattern.root == subject.root, (pattern, subject)
+        return match_modulo_ac(pattern, subject, sig)
+
+    monkeypatch.setattr(engine, "match_modulo_ac", same_root)
+    th = parse_theory(bundled_example_path("client_server.rwt").read_text())
+    trace = run(T("net(srv(0),cli(1,3,none),cli(2,4,none))", th.signature), th, 6)
+    assert sum(1 for s in trace.steps if s.kind == "rule") == 6
+    th = parse_theory(WIDE_STATE)
+    trace = run(T(wide_tree(3, 0), th.signature), th, 3)
+    assert sum(1 for s in trace.steps if s.kind == "rule") == 3
+
+
+def test_pruned_walk_equals_full_scan_on_generated_traces(generated_traces):
+    hits = 0
+    for th, trace in generated_traces:
+        sig = th.signature
+        tests = [
+            lambda node: node if needs_flat(node, sig) else None,
+            lambda node: engine._builtin_value(node, sig),
+            lambda node: next(engine._candidates_at(node, th.rules, sig), None),
+            lambda node: next(engine._candidates_at(node, th.equations, sig), None),
+        ]
+        searched = [{} for _ in tests]
+        for t in trace.terms():
+            for test, seen in zip(tests, searched):
+                expected = postorder_scan(t, test)
+                assert first_postorder(t, test, seen) == expected, (t, trace.steps)
+                hits += expected is not None
+    assert hits > 500
+
+
+# the bench/wide_state.rwt theory: a pair whose left cell is on absorbs
+# the value of its right cell and switches off
+WIDE_STATE = """
+op node : 2 .
+op cell : 2 .
+op on : 0 .
+op off : 0 .
+op + : 2 [builtin] .
+rl [absorb] : node(cell(N,on),cell(M,F)) => node(cell(+(N,M),off),cell(M,F)) .
+"""
+
+
+def wide_tree(depth, index):
+    """Balanced tree of 2^(depth-1) cell pairs; every fourth pair is off."""
+    if depth == 1:
+        mark = "off" if index % 4 == 3 else "on"
+        return f"node(cell({index % 10},{mark}),cell({index * 7 % 10},off))"
+    return f"node({wide_tree(depth - 1, 2 * index)},{wide_tree(depth - 1, 2 * index + 1)})"
+
+
+def test_scans_skip_searched_subtrees(monkeypatch):
+    th = parse_theory(WIDE_STATE)
+    init = T(wide_tree(6, 0), th.signature)
+    assert len(positions(init)) == 255
+    calls = {"_candidates_at": 0, "needs_flat": 0}
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(engine, "_candidates_at")
+    count(acmatch, "needs_flat")
+    trace = run(init, th, 24)
+    kinds = [s.kind for s in trace.steps]
+    assert kinds.count("rule") == kinds.count("builtin") == 24
+    # a full rescan before every step takes 9,371 and 12,543 calls
+    assert calls["_candidates_at"] <= 1_500
+    assert calls["needs_flat"] <= 2_500
+
+
+def test_scans_survive_deep_terms():
+    th = parse_theory("op s : 1 .\nop z : 0 .\nop h : 1 .\nrl [h] : h(X) => X .\n")
+    t = T("z", th.signature)
+    s = th.signature.lookup("s", 1).symbol
+    for _ in range(10_000):
+        t = Term(s, (t,))
+    assert engine._scan(t, th.rules, th.signature, {}) is None
+    assert flatten_term(t, th.signature) is t

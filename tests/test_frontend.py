@@ -276,3 +276,14 @@ def test_cli_full_expansion_flag(capsys):
     assert main(base + ["--full-expansion"]) == 0
     full = capsys.readouterr().out
     assert len(full.splitlines()) >= len(short.splitlines())
+
+
+@pytest.mark.parametrize("lines", [
+    # the first step does not start at init
+    ["init g(f(b))", "step rule r1 1 X=a g(f(a)) g(b)"],
+    # the second step, valid on its own, does not start where the first ends
+    ["init g(f(a))", "step rule r1 1 X=a g(f(a)) g(b)", "step rule r1 ^ X=b f(b) b"],
+])
+def test_trace_load_rejects_unchained_steps(lines):
+    with pytest.raises(MalformedStep, match="do not chain"):
+        parse_trace("\n".join(["rwtrace 1", "theory basic", *lines]) + "\n", _basic_theory())
