@@ -21,6 +21,7 @@ from .terms import (
     Term,
     Variable,
     first_postorder,
+    key_cmp,
     pretty,
     replace_at,
     subterm_at,
@@ -32,7 +33,8 @@ FlatEvent = tuple[Position, Term, Term]
 
 
 def _same_op(a, b) -> bool:
-    return isinstance(a, Symbol) and a == b
+    # the name test settles most calls without the dataclass __eq__
+    return isinstance(a, Symbol) and a.name == b.name and a == b
 
 
 def one_level_flat(node: Term) -> tuple[Term, list[tuple[int, ...]]]:
@@ -60,8 +62,7 @@ def needs_flat(node: Term, sig: Signature) -> bool:
         return False
     if any(_same_op(a.root, node.root) for a in node.args):
         return True
-    keys = [term_key(a) for a in node.args]
-    return keys != sorted(keys)
+    return any(key_cmp(a, b) > 0 for a, b in zip(node.args, node.args[1:]))
 
 
 def flatten(t: Term, sig: Signature, searched: dict[int, Term] | None = None) -> tuple[Term, list[FlatEvent]]:
@@ -85,16 +86,6 @@ def flatten(t: Term, sig: Signature, searched: dict[int, Term] | None = None) ->
 
 def flatten_term(t: Term, sig: Signature) -> Term:
     return flatten(t, sig)[0]
-
-
-def flat_merge_sources(before_node: Term) -> list[Position]:
-    """Positions of the operator occurrences collapsed by a one-level
-    flattening of before_node, relative to the node."""
-    out = [ROOT]
-    for i, arg in enumerate(before_node.args, start=1):
-        if _same_op(arg.root, before_node.root):
-            out.append(Position((i,)))
-    return out
 
 
 def spine_positions(node: Term) -> list[Position]:

@@ -19,9 +19,9 @@ from .acmatch import (
     flatten,
     flatten_term,
     match_modulo_ac,
-    needs_flat,
     one_level_flat,
     plan_unflat,
+    spine_leaves,
     unflat_leaf_mapping,
 )
 from .terms import (
@@ -41,6 +41,7 @@ from .terms import (
     pretty,
     replace_at,
     subterm_at,
+    term_key,
     vars_of,
 )
 
@@ -56,7 +57,12 @@ class StepBudgetExceeded(Exception):
 
 
 class MalformedStep(Exception):
-    """A trace step that cannot be replayed against its theory."""
+    """A trace step that cannot be replayed against its theory. `index`,
+    when known, is the step's index in its trace."""
+
+    def __init__(self, reason: str, index: int | None = None):
+        super().__init__(reason if index is None else f"step {index}: {reason}")
+        self.reason, self.index = reason, index
 
 
 class TheoryError(Exception):
@@ -179,23 +185,28 @@ class TraceStep:
 
 @dataclass
 class InstrumentedTrace:
+    """A trace of `theory` from `initial`. Every trace is checked once, when
+    it is built: its steps chain and each one replays (`check_step`).
+    Raises MalformedStep naming the first step that does not."""
+
     theory: RewriteTheory
     initial: Term
     steps: list[TraceStep] = field(default_factory=list)
+
+    def __post_init__(self):
+        prev = self.initial
+        for i, step in enumerate(self.steps):
+            if step.before != prev:
+                raise MalformedStep("steps do not chain", i)
+            if not check_step(step, self.theory):
+                raise MalformedStep(f"{step.kind} step at {step.position} does not replay", i)
+            prev = step.after
 
     def terms(self) -> list[Term]:
         return [self.initial] + [s.after for s in self.steps]
 
     def final(self) -> Term:
         return self.steps[-1].after if self.steps else self.initial
-
-    def is_chained(self) -> bool:
-        prev = self.initial
-        for s in self.steps:
-            if s.before != prev:
-                return False
-            prev = s.after
-        return True
 
 
 class _Budget:
@@ -275,8 +286,6 @@ def _apply_candidate(
         budget.spend()
         out.append(TraceStep("unflat", None, pos, EMPTY_SUBST, before, after))
     rewrite_pos = q.concat(rel)
-    redex = subterm_at(current, rewrite_pos)
-    assert redex == sub.apply(rule.lhs)
     after = replace_at(current, rewrite_pos, sub.apply(rule.rhs))
     budget.spend()
     out.append(TraceStep(rule.kind, rule.name, rewrite_pos, sub, current, after))
@@ -312,21 +321,14 @@ def _normalize_into(t: Term, th: RewriteTheory, budget: _Budget, out: list[Trace
         t = _emit_flatten(t, th, budget, out, searched)
 
 
-def _new_searched() -> dict[str, dict[int, Term]]:
-    """Per scan kind, the nodes searched without a hit (`first_postorder`)."""
-    return {kind: {} for kind in ("flat", "builtin", "equation", "rule")}
-
-
 def normalize(t: Term, th: RewriteTheory, max_steps: int | None = None) -> tuple[Term, list[TraceStep]]:
     """Equational canonical form of t with the steps taken to reach it.
 
     Strategy: flatten first, then repeatedly fire the leftmost-innermost
     builtin call or equation (declaration order, deterministic matcher
     order), re-flattening after each contraction."""
-    budget = _Budget(DEFAULT_STEP_BUDGET if max_steps is None else max_steps)
-    out: list[TraceStep] = []
-    result = _normalize_into(t, th, budget, out, _new_searched())
-    return result, out
+    trace, _ = _drive(t, th, max_steps, lambda *_: True)
+    return trace.final(), trace.steps
 
 
 def _drive(
@@ -345,7 +347,8 @@ def _drive(
     its theory, and the nodes they hold would otherwise outlive the trace."""
     budget = _Budget(DEFAULT_STEP_BUDGET if max_steps is None else max_steps)
     out: list[TraceStep] = []
-    searched = _new_searched()
+    # per scan kind, the nodes searched without a hit (`first_postorder`)
+    searched = {kind: {} for kind in ("flat", "builtin", "equation", "rule")}
     t = _normalize_into(t0, th, budget, out, searched)
     rule_steps = 0
     while not done(t, rule_steps):
@@ -463,15 +466,20 @@ def check_step(step: TraceStep, th: RewriteTheory) -> bool:
             if rule is None or step.matcher.apply(rule.lhs) != node:
                 return False
         elif step.kind == "flat":
-            if not needs_flat(node, th.signature):
+            # apply_step below makes the after node the one-level flattening
+            # of this one, which differs from it exactly when it needs_flat
+            if not (th.signature.is_ac(node.root) and subterm_at(step.after, step.position) != node):
                 return False
         elif step.kind == "unflat":
             after_node = subterm_at(step.after, step.position)
+            # flatten_term(after_node) == node: flattening a spine sorts its
+            # flattened leaves (stably, by term_key) under one node
+            leaves = sorted((flatten_term(x, th.signature) for _, x in spine_leaves(after_node)), key=term_key)
             if not (
                 th.signature.is_ac(node.root)
                 and node.root == after_node.root
                 and node != after_node
-                and flatten_term(after_node, th.signature) == node
+                and tuple(leaves) == node.args
             ):
                 return False
         return apply_step(step, th, step.before) == step.after

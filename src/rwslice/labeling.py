@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .acmatch import flat_merge_sources, one_level_flat, spine_positions, unflat_leaf_mapping
-from .engine import MalformedStep, RewriteTheory, Rule, TraceStep, check_step
+from .acmatch import one_level_flat, spine_positions, unflat_leaf_mapping
+from .engine import MalformedStep, RewriteTheory, Rule, TraceStep
 from .terms import (
     HOLE_TERM,
     Position,
@@ -24,7 +24,6 @@ from .terms import (
     Term,
     Variable,
     positions,
-    pretty,
     replace_at,
     subterm_at,
     var_positions,
@@ -111,12 +110,8 @@ def label_substitution(
 
 
 def label_step(step: TraceStep, th: RewriteTheory, supply: LabelSupply) -> LabeledStep:
-    """Labeled version of one elementary trace step."""
-    if not check_step(step, th):
-        raise MalformedStep(
-            f"{step.kind} step at {step.position} does not replay: "
-            f"{pretty(step.before)} -> {pretty(step.after)}"
-        )
+    """Labeled version of one elementary trace step, taken from a trace:
+    the trace checked it against the theory when it was built."""
     if step.kind in ("rule", "equation"):
         return _label_contraction(step, th, supply)
     if step.kind == "builtin":
@@ -195,9 +190,10 @@ def _derive_flat(step: TraceStep, before_lab: Labeling) -> Labeling:
     q = step.position
     bnode = subterm_at(step.before, q)
     _, sources = one_level_flat(bnode)
-    joined: frozenset = frozenset()
-    for rel in flat_merge_sources(bnode):
-        joined |= before_lab[q.concat(rel)]
+    # the root and each merged child i, the source of the hoisted grandchildren (i, j)
+    joined = before_lab[q]
+    for i in {src[0] for src in sources if len(src) == 2}:
+        joined |= before_lab[q.child(i)]
     after_lab = Labeling({p: l for p, l in before_lab.items() if not q.is_prefix_of(p)})
     after_lab[q] = joined
     for i, src in enumerate(sources, start=1):

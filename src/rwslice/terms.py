@@ -39,9 +39,6 @@ class Position:
         for i in range(len(self.path) + 1):
             yield Position(self.path[:i])
 
-    def is_root(self) -> bool:
-        return not self.path
-
     @staticmethod
     def parse(text: str) -> "Position":
         text = text.strip()
@@ -154,19 +151,20 @@ def first_postorder(t: Term, test, searched: dict[int, Term]):
     """
     nodes, next_child = ([], []) if id(t) in searched else ([t], [0])
     while nodes:
-        node, i = nodes[-1], next_child[-1]
-        if i < len(node.args):
-            next_child[-1] = i + 1
+        node = nodes[-1]
+        for i in range(next_child[-1], len(node.args)):
             if id(node.args[i]) not in searched:
+                next_child[-1] = i + 1
                 nodes.append(node.args[i])
                 next_child.append(0)
-            continue
-        result = test(node)
-        if result is not None:
-            return Position(tuple(next_child[:-1])), result
-        searched[id(node)] = node
-        nodes.pop()
-        next_child.pop()
+                break
+        else:
+            result = test(node)
+            if result is not None:
+                return Position(tuple(next_child[:-1])), result
+            searched[id(node)] = node
+            nodes.pop()
+            next_child.pop()
     return None
 
 
@@ -186,6 +184,8 @@ def replace_at(t: Term, u: Position, r: Term) -> Term:
 
     def go(node: Term, depth: int) -> Term:
         if depth == len(u.path):
+            if is_hole(node):
+                raise PositionOutOfRange(f"position {u} of {pretty(t)} is a hole")
             return r
         i = u.path[depth]
         if not 1 <= i <= len(node.args):
@@ -194,7 +194,6 @@ def replace_at(t: Term, u: Position, r: Term) -> Term:
         new_args[i - 1] = go(node.args[i - 1], depth + 1)
         return Term(node.root, tuple(new_args))
 
-    subterm_at(t, u)  # range check, including the hole restriction
     return go(t, 0)
 
 
@@ -228,7 +227,21 @@ def term_key(t: Term):
     arguments left to right."""
     if isinstance(t.root, Variable):
         return (t.root.name, 0)
-    return (t.root.name, 1, len(t.args), tuple(term_key(a) for a in t.args))
+    return (t.root.name, 1, len(t.args), tuple(map(term_key, t.args)))
+
+
+def key_cmp(a: Term, b: Term) -> int:
+    """Sign of term_key(a) compared with term_key(b), found at the first
+    difference instead of from the whole keys."""
+    ka = (a.root.name, isinstance(a.root, Symbol), len(a.args))
+    kb = (b.root.name, isinstance(b.root, Symbol), len(b.args))
+    if ka != kb:
+        return -1 if ka < kb else 1
+    for x, y in zip(a.args, b.args):
+        c = 0 if x is y else key_cmp(x, y)
+        if c:
+            return c
+    return 0
 
 
 class Substitution:
@@ -257,7 +270,7 @@ class Substitution:
             return self._bindings.get(t.root, t)
         if not t.args:
             return t
-        return Term(t.root, tuple(self.apply(a) for a in t.args))
+        return Term(t.root, tuple(map(self.apply, t.args)))
 
     def __len__(self) -> int:
         return len(self._bindings)
@@ -304,7 +317,7 @@ def pretty(t: Term) -> str:
     name = t.root.name
     if not t.args:
         return name
-    return name + "(" + ",".join(pretty(a) for a in t.args) + ")"
+    return name + "(" + ",".join(map(pretty, t.args)) + ")"
 
 
 _NUMERAL_RE = re.compile(r"-?\d+")
@@ -400,41 +413,13 @@ class Signature:
                 return cand
         return decl
 
-    def decl_for(self, sym: Symbol) -> OpDecl | None:
-        return self._ops.get((sym.name, sym.arity))
-
     def is_ac(self, sym) -> bool:
-        if not isinstance(sym, Symbol):
-            return False
-        decl = self.decl_for(sym)
+        decl = self._ops.get((sym.name, sym.arity)) if isinstance(sym, Symbol) else None
         return decl is not None and decl.ac
 
     def is_builtin(self, sym) -> bool:
-        if not isinstance(sym, Symbol):
-            return False
-        decl = self.decl_for(sym)
+        decl = self._ops.get((sym.name, sym.arity)) if isinstance(sym, Symbol) else None
         return decl is not None and decl.builtin
 
     def ops(self) -> list[OpDecl]:
         return list(self._ops.values())
-
-    def check_term(self, t: Term, allow_variables: bool = True) -> None:
-        """Validate symbols and arities against the declarations."""
-        if isinstance(t.root, Variable):
-            if not allow_variables:
-                raise SignatureError(f"unexpected variable {t.root.name}")
-            return
-        root = t.root
-        if root.kind in ("hole", "bullet"):
-            pass
-        elif is_numeral_name(root.name) or root.name in ("true", "false"):
-            if t.args:
-                raise SignatureError(f"{root.name} is a constant")
-        else:
-            decl = self.lookup(root.name, len(t.args))
-            if decl is None:
-                raise SignatureError(f"unknown operator {root.name}/{len(t.args)}")
-            if len(t.args) > decl.symbol.arity and not decl.ac:
-                raise SignatureError(f"{root.name} is not variadic")
-        for a in t.args:
-            self.check_term(a, allow_variables)

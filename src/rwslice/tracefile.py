@@ -7,8 +7,8 @@
 
 Terms use the canonical printed syntax (no whitespace), so every field is
 whitespace-separated. Bindings are `X=term;Y=term` sorted by variable
-name. Loading validates that every step replays against the theory and
-that consecutive steps chain.
+name. Loading builds an `InstrumentedTrace`, which checks that consecutive
+steps chain and that every step replays against the theory.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import warnings
 from pathlib import Path
 
 from .acmatch import flatten_term
-from .engine import InstrumentedTrace, MalformedStep, RewriteTheory, TraceStep, check_step
+from .engine import InstrumentedTrace, MalformedStep, RewriteTheory, TraceStep
 from .terms import EMPTY_SUBST, Position, Substitution, Variable, pretty
 from .theoryfile import TheorySyntaxError, parse_term
 
@@ -26,16 +26,20 @@ _HEADER = "rwtrace 1"
 
 def render_trace(trace: InstrumentedTrace, theory_ref: str = "") -> str:
     lines = [_HEADER, f"theory {theory_ref or trace.theory.name or '-'}"]
-    lines.append(f"init {pretty(trace.initial)}")
+    prev, prev_txt = trace.initial, pretty(trace.initial)
+    lines.append(f"init {prev_txt}")
     for step in trace.steps:
+        # a step's before usually is the last after: print it once
+        before_txt = prev_txt if step.before is prev else pretty(step.before)
+        prev, prev_txt = step.after, pretty(step.after)
         lines.append(
             "step {kind} {rule} {pos} {bind} {before} {after}".format(
                 kind=step.kind,
                 rule=step.rule_name or "-",
                 pos=step.position,
                 bind=_render_bindings(step.matcher),
-                before=pretty(step.before),
-                after=pretty(step.after),
+                before=before_txt,
+                after=prev_txt,
             )
         )
     return "\n".join(lines) + "\n"
@@ -65,15 +69,16 @@ def _parse_bindings(text: str, th: RewriteTheory) -> Substitution:
 
 
 def parse_trace(text: str, theory: RewriteTheory) -> InstrumentedTrace:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != _HEADER:
+    # (physical line number, text) of the non-blank lines
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines or lines[0][1].strip() != _HEADER:
         raise MalformedStep(f"expected header {_HEADER!r}")
-    if len(lines) < 3 or not lines[1].startswith("theory ") or not lines[2].startswith("init "):
+    if len(lines) < 3 or not lines[1][1].startswith("theory ") or not lines[2][1].startswith("init "):
         raise MalformedStep("expected theory and init lines")
-    prev_txt = lines[2][len("init ") :]
+    prev_txt = lines[2][1][len("init ") :]
     initial = prev = parse_term(prev_txt, theory.signature)
     steps: list[TraceStep] = []
-    for lineno, line in enumerate(lines[3:], start=4):
+    for lineno, line in lines[3:]:
         fields = line.split()
         if len(fields) != 7 or fields[0] != "step":
             raise MalformedStep(f"line {lineno}: bad step record")
@@ -90,13 +95,12 @@ def parse_trace(text: str, theory: RewriteTheory) -> InstrumentedTrace:
             )
         except (ValueError, TheorySyntaxError) as exc:
             raise MalformedStep(f"line {lineno}: {exc}")
-        if step.before != prev:
-            raise MalformedStep(f"line {lineno}: steps do not chain")
-        if not check_step(step, theory):
-            raise MalformedStep(f"line {lineno}: step does not replay against the theory")
         steps.append(step)
         prev, prev_txt = step.after, after_txt
-    trace = InstrumentedTrace(theory, initial, steps)
+    try:
+        trace = InstrumentedTrace(theory, initial, steps)
+    except MalformedStep as exc:
+        raise MalformedStep(f"line {lines[3 + exc.index][0]}: {exc.reason}") from None
     final = trace.final()
     if flatten_term(final, theory.signature) != final:
         warnings.warn("trace ends in a non-canonical term", stacklevel=2)

@@ -149,7 +149,6 @@ def test_run_two_step_trace(basic_theory):
     trace = run(T("g(f(a))", basic_theory.signature), basic_theory, 10)
     assert pretty(trace.final()) == "m(a)"
     assert [s.rule_name for s in trace.steps] == ["r1", "r2"]
-    assert trace.is_chained()
 
 
 def test_run_zero_steps(basic_theory):
@@ -184,7 +183,6 @@ def test_producer_consumer_run_chains_and_replays():
     th = parse_theory(bundled_example_path("producer_consumer.rwt").read_text(), name="pc")
     init = T("cfg(tok,prod(0),cons(0,0))", th.signature)
     trace = run(init, th, 5)
-    assert trace.is_chained()
     assert sum(1 for s in trace.steps if s.kind == "rule") == 5
     kinds = {s.kind for s in trace.steps}
     assert {"rule", "equation", "flat", "unflat", "builtin"} <= kinds

@@ -1,10 +1,11 @@
+import dataclasses
 import os
 
 import pytest
 
-from rwslice import bundled_example_path
+from rwslice import bundled_example_path, engine
 from rwslice.cli import main
-from rwslice.engine import MalformedStep, Rule, run
+from rwslice.engine import InstrumentedTrace, MalformedStep, Rule, run
 from rwslice.terms import Position, Signature, Variable, pretty
 from rwslice.theoryfile import (
     ArityMismatchError,
@@ -287,3 +288,39 @@ def test_cli_full_expansion_flag(capsys):
 def test_trace_load_rejects_unchained_steps(lines):
     with pytest.raises(MalformedStep, match="do not chain"):
         parse_trace("\n".join(["rwtrace 1", "theory basic", *lines]) + "\n", _basic_theory())
+
+
+@pytest.mark.parametrize("record, message", [
+    ("step bogus", "line 6: bad step record"),
+    ("step rule r2 ^ - g(f(a)) m(a)", "line 6: steps do not chain"),
+    ("step rule r2 ^ - g(b) m(b)", "line 6: rule step at . does not replay"),
+])
+def test_trace_load_reports_physical_lines(record, message):
+    lines = ["rwtrace 1", "theory basic", "init g(f(a))", "step rule r1 1 X=a g(f(a)) g(b)", "", record]
+    with pytest.raises(MalformedStep, match=message):
+        parse_trace("\n".join(lines) + "\n", _basic_theory())
+
+
+def test_each_step_is_checked_once(tmp_path, monkeypatch, capsys):
+    th_path = bundled_example_path("producer_consumer.rwt")
+    th = parse_theory(th_path.read_text(encoding="utf-8"), name="pc")
+    init = "cfg(tok,prod(0),cons(0,0))"
+    trace = run(parse_term(init, th.signature), th, 5)
+    tr_path = tmp_path / "t.rwtrace"
+    save_trace(trace, tr_path)
+    calls = []
+    real = engine.check_step
+
+    def counted(step, theory):
+        calls.append(step)
+        return real(step, theory)
+
+    monkeypatch.setattr(engine, "check_step", counted)
+    base = ["--theory", str(th_path), "--init", init, "--criterion", "1"]
+    for source in (["--trace", str(tr_path)], ["--steps", "5"], ["--end", pretty(trace.final())]):
+        calls.clear()
+        assert main(base + source) == 0, capsys.readouterr().err
+        assert calls == trace.steps, source
+    tampered = dataclasses.replace(trace.steps[-1], after=trace.steps[-1].before)
+    with pytest.raises(MalformedStep, match=f"step {len(trace.steps) - 1}: "):
+        InstrumentedTrace(th, trace.initial, trace.steps[:-1] + [tampered])

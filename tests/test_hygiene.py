@@ -1,14 +1,13 @@
 """Source hygiene checks that need only the standard library."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted(
-    p for p in (Path(__file__).resolve().parent.parent / "src" / "rwslice").glob("*.py")
-    if p.name != "__init__.py"
-)
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted(p for p in (ROOT / "src" / "rwslice").glob("*.py") if p.name != "__init__.py")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,3 +37,51 @@ def test_unused_imports_detected():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _referenced_names(tree: ast.AST) -> Counter:
+    """Names read or looked up as attributes, and identifier strings (as
+    given to getattr or monkeypatch.setattr)."""
+    out: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            out[node.value] += 1
+    return out
+
+
+def unreferenced_functions(defining: dict[str, str], others: list[str]) -> list[str]:
+    """Functions and methods of the `defining` sources (name to text) that
+    no source references by name outside their own body. Dunder methods
+    are exempt."""
+    trees = {name: ast.parse(text) for name, text in defining.items()}
+    refs = sum((_referenced_names(t) for t in trees.values()), Counter())
+    refs += sum((_referenced_names(ast.parse(text)) for text in others), Counter())
+    out = []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            if refs[node.name] - _referenced_names(node)[node.name] == 0:
+                out.append(f"{name}:{node.lineno}: {node.name}")
+    return out
+
+
+def test_unreferenced_functions_detected():
+    src = "class P:\n    def is_root(self):\n        return self.is_root()\n    def __str__(self):\n        return ''\n"
+    assert unreferenced_functions({"p.py": src}, []) == ["p.py:2: is_root"]
+    assert unreferenced_functions({"p.py": src}, ["P().is_root()"]) == []
+
+
+def test_every_function_is_referenced():
+    package = sorted((ROOT / "src").rglob("*.py"))
+    others = [p for d in ("tests", "bench") for p in sorted((ROOT / d).rglob("*.py"))]
+    assert unreferenced_functions(
+        {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in package},
+        [p.read_text(encoding="utf-8") for p in others],
+    ) == []

@@ -1,6 +1,6 @@
 import pytest
 
-from rwslice.engine import MalformedStep, RewriteTheory, Rule, TraceStep, run
+from rwslice.engine import InstrumentedTrace, MalformedStep, RewriteTheory, Rule, TraceStep, run
 from rwslice.labeling import (
     LabelSupply,
     Labeling,
@@ -280,8 +280,9 @@ def test_label_step_rejects_malformed(step_theory):
     bogus = TraceStep(
         "rule", "r", Position(), EMPTY_SUBST, T("a", sig), T("b", sig)
     )
-    with pytest.raises(MalformedStep):
-        label_step(bogus, step_theory, LabelSupply())
+    # label_step takes its steps from a trace, and no trace can hold this one
+    with pytest.raises(MalformedStep, match="step 0: rule step at . does not replay"):
+        InstrumentedTrace(step_theory, bogus.before, [bogus])
 
 
 def test_labeling_deterministic(step_theory):

@@ -358,10 +358,11 @@ def test_check_soundness_names_failing_step():
         if k > 0:
             break
     assert k > 0
-    steps = list(ts.trace.steps)
+    # a broken trace cannot be built: corrupt a copy of this one's steps
+    trace = InstrumentedTrace(th, ts.trace.initial, list(ts.trace.steps))
     j = ts.steps[k].index
-    steps[j] = dataclasses.replace(steps[j], rule_name="unknown")
-    broken = dataclasses.replace(ts, trace=InstrumentedTrace(th, ts.trace.initial, steps))
+    trace.steps[j] = dataclasses.replace(trace.steps[j], rule_name="unknown")
+    broken = dataclasses.replace(ts, trace=trace)
     with pytest.raises(ReplayFailure) as info:
         check_soundness(broken, th, conc)
     assert info.value.index == k

@@ -11,11 +11,13 @@ from rwslice.terms import (
     Symbol,
     Term,
     Variable,
+    key_cmp,
     match,
     positions,
     pretty,
     replace_at,
     subterm_at,
+    term_key,
 )
 from rwslice.theoryfile import parse_term
 
@@ -148,3 +150,18 @@ def test_pretty_is_canonical(sig):
     t = parse_term("d(f(g(a,h(b)),a),a)", sig)
     assert pretty(t) == "d(f(g(a,h(b)),a),a)"
     assert pretty(parse_term(pretty(t), sig)) == pretty(t)
+
+
+def test_key_cmp_agrees_with_term_key(sig):
+    rng = random.Random(9)
+    a, b, c = (Term(Symbol(n, 0)) for n in "abc")
+    # a flattened f/2 node and an f/3 node have the same key
+    flat_f, f3 = Term(Symbol("f", 2), (a, b, c)), Term(Symbol("f", 3), (a, b, c))
+    terms = [random_ground_term(rng, sig, 3) for _ in range(60)] + [
+        Term(Variable("a")), Term(Variable("f")), flat_f, f3,
+        Term(Symbol("d", 2), (flat_f, a)), Term(Symbol("d", 2), (f3, b)),
+    ]
+    for s in terms:
+        for t in terms:
+            ks, kt = term_key(s), term_key(t)
+            assert key_cmp(s, t) == (ks > kt) - (ks < kt), (s, t)
