@@ -10,6 +10,7 @@ as trace steps.
 from __future__ import annotations
 
 from collections import Counter
+from functools import cmp_to_key
 from itertools import combinations
 
 from .terms import (
@@ -21,11 +22,10 @@ from .terms import (
     Term,
     Variable,
     first_postorder,
-    key_cmp,
     pretty,
     replace_at,
     subterm_at,
-    term_key,
+    term_cmp,
 )
 
 # a transformation event: (position, whole term before, whole term after)
@@ -33,8 +33,7 @@ FlatEvent = tuple[Position, Term, Term]
 
 
 def _same_op(a, b) -> bool:
-    # the name test settles most calls without the dataclass __eq__
-    return isinstance(a, Symbol) and a.name == b.name and a == b
+    return isinstance(a, Symbol) and a == b
 
 
 def one_level_flat(node: Term) -> tuple[Term, list[tuple[int, ...]]]:
@@ -52,7 +51,7 @@ def one_level_flat(node: Term) -> tuple[Term, list[tuple[int, ...]]]:
                 entries.append(((i, j), sub))
         else:
             entries.append(((i,), arg))
-    entries.sort(key=lambda e: term_key(e[1]))
+    entries.sort(key=cmp_to_key(lambda x, y: term_cmp(x[1], y[1])))
     new_node = Term(node.root, tuple(term for _, term in entries))
     return new_node, [src for src, _ in entries]
 
@@ -62,7 +61,7 @@ def needs_flat(node: Term, sig: Signature) -> bool:
         return False
     if any(_same_op(a.root, node.root) for a in node.args):
         return True
-    return any(key_cmp(a, b) > 0 for a, b in zip(node.args, node.args[1:]))
+    return any(term_cmp(a, b) > 0 for a, b in zip(node.args, node.args[1:]))
 
 
 def flatten(t: Term, sig: Signature, searched: dict[int, Term] | None = None) -> tuple[Term, list[FlatEvent]]:
@@ -115,6 +114,17 @@ def spine_leaves(node: Term) -> list[tuple[Position, Term]]:
 
     rec(node, ())
     return out
+
+
+def is_regrouping(flat: Term, grouped: Term, sig: Signature) -> bool:
+    """Whether `grouped` nests the AC node `flat` differently under the same
+    operator: it differs from `flat` and flatten_term(grouped) == flat.
+    Flattening a spine flattens its leaves and then merges the spine into
+    one node, so only the leaves are flattened here."""
+    if not (sig.is_ac(flat.root) and grouped.root == flat.root and grouped != flat):
+        return False
+    leaves = tuple(flatten_term(leaf, sig) for _, leaf in spine_leaves(grouped))
+    return one_level_flat(Term(flat.root, leaves))[0] == flat
 
 
 def unflat_leaf_mapping(before_node: Term, after_node: Term) -> list[tuple[Position, int]]:

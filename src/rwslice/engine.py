@@ -10,7 +10,7 @@ Every elementary transformation becomes one trace step.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from . import builtin_ops
@@ -18,10 +18,11 @@ from .acmatch import (
     ac_group_sizes,
     flatten,
     flatten_term,
+    is_regrouping,
     match_modulo_ac,
+    needs_flat,
     one_level_flat,
     plan_unflat,
-    spine_leaves,
     unflat_leaf_mapping,
 )
 from .terms import (
@@ -41,7 +42,6 @@ from .terms import (
     pretty,
     replace_at,
     subterm_at,
-    term_key,
     vars_of,
 )
 
@@ -183,17 +183,19 @@ class TraceStep:
     after: Term
 
 
-@dataclass
+@dataclass(frozen=True)
 class InstrumentedTrace:
     """A trace of `theory` from `initial`. Every trace is checked once, when
     it is built: its steps chain and each one replays (`check_step`).
-    Raises MalformedStep naming the first step that does not."""
+    Raises MalformedStep naming the first step that does not. The trace is
+    immutable (`steps` is stored as a tuple), so the check stays true."""
 
     theory: RewriteTheory
     initial: Term
-    steps: list[TraceStep] = field(default_factory=list)
+    steps: tuple[TraceStep, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "steps", tuple(self.steps))
         prev = self.initial
         for i, step in enumerate(self.steps):
             if step.before != prev:
@@ -328,7 +330,7 @@ def normalize(t: Term, th: RewriteTheory, max_steps: int | None = None) -> tuple
     builtin call or equation (declaration order, deterministic matcher
     order), re-flattening after each contraction."""
     trace, _ = _drive(t, th, max_steps, lambda *_: True)
-    return trace.final(), trace.steps
+    return trace.final(), list(trace.steps)
 
 
 def _drive(
@@ -373,7 +375,7 @@ def rewrite_step_modulo_E(
     trace, finished = _drive(t, th, max_steps, lambda _, n: n == 1)
     if not finished:
         raise NoRuleApplicable(f"no rule applies to {pretty(trace.final())}")
-    return trace.final(), trace.steps
+    return trace.final(), list(trace.steps)
 
 
 def run(
@@ -466,21 +468,10 @@ def check_step(step: TraceStep, th: RewriteTheory) -> bool:
             if rule is None or step.matcher.apply(rule.lhs) != node:
                 return False
         elif step.kind == "flat":
-            # apply_step below makes the after node the one-level flattening
-            # of this one, which differs from it exactly when it needs_flat
-            if not (th.signature.is_ac(node.root) and subterm_at(step.after, step.position) != node):
+            if not needs_flat(node, th.signature):
                 return False
         elif step.kind == "unflat":
-            after_node = subterm_at(step.after, step.position)
-            # flatten_term(after_node) == node: flattening a spine sorts its
-            # flattened leaves (stably, by term_key) under one node
-            leaves = sorted((flatten_term(x, th.signature) for _, x in spine_leaves(after_node)), key=term_key)
-            if not (
-                th.signature.is_ac(node.root)
-                and node.root == after_node.root
-                and node != after_node
-                and tuple(leaves) == node.args
-            ):
+            if not is_regrouping(node, subterm_at(step.after, step.position), th.signature):
                 return False
         return apply_step(step, th, step.before) == step.after
     except (PositionOutOfRange, MalformedStep):

@@ -151,20 +151,19 @@ def first_postorder(t: Term, test, searched: dict[int, Term]):
     """
     nodes, next_child = ([], []) if id(t) in searched else ([t], [0])
     while nodes:
-        node = nodes[-1]
-        for i in range(next_child[-1], len(node.args)):
+        node, i = nodes[-1], next_child[-1]
+        if i < len(node.args):
+            next_child[-1] = i + 1
             if id(node.args[i]) not in searched:
-                next_child[-1] = i + 1
                 nodes.append(node.args[i])
                 next_child.append(0)
-                break
-        else:
-            result = test(node)
-            if result is not None:
-                return Position(tuple(next_child[:-1])), result
-            searched[id(node)] = node
-            nodes.pop()
-            next_child.pop()
+            continue
+        result = test(node)
+        if result is not None:
+            return Position(tuple(next_child[:-1])), result
+        searched[id(node)] = node
+        nodes.pop()
+        next_child.pop()
     return None
 
 
@@ -184,8 +183,6 @@ def replace_at(t: Term, u: Position, r: Term) -> Term:
 
     def go(node: Term, depth: int) -> Term:
         if depth == len(u.path):
-            if is_hole(node):
-                raise PositionOutOfRange(f"position {u} of {pretty(t)} is a hole")
             return r
         i = u.path[depth]
         if not 1 <= i <= len(node.args):
@@ -194,6 +191,7 @@ def replace_at(t: Term, u: Position, r: Term) -> Term:
         new_args[i - 1] = go(node.args[i - 1], depth + 1)
         return Term(node.root, tuple(new_args))
 
+    subterm_at(t, u)  # range check, including the hole restriction
     return go(t, 0)
 
 
@@ -222,23 +220,19 @@ def is_ground(t: Term) -> bool:
     return all(is_ground(a) for a in t.args)
 
 
-def term_key(t: Term):
-    """Total order key: root name, then node class, then arity, then
-    arguments left to right."""
-    if isinstance(t.root, Variable):
-        return (t.root.name, 0)
-    return (t.root.name, 1, len(t.args), tuple(map(term_key, t.args)))
-
-
-def key_cmp(a: Term, b: Term) -> int:
-    """Sign of term_key(a) compared with term_key(b), found at the first
-    difference instead of from the whole keys."""
+def term_cmp(a: Term, b: Term) -> int:
+    """Total order on terms, negative, zero or positive like a comparison:
+    root name, then node class (variables first), then number of
+    arguments, then arguments left to right. Decided at the first
+    difference, so most comparisons look at the roots only."""
+    if a is b:
+        return 0
     ka = (a.root.name, isinstance(a.root, Symbol), len(a.args))
     kb = (b.root.name, isinstance(b.root, Symbol), len(b.args))
     if ka != kb:
         return -1 if ka < kb else 1
     for x, y in zip(a.args, b.args):
-        c = 0 if x is y else key_cmp(x, y)
+        c = term_cmp(x, y)
         if c:
             return c
     return 0
@@ -270,7 +264,7 @@ class Substitution:
             return self._bindings.get(t.root, t)
         if not t.args:
             return t
-        return Term(t.root, tuple(map(self.apply, t.args)))
+        return Term(t.root, tuple(self.apply(a) for a in t.args))
 
     def __len__(self) -> int:
         return len(self._bindings)
@@ -317,7 +311,7 @@ def pretty(t: Term) -> str:
     name = t.root.name
     if not t.args:
         return name
-    return name + "(" + ",".join(map(pretty, t.args)) + ")"
+    return name + "(" + ",".join(pretty(a) for a in t.args) + ")"
 
 
 _NUMERAL_RE = re.compile(r"-?\d+")
@@ -413,12 +407,19 @@ class Signature:
                 return cand
         return decl
 
+    def decl_for(self, sym: Symbol) -> OpDecl | None:
+        return self._ops.get((sym.name, sym.arity))
+
     def is_ac(self, sym) -> bool:
-        decl = self._ops.get((sym.name, sym.arity)) if isinstance(sym, Symbol) else None
+        if not isinstance(sym, Symbol):
+            return False
+        decl = self.decl_for(sym)
         return decl is not None and decl.ac
 
     def is_builtin(self, sym) -> bool:
-        decl = self._ops.get((sym.name, sym.arity)) if isinstance(sym, Symbol) else None
+        if not isinstance(sym, Symbol):
+            return False
+        decl = self.decl_for(sym)
         return decl is not None and decl.builtin
 
     def ops(self) -> list[OpDecl]:

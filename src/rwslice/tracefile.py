@@ -26,20 +26,18 @@ _HEADER = "rwtrace 1"
 
 def render_trace(trace: InstrumentedTrace, theory_ref: str = "") -> str:
     lines = [_HEADER, f"theory {theory_ref or trace.theory.name or '-'}"]
-    prev, prev_txt = trace.initial, pretty(trace.initial)
-    lines.append(f"init {prev_txt}")
-    for step in trace.steps:
-        # a step's before usually is the last after: print it once
-        before_txt = prev_txt if step.before is prev else pretty(step.before)
-        prev, prev_txt = step.after, pretty(step.after)
+    # a built trace is chained: step i goes from term i to term i + 1
+    texts = [pretty(t) for t in trace.terms()]
+    lines.append(f"init {texts[0]}")
+    for i, step in enumerate(trace.steps):
         lines.append(
             "step {kind} {rule} {pos} {bind} {before} {after}".format(
                 kind=step.kind,
                 rule=step.rule_name or "-",
                 pos=step.position,
                 bind=_render_bindings(step.matcher),
-                before=before_txt,
-                after=prev_txt,
+                before=texts[i],
+                after=texts[i + 1],
             )
         )
     return "\n".join(lines) + "\n"

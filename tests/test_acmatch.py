@@ -5,6 +5,7 @@ import pytest
 from rwslice.acmatch import (
     flatten,
     flatten_term,
+    is_regrouping,
     match_modulo_ac,
     plan_unflat,
     spine_leaves,
@@ -191,6 +192,42 @@ def test_plan_unflat_roundtrip(sig):
 def test_plan_unflat_rejects_non_equivalent(sig):
     with pytest.raises(ValueError):
         plan_unflat(T("f(a,b)", sig), Position(), T("f(a,c)", sig), sig)
+
+
+def test_is_regrouping_agrees_with_flatten_term():
+    rng = random.Random(8)
+    s = _soup_sig()
+    cfg, pair, u = (s.lookup(n, a).symbol for n, a in (("cfg", 2), ("pair", 2), ("u", 1)))
+
+    def regrouped(flat):
+        """flat's arguments in a random order under a random cfg spine."""
+        items = list(flat.args)
+        rng.shuffle(items)
+        while len(items) > 1:
+            i = rng.randrange(len(items) - 1)
+            items[i : i + 2] = [Term(cfg, (items[i], items[i + 1]))]
+        return items[0]
+
+    def expected(flat, grouped):
+        return s.is_ac(flat.root) and grouped.root == flat.root and grouped != flat and flatten_term(grouped, s) == flat
+
+    # distinct leaves equal in the term order: a flattened cfg node and a cfg/3 one
+    abk = tuple(T(x, s) for x in "abk")
+    tied = [Term(u, (Term(cfg, abk),)), Term(u, (Term(s.declare("cfg", 3), abk),))]
+    k = T("k", s)
+    cases = [(Term(cfg, (Term(cfg, (tied[i], k)), tied[1 - i])), Term(cfg, (k, *tied))) for i in (0, 1)]
+    for _ in range(150):
+        soup = random_soup(rng, s)
+        # half of them carry an AC node inside a leaf
+        if rng.random() < 0.5:
+            soup = Term(cfg, (soup, Term(pair, (random_soup(rng, s), k))))
+        canon = flatten_term(soup, s)
+        for grouped in (soup, regrouped(canon), canon):
+            for flat in (canon, Term(cfg, canon.args[::-1]), flatten_term(random_soup(rng, s), s), grouped):
+                cases.append((grouped, flat))
+    assert sum(expected(f, g) for g, f in cases) > 100
+    for grouped, flat in cases:
+        assert is_regrouping(flat, grouped, s) == expected(flat, grouped), (pretty(flat), pretty(grouped))
 
 
 def test_unflat_leaf_mapping_stability(sig):

@@ -320,7 +320,11 @@ def test_each_step_is_checked_once(tmp_path, monkeypatch, capsys):
     for source in (["--trace", str(tr_path)], ["--steps", "5"], ["--end", pretty(trace.final())]):
         calls.clear()
         assert main(base + source) == 0, capsys.readouterr().err
-        assert calls == trace.steps, source
+        assert calls == list(trace.steps), source
     tampered = dataclasses.replace(trace.steps[-1], after=trace.steps[-1].before)
     with pytest.raises(MalformedStep, match=f"step {len(trace.steps) - 1}: "):
-        InstrumentedTrace(th, trace.initial, trace.steps[:-1] + [tampered])
+        InstrumentedTrace(th, trace.initial, [*trace.steps[:-1], tampered])
+    # a built trace cannot be changed afterwards
+    assert isinstance(trace.steps, tuple)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        trace.steps = [*trace.steps[:-1], tampered]

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import random
 
@@ -358,10 +359,12 @@ def test_check_soundness_names_failing_step():
         if k > 0:
             break
     assert k > 0
-    # a broken trace cannot be built: corrupt a copy of this one's steps
-    trace = InstrumentedTrace(th, ts.trace.initial, list(ts.trace.steps))
+    steps = list(ts.trace.steps)
     j = ts.steps[k].index
-    trace.steps[j] = dataclasses.replace(trace.steps[j], rule_name="unknown")
+    steps[j] = dataclasses.replace(steps[j], rule_name="unknown")
+    # a broken trace cannot be built: corrupt a copy of a built one
+    trace = copy.copy(ts.trace)
+    object.__setattr__(trace, "steps", tuple(steps))
     broken = dataclasses.replace(ts, trace=trace)
     with pytest.raises(ReplayFailure) as info:
         check_soundness(broken, th, conc)

@@ -11,13 +11,12 @@ from rwslice.terms import (
     Symbol,
     Term,
     Variable,
-    key_cmp,
     match,
     positions,
     pretty,
     replace_at,
     subterm_at,
-    term_key,
+    term_cmp,
 )
 from rwslice.theoryfile import parse_term
 
@@ -152,10 +151,16 @@ def test_pretty_is_canonical(sig):
     assert pretty(parse_term(pretty(t), sig)) == pretty(t)
 
 
-def test_key_cmp_agrees_with_term_key(sig):
+def test_term_cmp_is_the_key_order(sig):
+    def key(t):
+        """The order as a sort key, built whole: the reference."""
+        if isinstance(t.root, Variable):
+            return (t.root.name, 0)
+        return (t.root.name, 1, len(t.args), tuple(key(a) for a in t.args))
+
     rng = random.Random(9)
     a, b, c = (Term(Symbol(n, 0)) for n in "abc")
-    # a flattened f/2 node and an f/3 node have the same key
+    # a flattened f/2 node and an f/3 node are equal in the order
     flat_f, f3 = Term(Symbol("f", 2), (a, b, c)), Term(Symbol("f", 3), (a, b, c))
     terms = [random_ground_term(rng, sig, 3) for _ in range(60)] + [
         Term(Variable("a")), Term(Variable("f")), flat_f, f3,
@@ -163,5 +168,5 @@ def test_key_cmp_agrees_with_term_key(sig):
     ]
     for s in terms:
         for t in terms:
-            ks, kt = term_key(s), term_key(t)
-            assert key_cmp(s, t) == (ks > kt) - (ks < kt), (s, t)
+            ks, kt = key(s), key(t)
+            assert term_cmp(s, t) == (ks > kt) - (ks < kt), (pretty(s), pretty(t))
