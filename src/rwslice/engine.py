@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from . import builtin_ops
@@ -108,6 +109,19 @@ class Rule:
 
         walk(self.lhs)
         return [v for v, n in counts.items() if n > 1]
+
+    @cached_property
+    def rhs_occurrences(self) -> dict[Variable, list[tuple[int, ...]]]:
+        """The argument paths of each variable's occurrences in the
+        right-hand side, computed once per rule."""
+        out: dict[Variable, list[tuple[int, ...]]] = {}
+        stack: list[tuple[tuple[int, ...], Term]] = [((), self.rhs)]
+        while stack:
+            path, t = stack.pop()
+            if isinstance(t.root, Variable):
+                out.setdefault(t.root, []).append(path)
+            stack.extend((path + (i,), a) for i, a in enumerate(t.args, 1))
+        return out
 
     def redex_pattern(self) -> Term:
         return _to_pattern(self.lhs)

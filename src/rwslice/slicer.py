@@ -1,10 +1,23 @@
 """Backward trace slicing.
 
-Given an instrumented trace and a set of observed positions of its final
-term, the slicer labels every step, propagates the observed positions
-backwards through the origin relation, and replaces everything outside
-the relevant paths by the opaque symbol. Steps whose sliced sides
-coincide are dropped from the resulting trace slice.
+The labeling calculus (`labeling.py`) defines the origin relation of a
+step: a position of the step's source term is an origin of a position w of
+its target term when its label lies inside a label on the root path of w.
+`origin_positions` and `relevant_positions` compute that relation from
+labeled steps, and `slice_term` keeps the root paths of a set of
+positions and replaces everything else by the opaque symbol `•`; together
+they are the reference semantics.
+
+`trace_slice` computes the same relation locally around each step's
+position q, without labeling. The context labels of a step are fresh
+singletons, equal on both sides, so a target off q has exactly its own
+prefixes as origins, and a target at or below q has the prefixes of q plus
+origins under q that depend on the redex and the contractum only
+(`slice_back`). Every relevant set but the criterion is prefix-closed up to
+one builtin call position, so the backward pass works on slices: each
+step rebuilds the slice at q alone, consecutive slices share everything
+else, and a step with nothing kept at or under q leaves the slice as it
+is. Steps whose sliced sides coincide are dropped from the trace slice.
 """
 
 from __future__ import annotations
@@ -12,19 +25,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .engine import InstrumentedTrace, MalformedStep, RewriteTheory, apply_step
-from .labeling import LabeledStep, LabelSupply, label_step
+from .acmatch import one_level_flat, unflat_leaf_mapping
+from .engine import InstrumentedTrace, MalformedStep, RewriteTheory, TraceStep, apply_step
+from .labeling import LabeledStep
 from .terms import (
     BULLET_TERM,
     Position,
     PositionOutOfRange,
+    Substitution,
     Term,
     Variable,
     is_bullet,
     match,
-    positions,
     pretty,
+    replace_at,
     subterm_at,
+    vars_of,
 )
 
 
@@ -86,12 +102,7 @@ def relevant_positions(
     crit = _criterion_set(criterion)
     if len(labeled) != len(trace.steps):
         raise InvalidCriterion("labeled steps do not cover the trace")
-    final_positions = set(positions(trace.final()))
-    bad = [p for p in crit if p not in final_positions]
-    if bad:
-        raise InvalidCriterion(
-            f"criterion positions {sorted(bad)} are not positions of {pretty(trace.final())}"
-        )
+    _check_criterion(trace.final(), crit)
     sets = [crit]
     for ls in reversed(labeled):
         sets.append(_origins(ls, sets[-1]))
@@ -104,22 +115,140 @@ def _criterion_set(criterion) -> frozenset[Position]:
     return frozenset(criterion)
 
 
+def _check_criterion(final: Term, crit: frozenset[Position]) -> None:
+    bad = _not_positions(final, crit)
+    if bad:
+        raise InvalidCriterion(f"criterion positions {bad} are not positions of {pretty(final)}")
+
+
+def _not_positions(t: Term, items: Iterable[Position]) -> list[Position]:
+    """The items that are not positions of t, in order."""
+    bad = []
+    for p in items:
+        try:
+            subterm_at(t, p)
+        except PositionOutOfRange:
+            bad.append(p)
+    return sorted(bad)
+
+
 def slice_term(t: Term, relevant: Iterable[Position]) -> Term:
     """Keep exactly the symbols on paths from the root to some relevant
     position; everything else becomes the opaque leaf."""
     rel = set(relevant)
-    all_positions = set(positions(t))
-    bad = rel - all_positions
+    bad = _not_positions(t, rel)
     if bad:
-        raise PositionOutOfRange(f"{sorted(bad)} are not positions of {pretty(t)}")
-    keep = {prefix for w in rel for prefix in w.prefixes()}
+        raise PositionOutOfRange(f"{bad} are not positions of {pretty(t)}")
+    return _union([_path_slice(t, w.path) for w in rel])
 
-    def rec(node: Term, pos: Position) -> Term:
-        if pos not in keep:
-            return BULLET_TERM
-        return Term(node.root, tuple(rec(a, pos.child(i)) for i, a in enumerate(node.args, 1)))
 
-    return rec(t, Position())
+def _path_slice(t: Term, path: tuple[int, ...]) -> Term:
+    """The slice of t that keeps the root path of `path`, a position of t."""
+    nodes = [t]
+    for i in path:
+        nodes.append(nodes[-1].args[i - 1])
+    cut = Term(nodes[-1].root, (BULLET_TERM,) * len(nodes[-1].args))
+    for node, i in zip(reversed(nodes[:-1]), reversed(path)):
+        cut = Term(node.root, (BULLET_TERM,) * (i - 1) + (cut,) + (BULLET_TERM,) * (len(node.args) - i))
+    return cut
+
+
+def _union(slices: list[Term]) -> Term:
+    """The slice that keeps every symbol kept by one of `slices`, all
+    slices of the same term. A subtree kept by one slice alone is shared."""
+    top = [s for s in slices if not is_bullet(s)]
+    if len(top) <= 1:
+        return top[0] if top else BULLET_TERM
+    # each entry: the slices alive at one node, and its rebuilt arguments
+    stack: list[tuple[list[Term], list[Term]]] = [(top, [])]
+    while True:
+        alive, built = stack[-1]
+        i = len(built)
+        if i < len(alive[0].args):
+            kids = [s.args[i] for s in alive if not is_bullet(s.args[i])]
+            if len(kids) > 1:
+                stack.append((kids, []))
+            else:
+                built.append(kids[0] if kids else BULLET_TERM)
+            continue
+        stack.pop()
+        node = Term(alive[0].root, tuple(built))
+        if not stack:
+            return node
+        stack[-1][1].append(node)
+
+
+def _kept_at(s: Term, path: tuple[int, ...]) -> Term:
+    """The subtree of slice s at `path`, or `•` if the path leaves what s
+    keeps."""
+    for i in path:
+        if is_bullet(s):
+            break
+        s = s.args[i - 1]
+    return s
+
+
+def _kept_positions(at: Position, s: Term) -> frozenset[Position]:
+    """The positions of the symbols slice s keeps, with s placed at `at`."""
+    out = []
+    stack = [(at.path, s)]
+    while stack:
+        path, node = stack.pop()
+        if not is_bullet(node):
+            out.append(Position(path))
+            stack.extend((path + (i,), a) for i, a in enumerate(node.args, 1))
+    return frozenset(out)
+
+
+def slice_back(step: TraceStep, th: RewriteTheory, after: Term) -> Term:
+    """The slice of the step's source term that keeps the origins of what
+    `after`, a slice of its target term, keeps (prefix-closed). The origins
+    of the kept positions off the step's position q are their prefixes, so
+    only the subtree at q is rebuilt, and `after` itself is returned when
+    it keeps nothing at or under q."""
+    q = step.position
+    kept = _kept_at(after, q.path)
+    if is_bullet(kept):
+        return after
+    return replace_at(after, q, _local_origins(step, th, kept))
+
+
+def _local_origins(step: TraceStep, th: RewriteTheory, kept: Term) -> Term:
+    """The slice of the redex at the step's position q that keeps the
+    origins under q of what `kept`, a slice of the contractum at q, keeps.
+    Every target at or under q has q on its root path, whose label joins
+    the redex pattern (rule, equation), the call's arguments (builtin) or
+    the flattened node and the merged nodes (flat, unflat); the labels
+    below that come from the moved subterms."""
+    node = subterm_at(step.before, step.position)
+    if step.kind in ("rule", "equation"):
+        rule = th.find_rule(step.rule_name or "")
+        repeated = rule.repeated_variables()
+        # the binding of each variable, cut to its kept occurrences in the
+        # contractum; a repeated variable's binding joins the root label
+        image = dict.fromkeys(vars_of(rule.lhs), BULLET_TERM)
+        for v, value in step.matcher.items():
+            image[v] = value if v in repeated else _union(
+                [_kept_at(kept, occ) for occ in rule.rhs_occurrences.get(v, ())]
+            )
+        return Substitution(image).apply(rule.lhs)
+    if step.kind == "builtin":
+        return node if node.args else BULLET_TERM
+    args = [BULLET_TERM] * len(node.args)
+    if step.kind == "flat":
+        _, sources = one_level_flat(node)
+        merged = {src[0]: [BULLET_TERM] * len(node.args[src[0] - 1].args) for src in sources if len(src) == 2}
+        for src, arg in zip(sources, kept.args):
+            if len(src) == 1:
+                args[src[0] - 1] = arg
+            else:
+                merged[src[0]][src[1] - 1] = arg
+        for i, grand in merged.items():
+            args[i - 1] = Term(node.args[i - 1].root, tuple(grand))
+    else:  # unflat
+        for rel, idx in unflat_leaf_mapping(node, subterm_at(step.after, step.position)):
+            args[idx] = _kept_at(kept, rel.path)
+    return Term(node.root, tuple(args))
 
 
 def generalize(ts: Term) -> Term:
@@ -176,6 +305,28 @@ def trace_string(terms: list[Term]) -> str:
     return " -> ".join(pretty(t) for t in terms)
 
 
+def _printed_length(trace: InstrumentedTrace) -> int:
+    """len(trace_string(trace.terms())) without printing every term: a
+    built trace's consecutive terms differ only at the step's position, so
+    each term's length is the previous one's, minus the printed length of
+    the step's redex, plus that of its contractum. The subterm lengths are
+    kept by node identity, because consecutive steps share subterms."""
+    lengths: dict[int, tuple[Term, int]] = {}
+
+    def length(t: Term) -> int:
+        known = lengths.get(id(t))
+        if known is None:
+            known = lengths[id(t)] = (t, len(pretty(t)))
+        return known[1]
+
+    size = total = length(trace.initial)
+    for step in trace.steps:
+        q = step.position
+        size += length(subterm_at(step.after, q)) - length(subterm_at(step.before, q))
+        total += 4 + size  # " -> " before each later term
+    return total
+
+
 def trace_slice(
     trace: InstrumentedTrace,
     criterion: SlicingCriterion | Iterable[Position],
@@ -183,27 +334,39 @@ def trace_slice(
 ) -> TraceSlice:
     """Backward slice of the whole trace with respect to the criterion.
 
-    Each step is labeled independently with a supply starting at `seed`,
-    so repeated runs produce identical slices. Sizes are the lengths of
-    the canonically printed original and sliced traces."""
+    The relevant sets are those of `relevant_positions` over the steps
+    labeled with a supply starting at `seed`; the origin relation does not
+    depend on the seed, and no step is labeled (`slice_back`). Sizes are the
+    lengths of the canonically printed original and sliced traces."""
     crit = _criterion_set(criterion)
-    labeled = [label_step(s, trace.theory, LabelSupply(seed)) for s in trace.steps]
-    sets = relevant_positions(trace, labeled, crit)
-    terms = trace.terms()
-    slices = [slice_term(t, p) for t, p in zip(terms, sets)]
-    kept: list[SlicedStep] = []
-    for i, step in enumerate(trace.steps):
-        if slices[i] != slices[i + 1]:
-            kept.append(
-                SlicedStep(i, step.kind, step.rule_name, step.position, slices[i], slices[i + 1])
-            )
+    _check_criterion(trace.final(), crit)
+    after = slice_term(trace.final(), crit)
+    keep = _kept_positions(Position(), after)  # the prefix closure of the criterion
+    slices, sets, kept = [after], [crit], []
+    for i in range(len(trace.steps) - 1, -1, -1):
+        step = trace.steps[i]
+        before = slice_back(step, trace.theory, after)
+        q = step.position
+        local_after, local_before = _kept_at(after, q.path), _kept_at(before, q.path)
+        if local_before != local_after:
+            kept.append(SlicedStep(i, step.kind, step.rule_name, q, before, after))
+            # every kept position lies under the root
+            rest = keep - _kept_positions(q, local_after) if q.path else frozenset()
+            keep = rest | _kept_positions(q, local_before)
+        # a builtin call's symbol is no origin of its value
+        sets.append(keep - {q} if step.kind == "builtin" else keep)
+        slices.append(before)
+        after = before
+    slices.reverse()
+    sets.reverse()
+    kept.reverse()
     result = TraceSlice(
         trace=trace,
         criterion=crit,
         relevant=sets,
         slices=slices,
         steps=kept,
-        original_size=len(trace_string(terms)),
+        original_size=_printed_length(trace),
         sliced_size=0,
         reduction_percent=0.0,
     )

@@ -179,20 +179,15 @@ def subterm_at(t: Term, u: Position) -> Term:
 
 
 def replace_at(t: Term, u: Position, r: Term) -> Term:
-    """The term t with the subtree at u replaced by r."""
-
-    def go(node: Term, depth: int) -> Term:
-        if depth == len(u.path):
-            return r
-        i = u.path[depth]
-        if not 1 <= i <= len(node.args):
-            raise PositionOutOfRange(f"no position {u} in {pretty(t)}")
-        new_args = list(node.args)
-        new_args[i - 1] = go(node.args[i - 1], depth + 1)
-        return Term(node.root, tuple(new_args))
-
+    """The term t with the subtree at u replaced by r. Only the nodes on
+    the path to u are rebuilt, without recursion; the rest is shared."""
     subterm_at(t, u)  # range check, including the hole restriction
-    return go(t, 0)
+    ancestors = [t]
+    for i in u.path[:-1]:
+        ancestors.append(ancestors[-1].args[i - 1])
+    for parent, i in zip(reversed(ancestors), reversed(u.path)):
+        r = Term(parent.root, parent.args[: i - 1] + (r,) + parent.args[i:])
+    return r
 
 
 def vars_of(t: Term) -> list[Variable]:
