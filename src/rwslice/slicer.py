@@ -217,9 +217,9 @@ def _local_origins(step: TraceStep, th: RewriteTheory, kept: Term) -> Term:
     """The slice of the redex at the step's position q that keeps the
     origins under q of what `kept`, a slice of the contractum at q, keeps.
     Every target at or under q has q on its root path, whose label joins
-    the redex pattern (rule, equation), the call's arguments (builtin) or
-    the flattened node and the merged nodes (flat, unflat); the labels
-    below that come from the moved subterms."""
+    the redex pattern (rule, equation), the call's arguments (builtin),
+    the node and its merged children (flat) or the flattened node
+    (unflat); the labels below q come from the subterms the step moves."""
     node = subterm_at(step.before, step.position)
     if step.kind in ("rule", "equation"):
         rule = th.find_rule(step.rule_name or "")
