@@ -193,15 +193,13 @@ def replace_at(t: Term, u: Position, r: Term) -> Term:
 def vars_of(t: Term) -> list[Variable]:
     """Variables of t in order of first occurrence."""
     seen: list[Variable] = []
-
-    def walk(node: Term):
+    stack = [t]
+    while stack:
+        node = stack.pop()
         if isinstance(node.root, Variable):
             if node.root not in seen:
                 seen.append(node.root)
-        for arg in node.args:
-            walk(arg)
-
-    walk(t)
+        stack.extend(reversed(node.args))
     return seen
 
 

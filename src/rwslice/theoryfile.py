@@ -10,13 +10,14 @@
 Operators must be declared before use. Identifiers starting with an
 uppercase letter are variables without declaration; a `var` line forces
 other names to be variables as well. Numerals and true/false are implicit
-constants. Comments run from `---` to the end of the line.
+constants. Comments run from `---` to the end of the line. A token is one
+of `()[],.` or a maximal run of other non-whitespace characters.
 """
 
 from __future__ import annotations
 
+import bisect
 import re
-from dataclasses import dataclass
 
 from .engine import RewriteTheory, Rule
 from .terms import (
@@ -28,6 +29,7 @@ from .terms import (
     Variable,
     is_numeral_name,
     pretty,
+    vars_of,
 )
 
 
@@ -46,118 +48,130 @@ class ArityMismatchError(TheorySyntaxError):
     pass
 
 
-@dataclass(frozen=True)
-class Token:
-    text: str
-    line: int
-    col: int
+_PUNCT = frozenset("()[],.")
+_TOKEN_RE = re.compile(r"[()\[\],.]|[^\s()\[\],.]+")
 
 
-_PUNCT = set("()[],.")
-
-
-def _tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        comment = line.find("---")
-        if comment >= 0:
-            line = line[:comment]
-        col = 0
-        n = len(line)
-        while col < n:
-            ch = line[col]
-            if ch.isspace():
-                col += 1
-                continue
-            if ch in _PUNCT:
-                tokens.append(Token(ch, lineno, col + 1))
-                col += 1
-                continue
-            start = col
-            while col < n and not line[col].isspace() and line[col] not in _PUNCT:
-                col += 1
-            tokens.append(Token(line[start:col], lineno, start + 1))
-    return tokens
+def _code_lines(text: str) -> list[str]:
+    """The lines of text (as `splitlines` splits them), each cut at `---`."""
+    return [line.partition("---")[0] for line in text.splitlines()]
 
 
 class _Cursor:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    """The tokens of a text, as plain strings. Only a token named in an
+    error is located, from its index, by scanning its line again."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens: list[str] = []
+        self.ends = [0]  # ends[k]: tokens on the first k lines
+        for line in _code_lines(text):
+            self.tokens += _TOKEN_RE.findall(line)
+            self.ends.append(len(self.tokens))
         self.i = 0
 
-    def peek(self) -> Token | None:
+    def peek(self) -> str | None:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
 
-    def next(self, expect: str | None = None) -> Token:
-        tok = self.peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else Token("", 1, 1)
-            raise TheorySyntaxError("unexpected end of input", last.line, last.col)
-        if expect is not None and tok.text != expect:
-            raise TheorySyntaxError(f"expected {expect!r}, found {tok.text!r}", tok.line, tok.col)
+    def next(self, expect: str | None = None) -> str:
+        if self.i >= len(self.tokens):
+            raise self.error("unexpected end of input", len(self.tokens) - 1)
+        tok = self.tokens[self.i]
+        if expect is not None and tok != expect:
+            raise self.error(f"expected {expect!r}, found {tok!r}", self.i)
         self.i += 1
         return tok
 
-
-_NAME_RE = re.compile(r"[^\s()\[\],.]+")
-
-
-def _is_name(text: str) -> bool:
-    return bool(_NAME_RE.fullmatch(text))
+    def error(self, message: str, i: int, cls: type[TheorySyntaxError] = TheorySyntaxError) -> TheorySyntaxError:
+        """cls(message) at the line and column of token i (1:1 if none)."""
+        if i < 0:
+            return cls(message, 1, 1)
+        k = bisect.bisect_right(self.ends, i)  # token i is on line k
+        starts = [m.start() for m in _TOKEN_RE.finditer(_code_lines(self.text)[k - 1])]
+        return cls(message, k, starts[i - self.ends[k - 1]] + 1)
 
 
 class _TermParser:
-    def __init__(self, cur: _Cursor, sig: Signature | None, declared_vars: set[str], allow_bullet: bool):
-        self.cur = cur
+    """Reads terms against one signature and variable set, building each
+    distinct node once, so all the terms it reads share equal subterms.
+    Nodes are kept by head name (which, with the arity, fixes the symbol)
+    and child ids, never by `Term`'s own hash, which recurses."""
+
+    def __init__(self, sig: Signature | None, declared_vars: set[str], allow_bullet: bool):
         self.sig = sig
         self.declared_vars = declared_vars
-        self.allow_bullet = allow_bullet
-        self._loose: dict[tuple[str, int], Term] = {}
+        self._heads: dict[tuple[str, int], Symbol | Variable] = {}
+        self._nodes: dict[tuple[str, tuple[int, ...]], Term] = (
+            {("•", ()): BULLET_TERM, ("_", ()): BULLET_TERM} if allow_bullet else {}
+        )
 
-    def parse(self) -> Term:
-        tok = self.cur.next()
-        name = tok.text
-        if not _is_name(name):
-            raise TheorySyntaxError(f"expected a term, found {name!r}", tok.line, tok.col)
-        args: list[Term] = []
-        nxt = self.cur.peek()
-        if nxt is not None and nxt.text == "(":
-            self.cur.next("(")
-            args.append(self.parse())
-            while True:
-                sep = self.cur.peek()
-                if sep is not None and sep.text == ",":
-                    self.cur.next(",")
-                    args.append(self.parse())
-                else:
+    def term(self, text: str) -> Term:
+        """The term that is the whole of text."""
+        cur = _Cursor(text)
+        term = self.parse(cur)
+        if cur.i < len(cur.tokens):
+            raise cur.error(f"trailing input {cur.tokens[cur.i]!r}", cur.i)
+        return term
+
+    def parse(self, cur: _Cursor) -> Term:
+        """The term that starts at the cursor; leaves the cursor after it."""
+        toks, i, n = cur.tokens, cur.i, len(cur.tokens)
+        heads, nodes = self._heads, self._nodes
+        # open applications, innermost last: head, its token index, arguments so far
+        stack: list[tuple[str, int, list[Term]]] = []
+        while True:
+            if i >= n:
+                raise cur.error("unexpected end of input", n - 1)
+            name, at, args = toks[i], i, ()
+            if name in _PUNCT:
+                raise cur.error(f"expected a term, found {name!r}", i)
+            if i + 1 < n and toks[i + 1] == "(":
+                stack.append((name, at, []))
+                i += 2
+                continue
+            i += 1
+            while True:  # build the node name(args), then close what it ends
+                key = (name, tuple(map(id, args)))
+                term = nodes.get(key)
+                if term is None:
+                    root = heads.get((name, len(args)))
+                    if root is None:
+                        root = heads[name, len(args)] = self._head(name, len(args), at, cur)
+                    term = nodes[key] = Term(root, tuple(args))
+                if not stack:
+                    cur.i = i
+                    return term
+                name, at, args = stack[-1]
+                args.append(term)
+                if i >= n:
+                    raise cur.error("unexpected end of input", n - 1)
+                i += 1
+                if toks[i - 1] == ",":
                     break
-            self.cur.next(")")
-        return self._make(name, args, tok)
+                if toks[i - 1] != ")":
+                    raise cur.error(f"expected ')', found {toks[i - 1]!r}", i - 1)
+                stack.pop()
 
-    def _make(self, name: str, args: list[Term], tok: Token) -> Term:
-        if self.allow_bullet and name in ("•", "_") and not args:
-            return BULLET_TERM
-        if name in self.declared_vars or (name[0].isupper() and not self._is_declared_op(name, len(args))):
-            if args:
-                raise TheorySyntaxError(f"variable {name} cannot take arguments", tok.line, tok.col)
-            return Term(Variable(name))
+    def _head(self, name: str, arity: int, at: int, cur: _Cursor) -> Symbol | Variable:
+        sig = self.sig
+        if name in self.declared_vars or (
+            name[0].isupper() and (sig is None or sig.lookup(name, arity) is None)
+        ):
+            if arity:
+                raise cur.error(f"variable {name} cannot take arguments", at)
+            return Variable(name)
         if is_numeral_name(name) or name in ("true", "false"):
-            if args:
-                raise ArityMismatchError(f"{name} is a constant", tok.line, tok.col)
-            return Term(Symbol(name, 0))
-        if self.sig is None:
-            return Term(Symbol(name, len(args)), tuple(args))
-        decl = self.sig.lookup(name, len(args))
+            if arity:
+                raise cur.error(f"{name} is a constant", at, ArityMismatchError)
+            return Symbol(name, 0)
+        if sig is None:
+            return Symbol(name, arity)
+        decl = sig.lookup(name, arity)
         if decl is None:
-            if any(op.symbol.name == name for op in self.sig.ops()):
-                raise ArityMismatchError(
-                    f"{name} used with {len(args)} argument(s)", tok.line, tok.col
-                )
-            raise UnknownSymbolError(f"unknown operator {name}", tok.line, tok.col)
-        return Term(decl.symbol, tuple(args))
-
-    def _is_declared_op(self, name: str, arity: int) -> bool:
-        return self.sig is not None and self.sig.lookup(name, arity) is not None
+            if any(op.symbol.name == name for op in sig.ops()):
+                raise cur.error(f"{name} used with {arity} argument(s)", at, ArityMismatchError)
+            raise cur.error(f"unknown operator {name}", at, UnknownSymbolError)
+        return decl.symbol
 
 
 def parse_term(
@@ -166,17 +180,11 @@ def parse_term(
     declared_vars: set[str] | None = None,
     allow_bullet: bool = False,
 ) -> Term:
-    cur = _Cursor(_tokenize(text))
-    parser = _TermParser(cur, signature, declared_vars or set(), allow_bullet)
-    term = parser.parse()
-    trailing = cur.peek()
-    if trailing is not None:
-        raise TheorySyntaxError(f"trailing input {trailing.text!r}", trailing.line, trailing.col)
-    return term
+    return _TermParser(signature, declared_vars or set(), allow_bullet).term(text)
 
 
 def parse_theory(text: str, name: str = "") -> RewriteTheory:
-    cur = _Cursor(_tokenize(text))
+    cur = _Cursor(text)
     sig = Signature()
     declared_vars: set[str] = set()
     equations: list[Rule] = []
@@ -184,65 +192,62 @@ def parse_theory(text: str, name: str = "") -> RewriteTheory:
     eq_count = 0
 
     def parse_side() -> Term:
-        return _TermParser(cur, sig, declared_vars, allow_bullet=False).parse()
+        # a parser per side: declarations between sides change how heads read
+        return _TermParser(sig, declared_vars, allow_bullet=False).parse(cur)
 
     while cur.peek() is not None:
+        at = cur.i
         tok = cur.next()
-        if tok.text == "op":
-            name_tok = cur.next()
+        if tok == "op":
+            name_at = cur.i
+            op_name = cur.next()
             cur.next(":")
-            arity_tok = cur.next()
-            if not arity_tok.text.isdigit():
-                raise TheorySyntaxError(
-                    f"expected an arity, found {arity_tok.text!r}", arity_tok.line, arity_tok.col
-                )
+            arity = cur.next()
+            if not arity.isdigit():
+                raise cur.error(f"expected an arity, found {arity!r}", cur.i - 1)
             attrs = {"assoc": False, "comm": False, "builtin": False}
             sort = None
-            if cur.peek() is not None and cur.peek().text == "[":
+            if cur.peek() == "[":
                 cur.next("[")
-                while cur.peek() is not None and cur.peek().text != "]":
+                while cur.peek() not in (None, "]"):
                     attr = cur.next()
-                    if attr.text in attrs:
-                        attrs[attr.text] = True
-                    elif attr.text == "sort":
+                    if attr in attrs:
+                        attrs[attr] = True
+                    elif attr == "sort":
                         cur.next("(")
-                        sort = cur.next().text
+                        sort = cur.next()
                         cur.next(")")
                     else:
-                        raise TheorySyntaxError(
-                            f"unknown attribute {attr.text!r}", attr.line, attr.col
-                        )
+                        raise cur.error(f"unknown attribute {attr!r}", cur.i - 1)
                 cur.next("]")
             cur.next(".")
             try:
                 sig.declare(
-                    name_tok.text,
-                    int(arity_tok.text),
+                    op_name,
+                    int(arity),
                     assoc=attrs["assoc"],
                     comm=attrs["comm"],
                     builtin=attrs["builtin"],
                     sort=sort,
                 )
             except SignatureError as exc:
-                raise TheorySyntaxError(str(exc), name_tok.line, name_tok.col)
-        elif tok.text == "var":
-            saw = False
-            while cur.peek() is not None and cur.peek().text != ".":
-                declared_vars.add(cur.next().text)
-                saw = True
+                raise cur.error(str(exc), name_at)
+        elif tok == "var":
+            if cur.peek() == ".":
+                raise cur.error("empty var declaration", at)
+            while cur.peek() not in (None, "."):
+                declared_vars.add(cur.next())
             cur.next(".")
-            if not saw:
-                raise TheorySyntaxError("empty var declaration", tok.line, tok.col)
-        elif tok.text == "eq":
+        elif tok == "eq":
             lhs = parse_side()
             cur.next("=")
             rhs = parse_side()
             cur.next(".")
             eq_count += 1
             equations.append(Rule(f"eq{eq_count}", lhs, rhs, kind="equation"))
-        elif tok.text == "rl":
+        elif tok == "rl":
             cur.next("[")
-            rule_name = cur.next().text
+            rule_name = cur.next()
             cur.next("]")
             cur.next(":")
             lhs = parse_side()
@@ -251,7 +256,7 @@ def parse_theory(text: str, name: str = "") -> RewriteTheory:
             cur.next(".")
             rules.append(Rule(rule_name, lhs, rhs, kind="rule"))
         else:
-            raise TheorySyntaxError(f"unexpected token {tok.text!r}", tok.line, tok.col)
+            raise cur.error(f"unexpected token {tok!r}", at)
     return RewriteTheory(sig, equations, rules, name=name)
 
 
@@ -275,7 +280,7 @@ def render_theory(th: RewriteTheory) -> str:
             v.name
             for r in th.equations + th.rules
             for side in (r.lhs, r.rhs)
-            for v in _all_vars(side)
+            for v in vars_of(side)
             if not v.name[0].isupper()
         }
     )
@@ -286,10 +291,3 @@ def render_theory(th: RewriteTheory) -> str:
     for rl in th.rules:
         lines.append(f"rl [{rl.name}] : {pretty(rl.lhs)} => {pretty(rl.rhs)} .")
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _all_vars(t: Term):
-    if isinstance(t.root, Variable):
-        yield t.root
-    for a in t.args:
-        yield from _all_vars(a)

@@ -8,7 +8,8 @@
 Terms use the canonical printed syntax (no whitespace), so every field is
 whitespace-separated. Bindings are `X=term;Y=term` sorted by variable
 name. Loading builds an `InstrumentedTrace`, which checks that consecutive
-steps chain and that every step replays against the theory.
+steps chain and that every step replays against the theory. One parser
+reads a whole file, so consecutive terms share all subterms off the redex.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 from .acmatch import flatten_term
 from .engine import InstrumentedTrace, MalformedStep, RewriteTheory, TraceStep
 from .terms import EMPTY_SUBST, Position, Substitution, Variable, pretty
-from .theoryfile import TheorySyntaxError, parse_term
+from .theoryfile import TheorySyntaxError, _TermParser
 
 _HEADER = "rwtrace 1"
 
@@ -54,7 +55,7 @@ def _render_bindings(sub: Substitution) -> str:
     return ";".join(parts)
 
 
-def _parse_bindings(text: str, th: RewriteTheory) -> Substitution:
+def _parse_bindings(text: str, parser: _TermParser) -> Substitution:
     if text == "-":
         return EMPTY_SUBST
     bindings = {}
@@ -62,7 +63,7 @@ def _parse_bindings(text: str, th: RewriteTheory) -> Substitution:
         name, _, value = part.partition("=")
         if not name or not value:
             raise MalformedStep(f"bad binding {part!r}")
-        bindings[Variable(name)] = parse_term(value, th.signature)
+        bindings[Variable(name)] = parser.term(value)
     return Substitution(bindings)
 
 
@@ -73,8 +74,10 @@ def parse_trace(text: str, theory: RewriteTheory) -> InstrumentedTrace:
         raise MalformedStep(f"expected header {_HEADER!r}")
     if len(lines) < 3 or not lines[1][1].startswith("theory ") or not lines[2][1].startswith("init "):
         raise MalformedStep("expected theory and init lines")
+    # one parser for the whole file, so that all its terms share subterms
+    parser = _TermParser(theory.signature, set(), allow_bullet=False)
     prev_txt = lines[2][1][len("init ") :]
-    initial = prev = parse_term(prev_txt, theory.signature)
+    initial = prev = parser.term(prev_txt)
     steps: list[TraceStep] = []
     for lineno, line in lines[3:]:
         fields = line.split()
@@ -86,10 +89,10 @@ def parse_trace(text: str, theory: RewriteTheory) -> InstrumentedTrace:
                 kind=kind,
                 rule_name=None if rule == "-" else rule,
                 position=Position.parse(pos),
-                matcher=_parse_bindings(bind, theory),
+                matcher=_parse_bindings(bind, parser),
                 # a step's before usually repeats the last after: parse it once
-                before=prev if before_txt == prev_txt else parse_term(before_txt, theory.signature),
-                after=parse_term(after_txt, theory.signature),
+                before=prev if before_txt == prev_txt else parser.term(before_txt),
+                after=parser.term(after_txt),
             )
         except (ValueError, TheorySyntaxError) as exc:
             raise MalformedStep(f"line {lineno}: {exc}")

@@ -1,12 +1,13 @@
 import dataclasses
 import os
+import sys
 
 import pytest
 
 from rwslice import bundled_example_path, engine
 from rwslice.cli import main
 from rwslice.engine import InstrumentedTrace, MalformedStep, Rule, run
-from rwslice.terms import Position, Signature, Variable, pretty
+from rwslice.terms import Position, Signature, Term, Variable, pretty
 from rwslice.theoryfile import (
     ArityMismatchError,
     TheorySyntaxError,
@@ -108,6 +109,49 @@ def test_parse_term_modes():
     assert pretty(sl) == "f(•,•)"
 
 
+_SIG = "op f : 2 [assoc comm] .\nop g : 1 .\nop a : 0 ."
+
+
+@pytest.mark.parametrize("text, cls, message, line, col", [
+    # terms, parsed against _SIG
+    ("", TheorySyntaxError, "unexpected end of input", 1, 1),
+    ("f(a,", TheorySyntaxError, "unexpected end of input", 1, 4),
+    ("f()", TheorySyntaxError, "expected a term, found ')'", 1, 3),
+    ("g(,a)", TheorySyntaxError, "expected a term, found ','", 1, 3),
+    ("g(a", TheorySyntaxError, "unexpected end of input", 1, 3),
+    ("g(a a)", TheorySyntaxError, "expected ')', found 'a'", 1, 5),
+    ("g(a) a", TheorySyntaxError, "trailing input 'a'", 1, 6),
+    ("g(X(a))", TheorySyntaxError, "variable X cannot take arguments", 1, 3),
+    ("7(a)", ArityMismatchError, "7 is a constant", 1, 1),
+    ("g(true(a))", ArityMismatchError, "true is a constant", 1, 3),
+    ("g(zz(a))", UnknownSymbolError, "unknown operator zz", 1, 3),
+    ("g(a,a)", ArityMismatchError, "g used with 2 argument(s)", 1, 1),
+    # theories
+    ("op f : 1 .\n--- f( is no term\nrl [r] : f(zz) => f(zz) .", UnknownSymbolError,
+     "unknown operator zz", 3, 12),
+    ("op f : 1 .\nrl [r] : f(X) => f(X) --- the dot is commented out\n", TheorySyntaxError,
+     "unexpected end of input", 2, 21),
+    ("op f : 1 .\r\nop a : 0 .\r\nrl [r] : f(a,a) => a .\r\n", ArityMismatchError,
+     "f used with 2 argument(s)", 3, 10),
+    ("op f : 1 .\n\top a : 0 .\n\trl [r] :\tf(\tzz) => a .", UnknownSymbolError,
+     "unknown operator zz", 3, 14),
+    ("op f :\nbroken", TheorySyntaxError, "expected an arity, found 'broken'", 2, 1),
+    ("op f : 1 [foo] .", TheorySyntaxError, "unknown attribute 'foo'", 1, 11),
+    ("op f : 3 [assoc comm] .", TheorySyntaxError, "f: AC attributes require a binary operator", 1, 4),
+    ("var .", TheorySyntaxError, "empty var declaration", 1, 1),
+    ("bogus", TheorySyntaxError, "unexpected token 'bogus'", 1, 1),
+])
+def test_syntax_error_table(text, cls, message, line, col):
+    with pytest.raises(TheorySyntaxError) as err:
+        if text.startswith(("op", "var", "bogus")):
+            parse_theory(text)
+        else:
+            parse_term(text, parse_theory(_SIG).signature)
+    assert type(err.value) is cls
+    assert str(err.value) == f"line {line}, column {col}: {message}"
+    assert (err.value.line, err.value.col) == (line, col)
+
+
 def _basic_theory():
     return parse_theory(
         """
@@ -133,6 +177,58 @@ def test_trace_round_trip(tmp_path):
     assert loaded.steps == trace.steps
     # save(load(x)) is identity on the canonical text
     assert render_trace(loaded, "basic") == path.read_text(encoding="utf-8")
+
+
+def _nodes(t: Term) -> list[Term]:
+    """Every node of t, by an iterative walk (`==` and `pretty` recurse)."""
+    out, stack = [], [t]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        stack.extend(node.args)
+    return out
+
+
+@pytest.mark.parametrize(
+    "theory, init, rule_steps",
+    [
+        ("producer_consumer.rwt", "cfg(tok,prod(0),cons(0,0))", 12),
+        ("client_server.rwt", "net(srv(0),cli(1,3,none),cli(2,4,none))", 6),
+    ],
+)
+def test_loaded_trace_shares_subterms(theory, init, rule_steps, tmp_path):
+    th = parse_theory(bundled_example_path(theory).read_text(), name=theory)
+    trace = run(parse_term(init, th.signature), th, rule_steps)
+    path = tmp_path / "t.rwtrace"
+    save_trace(trace, path)
+    loaded = load_trace(path, th)
+    assert loaded.initial == trace.initial and loaded.steps == trace.steps
+    bindings = 0
+    for step in loaded.steps:
+        before, after = step.before, step.after
+        for i in step.position.path:
+            assert len(before.args) == len(after.args)
+            assert all(b is a for j, (b, a) in enumerate(zip(before.args, after.args), 1) if j != i)
+            before, after = before.args[i - 1], after.args[i - 1]
+        # every variable of these theories sits under a free symbol, so it
+        # binds a node of the redex
+        nodes = {id(node) for node in _nodes(step.before)}
+        for _, value in step.matcher.items():
+            assert id(value) in nodes
+            bindings += 1
+    assert bindings > 0
+
+
+def test_deep_terms_parse_without_recursion():
+    depth = 10_000
+    assert sys.getrecursionlimit() < depth
+    decls = "op h : 1 .\nop s : 1 .\nop z : 0 .\n"
+    chain = "h(" + "s(" * depth + "{})" + ")" * depth
+    t = parse_term(chain.format("z"), parse_theory(decls).signature)
+    rule = parse_theory(decls + f"rl [down] : {chain.format('X')} => h(X) .\n").find_rule("down")
+    for term, leaf in ((t, "z"), (rule.lhs, "X")):
+        path = [node.root.name for node in _nodes(term)]
+        assert path == ["h"] + ["s"] * depth + [leaf]
 
 
 def test_trace_load_rejects_tampering(tmp_path):
@@ -294,6 +390,8 @@ def test_trace_load_rejects_unchained_steps(lines):
     ("step bogus", "line 6: bad step record"),
     ("step rule r2 ^ - g(f(a)) m(a)", "line 6: steps do not chain"),
     ("step rule r2 ^ - g(b) m(b)", "line 6: rule step at . does not replay"),
+    ("step rule r2 ^ X=zz g(b) m(a)", "line 6: line 1, column 1: unknown operator zz"),
+    ("step rule r2 ^ - g(b) m(a)x", "line 6: line 1, column 5: trailing input 'x'"),
 ])
 def test_trace_load_reports_physical_lines(record, message):
     lines = ["rwtrace 1", "theory basic", "init g(f(a))", "step rule r1 1 X=a g(f(a)) g(b)", "", record]
