@@ -53,7 +53,6 @@ from .slicer import (
     InvalidCriterion,
     ReplayFailure,
     SlicedStep,
-    SlicingCriterion,
     TraceSlice,
     check_soundness,
     concretizes,

@@ -15,7 +15,6 @@ from itertools import combinations
 
 from .terms import (
     Position,
-    ROOT,
     Signature,
     Substitution,
     Symbol,
@@ -85,20 +84,6 @@ def flatten(t: Term, sig: Signature, searched: dict[int, Term] | None = None) ->
 
 def flatten_term(t: Term, sig: Signature) -> Term:
     return flatten(t, sig)[0]
-
-
-def spine_positions(node: Term) -> list[Position]:
-    """Relative positions of the same-operator spine rooted at the node."""
-    out = [ROOT]
-
-    def rec(t: Term, rel: tuple[int, ...]):
-        for i, arg in enumerate(t.args, start=1):
-            if _same_op(arg.root, node.root):
-                out.append(Position(rel + (i,)))
-                rec(arg, rel + (i,))
-
-    rec(node, ())
-    return out
 
 
 def spine_leaves(node: Term) -> list[tuple[Position, Term]]:

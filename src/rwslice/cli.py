@@ -46,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["pretty", "structured"], default="pretty")
     p.add_argument("--full-expansion", action="store_true", help="show equational and AC steps in the pretty output")
     p.add_argument("--max-steps", type=int, default=None, help="elementary step budget")
-    p.add_argument("--seed", type=int, default=0, help="label supply seed")
+    p.add_argument("--seed", type=int, default=0, help="number printed on the report's seed line; changes nothing else")
     return p
 
 
@@ -84,7 +84,7 @@ def main(argv=None) -> int:
             end = parse_term(args.end, th.signature)
             trace = run_until(init, end, th, max_steps=budget)
         criterion = _parse_criterion(args.criterion)
-        ts = trace_slice(trace, criterion, seed=args.seed)
+        ts = trace_slice(trace, criterion)
         report = SliceReport(ts, theory_name=th.name, seed=args.seed)
         if args.format == "structured":
             sys.stdout.write(report.render_structured())

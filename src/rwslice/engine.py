@@ -43,7 +43,6 @@ from .terms import (
     pretty,
     replace_at,
     subterm_at,
-    vars_of,
 )
 
 DEFAULT_STEP_BUDGET = 10_000
@@ -83,7 +82,7 @@ class Rule:
     def __post_init__(self):
         if isinstance(self.lhs.root, Variable):
             raise TheoryError(f"{self.name}: left-hand side must not be a variable")
-        missing = [v for v in vars_of(self.rhs) if v not in vars_of(self.lhs)]
+        missing = [v for v in self.rhs_occurrences if v not in self.lhs_occurrences]
         if missing:
             names = ", ".join(v.name for v in missing)
             raise TheoryError(f"{self.name}: unbound right-hand side variables {names}")
@@ -99,35 +98,37 @@ class Rule:
     def repeated_variables(self) -> list[Variable]:
         """Variables occurring more than once in the left-hand side, in
         order of first occurrence."""
-        counts: dict[Variable, int] = {}
+        return [v for v, occ in self.lhs_occurrences.items() if len(occ) > 1]
 
-        def walk(t: Term):
-            if isinstance(t.root, Variable):
-                counts[t.root] = counts.get(t.root, 0) + 1
-            for a in t.args:
-                walk(a)
-
-        walk(self.lhs)
-        return [v for v, n in counts.items() if n > 1]
+    @cached_property
+    def lhs_occurrences(self) -> dict[Variable, list[tuple[int, ...]]]:
+        """The argument paths of each variable's occurrences in the
+        left-hand side, computed once per rule (`_occurrences`)."""
+        return _occurrences(self.lhs)
 
     @cached_property
     def rhs_occurrences(self) -> dict[Variable, list[tuple[int, ...]]]:
-        """The argument paths of each variable's occurrences in the
-        right-hand side, computed once per rule."""
-        out: dict[Variable, list[tuple[int, ...]]] = {}
-        stack: list[tuple[tuple[int, ...], Term]] = [((), self.rhs)]
-        while stack:
-            path, t = stack.pop()
-            if isinstance(t.root, Variable):
-                out.setdefault(t.root, []).append(path)
-            stack.extend((path + (i,), a) for i, a in enumerate(t.args, 1))
-        return out
+        """The same table for the right-hand side."""
+        return _occurrences(self.rhs)
 
     def redex_pattern(self) -> Term:
         return _to_pattern(self.lhs)
 
     def contractum_pattern(self) -> Term:
         return _to_pattern(self.rhs)
+
+
+def _occurrences(t: Term) -> dict[Variable, list[tuple[int, ...]]]:
+    """The argument paths of each variable's occurrences in t, in preorder,
+    so the variables come in order of first occurrence."""
+    out: dict[Variable, list[tuple[int, ...]]] = {}
+    stack: list[tuple[tuple[int, ...], Term]] = [((), t)]
+    while stack:
+        path, node = stack.pop()
+        if isinstance(node.root, Variable):
+            out.setdefault(node.root, []).append(path)
+        stack.extend((path + (i,), node.args[i - 1]) for i in range(len(node.args), 0, -1))
+    return out
 
 
 def _to_pattern(t: Term) -> Term:

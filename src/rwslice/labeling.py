@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .acmatch import one_level_flat, spine_positions, unflat_leaf_mapping
+from .acmatch import one_level_flat, unflat_leaf_mapping
 from .engine import MalformedStep, RewriteTheory, Rule, TraceStep
 from .terms import (
     HOLE_TERM,
@@ -26,8 +26,6 @@ from .terms import (
     positions,
     replace_at,
     subterm_at,
-    var_positions,
-    vars_of,
 )
 
 Label = frozenset  # of atom ids
@@ -134,8 +132,7 @@ def _label_contraction(step: TraceStep, th: RewriteTheory, supply: LabelSupply) 
     lhs_lab, rhs_lab = label_rule(rule, supply)
     context = replace_at(step.before, q, HOLE_TERM)
     ctx_lab = initial_labeling(context, supply)
-    order = vars_of(rule.lhs)
-    sub_labs = label_substitution(sub, supply, order)
+    sub_labs = label_substitution(sub, supply, list(rule.lhs_occurrences))
 
     before_lab = Labeling()
     after_lab = Labeling()
@@ -146,18 +143,11 @@ def _label_contraction(step: TraceStep, th: RewriteTheory, supply: LabelSupply) 
         before_lab[q.concat(w)] = l
     for w, l in rhs_lab.items():
         after_lab[q.concat(w)] = l
-    for v in order:
-        lab_v = sub_labs.get(v)
-        if lab_v is None:
-            continue
-        for occ in var_positions(rule.lhs, v):
-            base = q.concat(occ)
-            for w, l in lab_v.items():
-                before_lab[base.concat(w)] = l
-        for occ in var_positions(rule.rhs, v):
-            base = q.concat(occ)
-            for w, l in lab_v.items():
-                after_lab[base.concat(w)] = l
+    for side_lab, occurrences in ((before_lab, rule.lhs_occurrences), (after_lab, rule.rhs_occurrences)):
+        for v, paths in occurrences.items():
+            for w, l in sub_labs.get(v, {}).items():
+                for occ in paths:
+                    side_lab[Position(q.path + occ + w.path)] = l
 
     if rule.is_collapsing():
         # the binding placed at the rewrite position keeps the joined
@@ -214,9 +204,10 @@ def _derive_unflat(step: TraceStep, before_lab: Labeling) -> Labeling:
     anode = subterm_at(step.after, q)
     after_lab = Labeling({p: l for p, l in before_lab.items() if not q.is_prefix_of(p)})
     src_label = before_lab[q]
-    for rel in spine_positions(anode):
-        after_lab[q.concat(rel)] = src_label
     for rel, idx in unflat_leaf_mapping(bnode, anode):
+        # the proper prefixes of the leaf paths are the spine nodes
+        for k in range(len(rel.path)):
+            after_lab[Position(q.path + rel.path[:k])] = src_label
         src_pos = q.child(idx + 1)
         dst_pos = q.concat(rel)
         for w in positions(bnode.args[idx]):

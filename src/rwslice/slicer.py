@@ -14,10 +14,12 @@ singletons, equal on both sides, so a target off q has exactly its own
 prefixes as origins, and a target at or below q has the prefixes of q plus
 origins under q that depend on the redex and the contractum only
 (`slice_back`). Every relevant set but the criterion is prefix-closed up to
-one builtin call position, so the backward pass works on slices: each
+one builtin call position, so the backward pass records slices alone: each
 step rebuilds the slice at q alone, consecutive slices share everything
 else, and a step with nothing kept at or under q leaves the slice as it
-is. Steps whose sliced sides coincide are dropped from the trace slice.
+is. Steps whose sliced sides coincide are dropped from the trace slice and
+share the previous relevant set; any other step's set is read off its
+source slice as the positions that slice keeps.
 """
 
 from __future__ import annotations
@@ -34,13 +36,11 @@ from .terms import (
     PositionOutOfRange,
     Substitution,
     Term,
-    Variable,
     is_bullet,
     match,
     pretty,
     replace_at,
     subterm_at,
-    vars_of,
 )
 
 
@@ -55,17 +55,6 @@ class ReplayFailure(Exception):
     def __init__(self, index: int, message: str):
         super().__init__(f"sliced step {index}: {message}")
         self.index = index
-
-
-@dataclass(frozen=True)
-class SlicingCriterion:
-    """Observed positions of the final trace term."""
-
-    positions: frozenset[Position]
-
-    @staticmethod
-    def of(items: Iterable[Position]) -> "SlicingCriterion":
-        return SlicingCriterion(frozenset(items))
 
 
 def origin_positions(ls: LabeledStep, w: Position) -> frozenset[Position]:
@@ -95,11 +84,11 @@ def _origins(ls: LabeledStep, targets: Iterable[Position]) -> frozenset[Position
 def relevant_positions(
     trace: InstrumentedTrace,
     labeled: list[LabeledStep],
-    criterion: SlicingCriterion | Iterable[Position],
+    criterion: Iterable[Position],
 ) -> list[frozenset[Position]]:
     """Backward pass: the relevant positions of each trace term, ending
     with the criterion on the final term."""
-    crit = _criterion_set(criterion)
+    crit = frozenset(criterion)
     if len(labeled) != len(trace.steps):
         raise InvalidCriterion("labeled steps do not cover the trace")
     _check_criterion(trace.final(), crit)
@@ -107,12 +96,6 @@ def relevant_positions(
     for ls in reversed(labeled):
         sets.append(_origins(ls, sets[-1]))
     return sets[::-1]
-
-
-def _criterion_set(criterion) -> frozenset[Position]:
-    if isinstance(criterion, SlicingCriterion):
-        return criterion.positions
-    return frozenset(criterion)
 
 
 def _check_criterion(final: Term, crit: frozenset[Position]) -> None:
@@ -188,10 +171,10 @@ def _kept_at(s: Term, path: tuple[int, ...]) -> Term:
     return s
 
 
-def _kept_positions(at: Position, s: Term) -> frozenset[Position]:
-    """The positions of the symbols slice s keeps, with s placed at `at`."""
+def _kept_positions(s: Term) -> frozenset[Position]:
+    """The positions of the symbols slice s keeps, a prefix-closed set."""
     out = []
-    stack = [(at.path, s)]
+    stack = [((), s)]
     while stack:
         path, node = stack.pop()
         if not is_bullet(node):
@@ -226,7 +209,7 @@ def _local_origins(step: TraceStep, th: RewriteTheory, kept: Term) -> Term:
         repeated = rule.repeated_variables()
         # the binding of each variable, cut to its kept occurrences in the
         # contractum; a repeated variable's binding joins the root label
-        image = dict.fromkeys(vars_of(rule.lhs), BULLET_TERM)
+        image = dict.fromkeys(rule.lhs_occurrences, BULLET_TERM)
         for v, value in step.matcher.items():
             image[v] = value if v in repeated else _union(
                 [_kept_at(kept, occ) for occ in rule.rhs_occurrences.get(v, ())]
@@ -251,25 +234,10 @@ def _local_origins(step: TraceStep, th: RewriteTheory, kept: Term) -> Term:
     return Term(node.root, tuple(args))
 
 
-def generalize(ts: Term) -> Term:
-    """The term slice with each opaque leaf replaced by a distinct fresh
-    variable."""
-    counter = 0
-
-    def rec(node: Term) -> Term:
-        nonlocal counter
-        if is_bullet(node):
-            counter += 1
-            return Term(Variable(f"#{counter}"))
-        return Term(node.root, tuple(rec(a) for a in node.args))
-
-    return rec(ts)
-
-
 def concretizes(ts: Term, t: Term) -> bool:
-    """True iff t is an instance of the slice once opaque leaves are read
-    as fresh variables."""
-    return match(generalize(ts), t) is not None
+    """True iff t is an instance of the slice, each opaque leaf matching
+    any subterm (`match`)."""
+    return match(ts, t) is not None
 
 
 @dataclass(frozen=True)
@@ -327,34 +295,28 @@ def _printed_length(trace: InstrumentedTrace) -> int:
     return total
 
 
-def trace_slice(
-    trace: InstrumentedTrace,
-    criterion: SlicingCriterion | Iterable[Position],
-    seed: int = 0,
-) -> TraceSlice:
+def trace_slice(trace: InstrumentedTrace, criterion: Iterable[Position]) -> TraceSlice:
     """Backward slice of the whole trace with respect to the criterion.
 
-    The relevant sets are those of `relevant_positions` over the steps
-    labeled with a supply starting at `seed`; the origin relation does not
-    depend on the seed, and no step is labeled (`slice_back`). Sizes are the
-    lengths of the canonically printed original and sliced traces."""
-    crit = _criterion_set(criterion)
+    The slices are computed step by step without labeling (`slice_back`).
+    The relevant sets are those of `relevant_positions`: each one is read
+    off its slice as the positions the slice keeps, less the call position
+    after a builtin step, and only where the step changed the slice; the
+    last one is the criterion as given. Sizes are the lengths of the
+    canonically printed original and sliced traces."""
+    crit = frozenset(criterion)
     _check_criterion(trace.final(), crit)
     after = slice_term(trace.final(), crit)
-    keep = _kept_positions(Position(), after)  # the prefix closure of the criterion
+    keep = _kept_positions(after)  # the prefix closure of the criterion
     slices, sets, kept = [after], [crit], []
     for i in range(len(trace.steps) - 1, -1, -1):
         step = trace.steps[i]
         before = slice_back(step, trace.theory, after)
-        q = step.position
-        local_after, local_before = _kept_at(after, q.path), _kept_at(before, q.path)
-        if local_before != local_after:
-            kept.append(SlicedStep(i, step.kind, step.rule_name, q, before, after))
-            # every kept position lies under the root
-            rest = keep - _kept_positions(q, local_after) if q.path else frozenset()
-            keep = rest | _kept_positions(q, local_before)
+        if before != after:
+            kept.append(SlicedStep(i, step.kind, step.rule_name, step.position, before, after))
+            keep = _kept_positions(before)
         # a builtin call's symbol is no origin of its value
-        sets.append(keep - {q} if step.kind == "builtin" else keep)
+        sets.append(keep - {step.position} if step.kind == "builtin" else keep)
         slices.append(before)
         after = before
     slices.reverse()

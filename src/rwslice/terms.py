@@ -107,10 +107,6 @@ HOLE_TERM = Term(HOLE)
 BULLET_TERM = Term(BULLET)
 
 
-def var(name: str) -> Term:
-    return Term(Variable(name))
-
-
 def is_hole(t: Term) -> bool:
     return isinstance(t.root, Symbol) and t.root.kind == "hole"
 
@@ -203,10 +199,6 @@ def vars_of(t: Term) -> list[Variable]:
     return seen
 
 
-def var_positions(t: Term, v: Variable) -> list[Position]:
-    return [p for p in positions(t) if subterm_at(t, p).root == v]
-
-
 def is_ground(t: Term) -> bool:
     if isinstance(t.root, Variable):
         return False
@@ -282,21 +274,22 @@ EMPTY_SUBST = Substitution()
 def match(pattern: Term, subject: Term) -> Substitution | None:
     """Syntactic matcher: the unique substitution with pattern*s = subject,
     or None. Repeated pattern variables must bind syntactically equal
-    subterms."""
+    subterms, and the opaque leaf `•` matches any subterm. The walk uses an
+    explicit stack, not recursion."""
     bindings: dict[Variable, Term] = {}
-
-    def go(p: Term, s: Term) -> bool:
-        if isinstance(p.root, Variable):
-            seen = bindings.get(p.root)
-            if seen is None:
-                bindings[p.root] = s
-                return True
-            return seen == s
-        if p.root != s.root or len(p.args) != len(s.args):
-            return False
-        return all(go(pa, sa) for pa, sa in zip(p.args, s.args))
-
-    return Substitution(bindings) if go(pattern, subject) else None
+    stack = [(pattern, subject)]
+    while stack:
+        p, s = stack.pop()
+        root = p.root
+        if isinstance(root, Variable):
+            seen = bindings.setdefault(root, s)
+            if seen is not s and seen != s:
+                return None
+        elif root.kind != "bullet":
+            if root != s.root or len(p.args) != len(s.args):
+                return None
+            stack.extend(zip(p.args, s.args))
+    return Substitution(bindings)
 
 
 def pretty(t: Term) -> str:

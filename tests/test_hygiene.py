@@ -39,17 +39,23 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+_ATTR_CALLS = {"getattr", "setattr", "hasattr", "delattr"}
+
+
 def _referenced_names(tree: ast.AST) -> Counter:
-    """Names read or looked up as attributes, and identifier strings (as
-    given to getattr or monkeypatch.setattr)."""
+    """Names read or looked up as attributes, and identifier strings given
+    as arguments to getattr, setattr, hasattr or delattr (plain or as a
+    method, such as monkeypatch.setattr). Other strings name nothing."""
     out: Counter = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             out[node.id] += 1
         elif isinstance(node, ast.Attribute):
             out[node.attr] += 1
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
-            out[node.value] += 1
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) in _ATTR_CALLS:
+            for arg in node.args:
+                if isinstance(arg, ast.Constant) and isinstance(arg.value, str) and arg.value.isidentifier():
+                    out[arg.value] += 1
     return out
 
 
@@ -76,6 +82,11 @@ def test_unreferenced_functions_detected():
     src = "class P:\n    def is_root(self):\n        return self.is_root()\n    def __str__(self):\n        return ''\n"
     assert unreferenced_functions({"p.py": src}, []) == ["p.py:2: is_root"]
     assert unreferenced_functions({"p.py": src}, ["P().is_root()"]) == []
+    # a string names a function only as an argument of an attribute call
+    var = "def var(name):\n    return name\n"
+    assert unreferenced_functions({"t.py": var}, ["if token == 'var':\n    pass\n"]) == ["t.py:1: var"]
+    assert unreferenced_functions({"t.py": var}, ["getattr(t, 'var')"]) == []
+    assert unreferenced_functions({"t.py": var}, ["monkeypatch.setattr(t, 'var', print)"]) == []
 
 
 def test_every_function_is_referenced():

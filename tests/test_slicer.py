@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import random
+import sys
 
 import pytest
 
@@ -10,7 +11,6 @@ from rwslice.labeling import Labeling, LabelSupply, label_ac_segment, label_step
 from rwslice.slicer import (
     InvalidCriterion,
     ReplayFailure,
-    SlicingCriterion,
     check_soundness,
     concretizes,
     origin_positions,
@@ -24,6 +24,7 @@ from rwslice.terms import (
     Position,
     PositionOutOfRange,
     Signature,
+    Symbol,
     Term,
     Variable,
     positions,
@@ -138,7 +139,7 @@ def test_relevant_positions_empty_criterion(labeled_step):
 
 def test_relevant_positions_single_step(labeled_step):
     trace, ls = labeled_step
-    sets = relevant_positions(trace, [ls], SlicingCriterion.of({P("1.2")}))
+    sets = relevant_positions(trace, [ls], {P("1.2")})
     assert sets[1] == {P("1.2")}
     assert sets[0] == {P("1.1.2"), P("1"), P("1.1"), P("1.2"), P("^")}
 
@@ -224,6 +225,20 @@ def test_concretizes_examples(step_theory):
     t = T("d(f(g(a,h(b)),a),a)", sig)
     assert concretizes(t, t)
     assert not concretizes(sl, T("d(f(g(c,c),a),b)", sig))
+    # variables inside a slice bind consistently
+    assert concretizes(T("f(X,X,•)", None, {"X"}), T("f(a,a,b)"))
+    assert not concretizes(T("f(X,X,•)", None, {"X"}), T("f(a,b,b)"))
+
+
+def test_concretizes_deep_slice_without_recursion():
+    depth = 10_000
+    assert sys.getrecursionlimit() < depth
+    s = Symbol("s", 1)
+    sl, t = BULLET_TERM, T("z")
+    for _ in range(depth):
+        sl, t = Term(s, (sl,)), Term(s, (t,))
+    assert concretizes(sl, t)
+    assert not concretizes(t, sl)
 
 
 def test_trace_slice_single_step(step_theory, labeled_step):
