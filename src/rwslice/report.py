@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .slicer import TraceSlice
-from .terms import pretty
+from .terms import Term, is_bullet
 
 _HEADER = "rwslice-report 1"
 
@@ -15,6 +15,23 @@ def _positions_text(items) -> str:
     return ",".join(str(p) for p in ordered) if ordered else "-"
 
 
+def _kept_text(s: Term, skip: str) -> str:
+    """The positions whose symbols slice s keeps, less the position printed
+    `skip`, printed as `_positions_text` prints them: a preorder walk
+    visits them in ascending order."""
+    out = []
+    stack = [] if is_bullet(s) else [("^", s)]
+    while stack:
+        text, node = stack.pop()
+        if text != skip:
+            out.append(text)
+        prefix = "" if text == "^" else text + "."
+        for i in range(len(node.args), 0, -1):
+            if not is_bullet(node.args[i - 1]):
+                stack.append((prefix + str(i), node.args[i - 1]))
+    return ",".join(out) or "-"
+
+
 @dataclass
 class SliceReport:
     slice: TraceSlice
@@ -22,24 +39,32 @@ class SliceReport:
     seed: int = 0
 
     def render_structured(self) -> str:
+        """The report of docs/formats.md. Every pset but the last is printed
+        from its slice, as the positions the slice keeps, less the call
+        position of a builtin step; the last is the criterion."""
         ts = self.slice
+        criterion = _positions_text(ts.criterion)
         lines = [
             _HEADER,
             f"theory {self.theory_name or '-'}",
             f"seed {self.seed}",
-            f"criterion {_positions_text(ts.criterion)}",
+            f"criterion {criterion}",
             f"original-size {ts.original_size}",
             f"sliced-size {ts.sliced_size}",
             f"reduction {ts.reduction_percent:.2f}",
             f"terms {len(ts.slices)}",
         ]
-        for j, (pset, sl) in enumerate(zip(ts.relevant, ts.slices)):
-            lines.append(f"pset {j} {_positions_text(pset)}")
-            lines.append(f"slice {j} {pretty(sl)}")
+        texts = ts.texts
+        for j, (step, sl) in enumerate(zip(ts.trace.steps, ts.slices)):
+            skip = str(step.position) if step.kind == "builtin" else ""
+            lines.append(f"pset {j} {_kept_text(sl, skip)}")
+            lines.append(f"slice {j} {texts[j]}")
+        lines.append(f"pset {len(texts) - 1} {criterion}")
+        lines.append(f"slice {len(texts) - 1} {texts[-1]}")
         for s in ts.steps:
             lines.append(
                 f"step {s.index} {s.kind} {s.rule_name or '-'} {s.position} "
-                f"{pretty(s.before_slice)} {pretty(s.after_slice)}"
+                f"{texts[s.index]} {texts[s.index + 1]}"
             )
         return "\n".join(lines) + "\n"
 
@@ -51,9 +76,9 @@ class SliceReport:
             lines.append("sliced steps:")
             for s in shown:
                 label = s.rule_name or s.kind
-                lines.append(f"  {pretty(s.before_slice)} --[{label}]--> {pretty(s.after_slice)}")
+                lines.append(f"  {ts.texts[s.index]} --[{label}]--> {ts.texts[s.index + 1]}")
         else:
-            lines.append(f"sliced trace: {pretty(ts.slices[0]) if ts.slices else '-'}")
+            lines.append(f"sliced trace: {ts.texts[0] if ts.slices else '-'}")
         lines.append(f"original size: {ts.original_size}")
         lines.append(f"sliced size: {ts.sliced_size}")
         lines.append(f"reduction: {ts.reduction_percent:.2f}%")

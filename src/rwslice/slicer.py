@@ -18,13 +18,17 @@ one builtin call position, so the backward pass records slices alone: each
 step rebuilds the slice at q alone, consecutive slices share everything
 else, and a step with nothing kept at or under q leaves the slice as it
 is. Steps whose sliced sides coincide are dropped from the trace slice and
-share the previous relevant set; any other step's set is read off its
-source slice as the positions that slice keeps.
+share the previous slice object. A term's relevant set is read off its
+slice, as the positions that slice keeps, only when a caller reads it
+(`RelevantSets`), and each distinct slice object is printed once
+(`TraceSlice.texts`).
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from .acmatch import one_level_flat, unflat_leaf_mapping
@@ -250,16 +254,57 @@ class SlicedStep:
     after_slice: Term
 
 
+class RelevantSets(Sequence):
+    """The relevant sets of a trace slice, read off its slices. The last
+    set is the criterion; set j before it is the set of positions slice j
+    keeps, less the call position when step j is a builtin step, since a
+    builtin call's symbol is no origin of its value. A set is built each
+    time it is read."""
+
+    def __init__(self, steps: tuple[TraceStep, ...], slices: list[Term], criterion: frozenset[Position]):
+        self._steps = steps
+        self._slices = slices
+        self._criterion = criterion
+
+    def __len__(self) -> int:
+        return len(self._slices)
+
+    def __getitem__(self, j: int) -> frozenset[Position]:
+        j = range(len(self._slices))[j]  # IndexError past either end
+        if j == len(self._steps):
+            return self._criterion
+        kept = _kept_positions(self._slices[j])
+        step = self._steps[j]
+        return kept - {step.position} if step.kind == "builtin" else kept
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (list, RelevantSets)):
+            return list(self) == list(other)
+        return NotImplemented
+
+
 @dataclass
 class TraceSlice:
     trace: InstrumentedTrace
     criterion: frozenset[Position]
-    relevant: list[frozenset[Position]]
+    relevant: Sequence[frozenset[Position]]
     slices: list[Term]
-    steps: list[SlicedStep]  # steps whose sliced sides differ
+    # steps whose sliced sides differ; a step's sides are slices[index]
+    # and slices[index + 1]
+    steps: list[SlicedStep]
     original_size: int
     sliced_size: int
     reduction_percent: float
+
+    @cached_property
+    def texts(self) -> list[str]:
+        """The printed slices, one per trace term; a slice object that
+        occurs more than once is printed once."""
+        printed: dict[int, str] = {}
+        for s in self.slices:
+            if id(s) not in printed:
+                printed[id(s)] = pretty(s)
+        return [printed[id(s)] for s in self.slices]
 
     def glued_terms(self) -> list[Term]:
         out: list[Term] = []
@@ -298,41 +343,39 @@ def _printed_length(trace: InstrumentedTrace) -> int:
 def trace_slice(trace: InstrumentedTrace, criterion: Iterable[Position]) -> TraceSlice:
     """Backward slice of the whole trace with respect to the criterion.
 
-    The slices are computed step by step without labeling (`slice_back`).
-    The relevant sets are those of `relevant_positions`: each one is read
-    off its slice as the positions the slice keeps, less the call position
-    after a builtin step, and only where the step changed the slice; the
-    last one is the criterion as given. Sizes are the lengths of the
-    canonically printed original and sliced traces."""
+    The slices are computed step by step without labeling (`slice_back`);
+    two consecutive slices that are equal are one object. The relevant
+    sets are those of `relevant_positions`, read off the slices when read
+    (`RelevantSets`). Sizes are the lengths of the canonically printed
+    original and sliced traces."""
     crit = frozenset(criterion)
     _check_criterion(trace.final(), crit)
     after = slice_term(trace.final(), crit)
-    keep = _kept_positions(after)  # the prefix closure of the criterion
-    slices, sets, kept = [after], [crit], []
+    slices, kept = [after], []
     for i in range(len(trace.steps) - 1, -1, -1):
         step = trace.steps[i]
         before = slice_back(step, trace.theory, after)
-        if before != after:
+        if before == after:
+            before = after
+        else:
             kept.append(SlicedStep(i, step.kind, step.rule_name, step.position, before, after))
-            keep = _kept_positions(before)
-        # a builtin call's symbol is no origin of its value
-        sets.append(keep - {step.position} if step.kind == "builtin" else keep)
         slices.append(before)
         after = before
     slices.reverse()
-    sets.reverse()
     kept.reverse()
     result = TraceSlice(
         trace=trace,
         criterion=crit,
-        relevant=sets,
+        relevant=RelevantSets(trace.steps, slices, crit),
         slices=slices,
         steps=kept,
         original_size=_printed_length(trace),
         sliced_size=0,
         reduction_percent=0.0,
     )
-    result.sliced_size = len(trace_string(result.glued_terms()))
+    texts = result.texts
+    glued = [t for j, t in enumerate(texts) if j == 0 or slices[j] is not slices[j - 1]]
+    result.sliced_size = len(" -> ".join(glued))
     if result.original_size:
         result.reduction_percent = 100.0 * (1.0 - result.sliced_size / result.original_size)
     return result

@@ -294,10 +294,25 @@ def match(pattern: Term, subject: Term) -> Substitution | None:
 
 def pretty(t: Term) -> str:
     """Canonical printing: no whitespace, arguments comma-separated."""
-    name = t.root.name
     if not t.args:
-        return name
-    return name + "(" + ",".join(pretty(a) for a in t.args) + ")"
+        return t.root.name
+    parts = [t.root.name, "("]
+    # the argument iterators of the open nodes; every printed argument is
+    # followed by a comma, and a node's last comma becomes its ")"
+    stack = [iter(t.args)]
+    while stack:
+        for a in stack[-1]:
+            if a.args:
+                parts += (a.root.name, "(")
+                stack.append(iter(a.args))
+                break
+            parts += (a.root.name, ",")
+        else:
+            stack.pop()
+            parts[-1] = ")"
+            if stack:
+                parts.append(",")
+    return "".join(parts)
 
 
 _NUMERAL_RE = re.compile(r"-?\d+")

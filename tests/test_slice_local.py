@@ -4,10 +4,11 @@ then slice_term on every term."""
 
 import random
 import sys
+from collections import Counter
 
 import pytest
 
-from rwslice import bundled_example_path, cli, labeling, slicer, terms
+from rwslice import bundled_example_path, cli, labeling, report, slicer, terms
 from rwslice.acmatch import flatten, plan_unflat
 from rwslice.engine import InstrumentedTrace, RewriteTheory, Rule, TraceStep, run
 from rwslice.labeling import LabelSupply, label_step
@@ -33,7 +34,7 @@ from rwslice.terms import (
     pretty,
 )
 from rwslice.theoryfile import parse_term, parse_theory
-from rwslice.tracefile import save_trace
+from rwslice.tracefile import render_trace, save_trace
 
 from genutil import random_criterion, seeded_traces
 
@@ -67,6 +68,24 @@ def assert_local_equals_labeled(trace, rng):
         assert got.slices == ref.slices, (pretty(trace.initial), crit)
         assert got.steps == ref.steps, (pretty(trace.initial), crit)
         assert SliceReport(got).render_structured() == SliceReport(ref).render_structured()
+        assert_psets_print_relevant_sets(got)
+
+
+def assert_psets_print_relevant_sets(ts):
+    """The report prints each pset from its slice; every pset line must
+    read as the relevant set it stands for, sorted and comma-joined.
+    `relevant` is read as a list is: length, indexing, iteration and
+    equality with a list."""
+    lines = SliceReport(ts).render_structured().splitlines()
+    psets = [ln.split(" ", 2)[2] for ln in lines if ln.startswith("pset ")]
+    sets = ts.relevant
+    assert len(sets) == len(psets) == len(ts.slices)
+    assert psets == [",".join(str(p) for p in sorted(w)) or "-" for w in sets]
+    listed = [sets[j] for j in range(len(sets))]
+    assert sets == listed and listed == sets and list(sets) == listed
+    assert sets[-1] == ts.criterion
+    with pytest.raises(IndexError):
+        sets[len(sets)]
 
 
 def test_local_pass_equals_labeled_pass_on_generated_traces():
@@ -104,6 +123,31 @@ def test_local_pass_equals_labeled_pass_on_bundled_theories(theory, init, rule_s
     th = parse_theory(bundled_example_path(theory).read_text(), name=theory)
     trace = run(parse_term(init, th.signature), th, rule_steps)
     assert_local_equals_labeled(trace, random.Random(7))
+
+
+def test_hand_built_trace_slices_render_like_trace_slice():
+    """A TraceSlice built positionally, or by keyword with a plain list of
+    relevant sets, sizes assigned after construction, renders the reports
+    of trace_slice's."""
+    th = parse_theory(bundled_example_path("producer_consumer.rwt").read_text(), name="producer_consumer.rwt")
+    trace = run(parse_term("cfg(tok,prod(0),cons(0,0))", th.signature), th, 6)
+    crit = {Position.parse("1.2")}
+    positional = reference_slice(trace, [label_step(s, th, LabelSupply()) for s in trace.steps], crit)
+    keyword = TraceSlice(trace=trace, criterion=positional.criterion, relevant=list(positional.relevant),
+                         slices=list(positional.slices), steps=list(positional.steps),
+                         original_size=positional.original_size, sliced_size=0, reduction_percent=0.0)
+    keyword.sliced_size = len(trace_string(keyword.glued_terms()))
+    keyword.reduction_percent = 100.0 * (1.0 - keyword.sliced_size / keyword.original_size)
+    got = trace_slice(trace, crit)
+    assert 0 < len(got.steps) < len(trace.steps)
+    for ts in (positional, keyword):
+        assert type(ts.relevant) is list
+        for render in (
+            lambda r: r.render_structured(),
+            lambda r: r.render_pretty(),
+            lambda r: r.render_pretty(full_expansion=True),
+        ):
+            assert render(SliceReport(ts, "pc", 3)) == render(SliceReport(got, "pc", 3))
 
 
 @pytest.fixture
@@ -165,6 +209,35 @@ def test_cli_request_labels_no_step(mode, bundled_requests, monkeypatch, capsys)
     assert not [t for t in measured if id(t) in whole]
 
 
+def test_trace_request_prints_each_slice_once(bundled_requests, monkeypatch, capsys):
+    """A --trace request reads no relevant set and prints every distinct
+    slice object at most once."""
+    kept_calls, printed, results = [], [], []
+    monkeypatch.setattr(slicer, "_kept_positions", lambda *args: kept_calls.append(args))
+    real_pretty = terms.pretty
+
+    def counted(t):
+        printed.append(t)  # holds t, so no other term takes its id
+        return real_pretty(t)
+
+    for module in (terms, slicer, report):
+        monkeypatch.setattr(module, "pretty", counted, raising=False)
+    real_trace_slice = cli.trace_slice
+
+    def kept_result(*args, **kwargs):
+        results.append(real_trace_slice(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "trace_slice", kept_result)
+    assert cli.main(bundled_requests["--trace"]) == 0
+    out = capsys.readouterr().out
+    assert kept_calls == []
+    (ts,) = results
+    assert len(ts.steps) > 0 and f"slice 0 {real_pretty(ts.slices[0])}" in out
+    times = Counter(id(t) for t in printed)
+    assert all(times[id(s)] <= 1 for s in ts.slices)
+
+
 def same_term(a: Term, b: Term) -> bool:
     """Structural equality without recursion."""
     stack = [(a, b)]
@@ -178,25 +251,56 @@ def same_term(a: Term, b: Term) -> bool:
     return True
 
 
-def test_deep_term_slices_without_recursion():
-    depth = 10_000
-    assert sys.getrecursionlimit() < depth
+def _deep_step(depth: int):
+    """The theory of rule first: h(X,Y) => X, and its step from
+    h(s^depth(z),z) to s^depth(z) at the root."""
     sig = Signature()
     s, z, h = sig.declare("s", 1), sig.declare("z", 0), sig.declare("h", 2)
     t = Term(z)
     for _ in range(depth):
         t = Term(s, (t,))
-    deepest = Position((1,) * depth)
     x, y = Variable("X"), Variable("Y")
     th = RewriteTheory(sig, rules=[Rule("first", Term(h, (Term(x), Term(y))), Term(x))])
     before = Term(h, (t, Term(z)))
-    step = TraceStep("rule", "first", Position(), Substitution({x: t, y: before.args[1]}), before, t)
-    InstrumentedTrace(th, before, [step])  # the step replays
+    return th, TraceStep("rule", "first", Position(), Substitution({x: t, y: before.args[1]}), before, t)
+
+
+def test_deep_term_slices_without_recursion():
+    depth = 10_000
+    assert sys.getrecursionlimit() < depth
+    th, step = _deep_step(depth)
+    t, s, h = step.after, step.after.root, step.before.root
+    deepest = Position((1,) * depth)
+    InstrumentedTrace(th, step.before, [step])  # the step replays
 
     after_slice = slice_term(t, {deepest})
     assert same_term(after_slice, t)
     assert same_term(slice_term(t, {Position((1,) * (depth // 2))}), _chain(s, depth // 2 + 1, BULLET_TERM))
     assert same_term(slice_back(step, th, after_slice), Term(h, (t, BULLET_TERM)))
+
+
+def test_deep_terms_print_without_recursion():
+    depth = 10_000
+    assert sys.getrecursionlimit() < depth
+    th, step = _deep_step(depth)
+    trace = InstrumentedTrace(th, step.before, [step])
+    chain = "s(" * depth + "z" + ")" * depth
+    assert pretty(step.before) == f"h({chain},z)"
+    printed = trace_string(trace.terms())
+    assert printed == f"h({chain},z) -> {chain}"
+    assert f"step rule first ^ X={chain};Y=z h({chain},z) {chain}" in render_trace(trace).splitlines()
+
+    # the root as criterion keeps the slices shallow; the sizes measure the deep terms
+    lines = SliceReport(trace_slice(trace, {Position()})).render_structured().splitlines()
+    assert f"original-size {len(printed)}" in lines
+    assert lines[-5:] == ["pset 0 ^,1", "slice 0 h(s(•),•)", "pset 1 ^", "slice 1 s(•)",
+                          "step 0 rule first ^ h(s(•),•) s(•)"]
+    # the deepest position keeps the whole chain (its pset would list every prefix)
+    deepest = Position((1,) * depth)
+    shown = SliceReport(trace_slice(trace, {deepest})).render_pretty().splitlines()
+    assert shown[2] == f"  h({chain},•) --[first]--> {chain}"
+    lines = SliceReport(trace_slice(InstrumentedTrace(th, step.after), {deepest})).render_structured().splitlines()
+    assert lines[-2:] == [f"pset 0 {deepest}", f"slice 0 {chain}"]
 
 
 def _chain(s, n: int, leaf: Term) -> Term:
