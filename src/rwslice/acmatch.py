@@ -163,7 +163,9 @@ def plan_unflat(whole: Term, at: Position, target: Term, sig: Signature) -> tupl
         ):
             slots = spine_leaves(tgt)
             canon = [flatten_term(sub, sig) for _, sub in slots]
-            if Counter(canon) != Counter(node.args):
+            # the same multiset, by `==` alone: no whole term is hashed, and
+            # the leaves of an engine target come mostly in the node's order
+            if _consume(node.args, canon) != []:
                 raise ValueError(
                     f"{pretty(tgt)} is not an AC regrouping of {pretty(node)}"
                 )
@@ -245,13 +247,39 @@ def _pattern_spine(p: Term) -> list[Term]:
     return out
 
 
-def ac_group_sizes(pattern: Term, n: int) -> range:
-    """Sizes, largest first and at most n, of the argument groups an
-    AC-rooted pattern can match: each spine subpattern takes one argument,
-    a spine variable may take more."""
+def spine_roots(pattern: Term) -> tuple[int, Counter, bool]:
+    """The number of spine subpatterns of a pattern (`_pattern_spine`), the
+    multiset of their non-variable root symbols, and whether one of them
+    is a variable."""
     spine = _pattern_spine(pattern)
-    vary = any(isinstance(p.root, Variable) for p in spine)
-    return range(n if vary else min(n, len(spine)), len(spine) - 1, -1)
+    roots = Counter(p.root for p in spine if not isinstance(p.root, Variable))
+    return len(spine), roots, sum(roots.values()) < len(spine)
+
+
+def ac_groups(spine: tuple[int, Counter, bool], args: tuple[Term, ...]):
+    """The argument index groups of a flattened AC node that a pattern with
+    these `spine_roots` may match, largest first, in `combinations` order
+    within a size; the whole node is the group of all indices. A spine
+    subpattern that is not a variable takes one argument with its own root
+    (`_ac_args_match`), so the node's roots must cover the spine's, and
+    without a spine variable a group has exactly the spine's roots."""
+    m, need, vary = spine
+    roots = [a.root for a in args]
+    have = Counter(roots)
+    if any(have[r] < c for r, c in need.items()):
+        return
+    n = len(args)
+    if vary:
+        for size in range(n, m - 1, -1):
+            yield from combinations(range(n), size)
+        return
+    # each argument with a spine root, as the index of that root in `keys`
+    keys = list(need)
+    slots = {i: keys.index(r) for i, r in enumerate(roots) if r in need}
+    want = sorted(keys.index(r) for r in need.elements())
+    for idxs in combinations(slots, m):
+        if sorted(slots[i] for i in idxs) == want:
+            yield idxs
 
 
 def _ac_args_match(pats: list[Term], args: list[Term], op: Symbol, binding: dict, sig: Signature):

@@ -9,14 +9,14 @@ Every elementary transformation becomes one trace step.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 
 from . import builtin_ops
 from .acmatch import (
-    ac_group_sizes,
+    ac_groups,
     flatten,
     flatten_term,
     is_regrouping,
@@ -24,6 +24,7 @@ from .acmatch import (
     needs_flat,
     one_level_flat,
     plan_unflat,
+    spine_roots,
     unflat_leaf_mapping,
 )
 from .terms import (
@@ -110,6 +111,12 @@ class Rule:
     def rhs_occurrences(self) -> dict[Variable, list[tuple[int, ...]]]:
         """The same table for the right-hand side."""
         return _occurrences(self.rhs)
+
+    @cached_property
+    def lhs_spine(self) -> tuple[int, Counter, bool]:
+        """`acmatch.spine_roots` of the left-hand side, computed once per
+        rule; the engine reads it at AC nodes (`ac_groups`)."""
+        return spine_roots(self.lhs)
 
     def redex_pattern(self) -> Term:
         return _to_pattern(self.lhs)
@@ -246,29 +253,31 @@ def _candidates_at(node: Term, rules: list[Rule], sig: Signature):
     """Deterministic candidate enumeration at one node: rules in declaration
     order; per rule, matches over the whole node first, then over proper
     sub-multisets of a flattened AC node (the remaining arguments stay put,
-    larger groups first, `combinations` order within a size). Only the
-    sizes `ac_group_sizes` gives for the rule are tried, the whole node
-    being of size n: a group of any other size has no matcher, so the
-    sequence is the one over all sizes. A rule whose left-hand side has
-    another root symbol than the node is skipped: it cannot match there,
-    and a flattened AC node keeps its binary symbol as root."""
+    larger groups first, `combinations` order within a size). A rule whose
+    left-hand side has another root symbol than the node is skipped: it
+    cannot match there, and a flattened AC node keeps its binary symbol as
+    root. At an AC node only the groups `ac_groups` gives are matched. A
+    spine subpattern that is not a variable takes exactly one argument,
+    with its own root, so the node's roots must cover the spine's, and
+    without a spine variable a group has exactly the spine's roots: every
+    other group has no matcher. `combinations` over a subset of the
+    indices yields a subsequence of its order over all of them, so the
+    candidate sequence is the one over all groups of all sizes."""
     n = len(node.args)
     for rule in rules:
         root = rule.lhs.root
         if root != node.root:
             continue
-        ac = sig.is_ac(root)
-        for size in ac_group_sizes(rule.lhs, n) if ac else (n,):
-            if size == n:
+        for idxs in ac_groups(rule.lhs_spine, node.args) if sig.is_ac(root) else (range(n),):
+            if len(idxs) == n:
                 for sub, shape in match_modulo_ac(rule.lhs, node, sig):
                     yield (rule, sub, shape, ROOT)
                 continue
-            for idxs in combinations(range(n), size):
-                group = Term(node.root, tuple(node.args[i] for i in idxs))
-                for sub, shape in match_modulo_ac(rule.lhs, group, sig):
-                    rest = tuple(node.args[i] for i in range(n) if i not in idxs)
-                    target = Term(node.root, (shape,) + rest)
-                    yield (rule, sub, target, Position((1,)))
+            group = Term(node.root, tuple(node.args[i] for i in idxs))
+            for sub, shape in match_modulo_ac(rule.lhs, group, sig):
+                rest = tuple(node.args[i] for i in range(n) if i not in idxs)
+                target = Term(node.root, (shape,) + rest)
+                yield (rule, sub, target, Position((1,)))
 
 
 def _scan(t: Term, rules: list[Rule], sig: Signature, searched: dict[int, Term]):

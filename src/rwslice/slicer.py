@@ -319,18 +319,32 @@ def trace_string(terms: list[Term]) -> str:
 
 
 def _printed_length(trace: InstrumentedTrace) -> int:
-    """len(trace_string(trace.terms())) without printing every term: a
-    built trace's consecutive terms differ only at the step's position, so
-    each term's length is the previous one's, minus the printed length of
-    the step's redex, plus that of its contractum. The subterm lengths are
-    kept by node identity, because consecutive steps share subterms."""
-    lengths: dict[int, tuple[Term, int]] = {}
+    """len(trace_string(trace.terms())) without printing a term: a built
+    trace's consecutive terms differ only at the step's position, so each
+    term's length is the previous one's, minus the printed length of the
+    step's redex, plus that of its contractum. A node with arguments prints
+    as its name, two parentheses, its arguments and a comma between two;
+    its length is kept by node identity, as consecutive steps share it (the
+    trace keeps every node alive, so no id is reused during the call)."""
+    lengths: dict[int, int] = {}
 
     def length(t: Term) -> int:
+        if not t.args:
+            return len(t.root.name)
         known = lengths.get(id(t))
-        if known is None:
-            known = lengths[id(t)] = (t, len(pretty(t)))
-        return known[1]
+        if known is not None:
+            return known
+        todo, stack = [], [t]
+        while stack:
+            node = stack.pop()
+            todo.append(node)
+            stack += [a for a in node.args if a.args and id(a) not in lengths]
+        for node in reversed(todo):  # reversed preorder: children first
+            size = len(node.root.name) + len(node.args) + 1
+            for a in node.args:
+                size += lengths[id(a)] if a.args else len(a.root.name)
+            lengths[id(node)] = size
+        return lengths[id(t)]
 
     size = total = length(trace.initial)
     for step in trace.steps:

@@ -11,7 +11,7 @@ from rwslice.acmatch import (
     spine_leaves,
     unflat_leaf_mapping,
 )
-from rwslice.terms import Position, Signature, Substitution, Term, Variable, pretty
+from rwslice.terms import Position, Signature, Substitution, Term, Variable, pretty, term_cmp
 from rwslice.theoryfile import parse_term
 
 from genutil import ac_variants, oracle_ac_matchers, random_soup
@@ -192,6 +192,29 @@ def test_plan_unflat_roundtrip(sig):
 def test_plan_unflat_rejects_non_equivalent(sig):
     with pytest.raises(ValueError):
         plan_unflat(T("f(a,b)", sig), Position(), T("f(a,c)", sig), sig)
+    # the same roots, other leaves
+    with pytest.raises(ValueError):
+        plan_unflat(T("f(a,g(a),g(b))", sig), Position(), T("f(g(a),f(a,g(a)))", sig), sig)
+
+
+def test_plan_unflat_tells_apart_terms_equal_in_the_term_order():
+    """A flattened AC node of f/2 over three arguments and an f/3 node over
+    the same arguments are unequal, but neither precedes the other in the
+    term order."""
+    s = Signature()
+    f2 = s.declare("f", 2, assoc=True, comm=True)
+    f3 = s.declare("f", 3)
+    k = s.declare("k", 2, assoc=True, comm=True)
+    a, b, c = (Term(s.declare(n, 0)) for n in "abc")
+    flat2, node3 = Term(f2, (a, b, c)), Term(f3, (a, b, c))
+    assert flat2 != node3 and term_cmp(flat2, node3) == 0
+    node = Term(k, (a, node3, flat2))
+    target = Term(k, (Term(k, (flat2, a)), node3))
+    final, events = plan_unflat(node, Position(), target, s)
+    assert final == target and len(events) == 1
+    for wrong in (Term(k, (Term(k, (flat2, a)), flat2)), Term(k, (Term(k, (node3, a)), node3))):
+        with pytest.raises(ValueError):
+            plan_unflat(node, Position(), wrong, s)
 
 
 def test_is_regrouping_agrees_with_flatten_term():

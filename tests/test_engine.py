@@ -255,11 +255,17 @@ def test_candidates_at_equals_all_sizes_reference():
     sig = Signature()
     sig.declare("f", 2, assoc=True, comm=True)
     sig.declare("g", 1)
+    sig.declare("h", 1)  # a root of patterns only
+    sig.declare("k", 1)  # a root of leaves only
     for name in "abc":
         sig.declare(name, 0)
     xy = {"x", "y"}
     pool = [
         Rule("ground", T("f(a,g(b))", sig), T("a", sig)),
+        Rule("sameroot", T("f(g(x),g(y))", sig, xy), T("a", sig)),
+        Rule("sameroot3", T("f(g(x),f(g(a),b))", sig, xy), T("a", sig)),
+        Rule("noleafroot", T("f(h(x),a)", sig, xy), T("a", sig)),
+        Rule("noleafroot_var", T("f(h(x),y)", sig, xy), T("a", sig)),
         Rule("ground3", T("f(a,f(b,c))", sig), T("a", sig)),
         Rule("onevar", T("f(x,g(a))", sig, xy), T("a", sig)),
         Rule("twovars", T("f(x,f(y,g(a)))", sig, xy), T("a", sig)),
@@ -269,7 +275,7 @@ def test_candidates_at_equals_all_sizes_reference():
         Rule("nested", T("f(f(x,a),b)", sig, xy), T("a", sig)),
         Rule("nonac", T("g(x)", sig, xy), T("a", sig)),
     ]
-    leaves = [T(text, sig) for text in ("a", "b", "c", "g(a)", "g(b)", "g(g(a))")]
+    leaves = [T(text, sig) for text in ("a", "b", "c", "g(a)", "g(b)", "g(g(a))", "k(a)", "k(g(b))")]
     rng = random.Random(7)
     matched = 0
     for _ in range(40):
@@ -310,6 +316,22 @@ def test_match_calls_on_eight_clients(monkeypatch):
     th = parse_theory(bundled_example_path("client_server.rwt").read_text())
     clients = ",".join(f"cli({i},{i + 2},none)" for i in range(1, 9))
     calls = _count_match_calls(monkeypatch, 20_000)
+    trace = run(T(f"net(srv(0),{clients})", th.signature), th, 24)
+    assert sum(1 for s in trace.steps if s.kind == "rule") == 24
+    assert calls[0] > 0
+
+
+def test_match_calls_only_on_groups_with_the_spine_roots(monkeypatch):
+    """Without a spine variable, a group is matched only when its roots are
+    the roots of the spine, one argument each."""
+    th = parse_theory("op c : 2 [assoc comm] .\nop a : 1 .\nop b : 1 .\nrl [r] : c(a(X),b(X)) => b(X) .\n")
+    soup = T("c(" + ",".join(f"a({i})" for i in range(20)) + ",b(19))", th.signature)
+    calls = _count_match_calls(monkeypatch, 50)
+    assert [s.rule_name for s in run(soup, th, 1).steps if s.kind == "rule"] == ["r"]
+    assert calls[0] > 0
+    th = parse_theory(bundled_example_path("client_server.rwt").read_text())
+    clients = ",".join(f"cli({i},{i + 2},none)" for i in range(1, 9))
+    calls = _count_match_calls(monkeypatch, 600)
     trace = run(T(f"net(srv(0),{clients})", th.signature), th, 24)
     assert sum(1 for s in trace.steps if s.kind == "rule") == 24
     assert calls[0] > 0

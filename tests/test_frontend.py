@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import os
 import sys
+import tracemalloc
 
 import pytest
 
@@ -426,3 +428,23 @@ def test_each_step_is_checked_once(tmp_path, monkeypatch, capsys):
     assert isinstance(trace.steps, tuple)
     with pytest.raises(dataclasses.FrozenInstanceError):
         trace.steps = [*trace.steps[:-1], tampered]
+
+
+def test_repeated_requests_retain_no_memory(capsys):
+    """Each request parses its theory anew, so whatever is cached per rule
+    must go with the request's rules."""
+    args = ["--theory", str(bundled_example_path("client_server.rwt")),
+            "--init", "net(srv(0),cli(1,3,none),cli(2,4,none))", "--steps", "6",
+            "--criterion", "1.3", "--format", "structured"]
+    retained = []
+    tracemalloc.start()
+    try:
+        for _ in range(30):
+            assert main(args) == 0
+            capsys.readouterr()
+            sys._clear_type_cache()  # it holds attribute names argparse builds
+            gc.collect()
+            retained.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert retained[-1] - retained[4] < 8_000, [r - retained[4] for r in retained]

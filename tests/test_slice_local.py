@@ -112,13 +112,13 @@ def test_local_pass_equals_labeled_pass_on_ac_segment():
     assert_local_equals_labeled(InstrumentedTrace(RewriteTheory(sig), t0, steps), random.Random(3))
 
 
-@pytest.mark.parametrize(
-    "theory, init, rule_steps",
-    [
-        ("producer_consumer.rwt", "cfg(tok,prod(0),cons(0,0))", 12),
-        ("client_server.rwt", "net(srv(0),cli(1,3,none),cli(2,4,none))", 6),
-    ],
-)
+BUNDLED_RUNS = [
+    ("producer_consumer.rwt", "cfg(tok,prod(0),cons(0,0))", 12),
+    ("client_server.rwt", "net(srv(0),cli(1,3,none),cli(2,4,none))", 6),
+]
+
+
+@pytest.mark.parametrize("theory, init, rule_steps", BUNDLED_RUNS)
 def test_local_pass_equals_labeled_pass_on_bundled_theories(theory, init, rule_steps):
     th = parse_theory(bundled_example_path(theory).read_text(), name=theory)
     trace = run(parse_term(init, th.signature), th, rule_steps)
@@ -301,6 +301,17 @@ def test_deep_terms_print_without_recursion():
     assert shown[2] == f"  h({chain},•) --[first]--> {chain}"
     lines = SliceReport(trace_slice(InstrumentedTrace(th, step.after), {deepest})).render_structured().splitlines()
     assert lines[-2:] == [f"pset 0 {deepest}", f"slice 0 {chain}"]
+
+
+def test_printed_length_equals_printed_trace():
+    traces = [trace for _, trace in seeded_traces()]
+    for theory, init, rule_steps in BUNDLED_RUNS:
+        th = parse_theory(bundled_example_path(theory).read_text(), name=theory)
+        traces.append(run(parse_term(init, th.signature), th, rule_steps))
+    th, step = _deep_step(10_000)
+    traces.append(InstrumentedTrace(th, step.before, [step]))
+    for trace in traces:
+        assert slicer._printed_length(trace) == len(trace_string(trace.terms())), pretty(trace.initial)
 
 
 def _chain(s, n: int, leaf: Term) -> Term:
