@@ -10,6 +10,7 @@ as trace steps.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cmp_to_key
 from itertools import combinations
 
@@ -86,18 +87,66 @@ def flatten_term(t: Term, sig: Signature) -> Term:
     return flatten(t, sig)[0]
 
 
-def spine_leaves(node: Term) -> list[tuple[Position, Term]]:
-    """Subterms hanging off the same-operator spine, in path order."""
-    out: list[tuple[Position, Term]] = []
+def spine_leaves(node: Term) -> Iterator[tuple[tuple[int, ...], Term]]:
+    """The subterms hanging off the same-operator spine of node, each with
+    its path below node, in path order. A generator on an explicit stack:
+    the argument iterators of the open spine nodes, and the path so far."""
+    op = node.root
+    its, path = [iter(node.args)], [0]
+    while its:
+        for arg in its[-1]:
+            path[-1] += 1
+            if arg.args and arg.root == op:  # a node with arguments has a symbol root
+                its.append(iter(arg.args))
+                path.append(0)
+                break
+            yield tuple(path), arg
+        else:
+            its.pop()
+            path.pop()
 
-    def rec(t: Term, rel: tuple[int, ...]):
-        for i, arg in enumerate(t.args, start=1):
-            if _same_op(arg.root, node.root):
-                rec(arg, rel + (i,))
-            else:
-                out.append((Position(rel + (i,)), arg))
 
-    rec(node, ())
+def rebuild_spine(shape: Term, leaves: Iterable[tuple[tuple[int, ...], Term]]) -> Term:
+    """`shape` with the subterm at each of the (path, term) `leaves` replaced
+    by the term. The paths come in path order and hold every argument of
+    each node on their proper prefixes, so a path's length tells whether it
+    goes below the open node; the nodes on those prefixes are rebuilt with
+    the root of `shape` there, without recursion."""
+    stack = []  # the open nodes above `node`, each with its arguments built so far
+    node, built = shape, []
+    for path, leaf in leaves:
+        while len(stack) + 1 < len(path):
+            stack.append((node, built))
+            node, built = node.args[len(built)], []
+        built.append(leaf)
+        while len(built) == len(node.args):
+            leaf = Term(node.root, tuple(built))
+            if not stack:
+                return leaf
+            node, built = stack.pop()
+            built.append(leaf)
+    raise ValueError(f"the leaves do not fill {pretty(shape)}")
+
+
+def _pair(items: Iterable[Term], pool: Sequence[Term]) -> list[int] | None:
+    """For each item, the index of an equal element of `pool`, the leftmost
+    one not taken by an earlier item, so equal subterms keep their
+    left-to-right order; None when an item finds none. The search starts
+    at the first index not taken."""
+    taken = [False] * len(pool)
+    first = 0  # every index below it is taken
+    out = []
+    for item in items:
+        try:
+            i = pool.index(item, first)
+            while taken[i]:
+                i = pool.index(item, i + 1)
+        except ValueError:
+            return None
+        taken[i] = True
+        out.append(i)
+        while first < len(pool) and taken[first]:
+            first += 1
     return out
 
 
@@ -112,28 +161,28 @@ def is_regrouping(flat: Term, grouped: Term, sig: Signature) -> bool:
     return one_level_flat(Term(flat.root, leaves))[0] == flat
 
 
-def unflat_leaf_mapping(before_node: Term, after_node: Term) -> list[tuple[Position, int]]:
-    """Pair each spine leaf of the regrouped node with the index of the flat
-    argument it came from. Equal arguments are consumed left to right, which
-    keeps the relative lexicographic order of identical subterms."""
-    leaves = spine_leaves(after_node)
-    used = [False] * len(before_node.args)
-    mapping: list[tuple[Position, int]] = []
-    for rel, leaf in leaves:
-        for i, arg in enumerate(before_node.args):
-            if not used[i] and arg == leaf:
-                used[i] = True
-                mapping.append((rel, i))
-                break
-        else:
-            raise ValueError(
-                f"{pretty(after_node)} does not regroup the arguments of {pretty(before_node)}"
-            )
-    if not all(used):
-        raise ValueError(
-            f"{pretty(after_node)} drops arguments of {pretty(before_node)}"
-        )
-    return mapping
+def unflat_leaf_mapping(before_node: Term, leaves: list[Term]) -> list[int]:
+    """For each spine leaf of a regrouping of the flat node, in path order,
+    the index of the argument it came from (`_pair`). Raises ValueError
+    unless the leaves are the node's arguments in some order."""
+    taken = _pair(leaves, before_node.args)
+    if taken is None or len(taken) != len(before_node.args):
+        raise ValueError(f"{', '.join(map(pretty, leaves))} do not regroup the arguments of {pretty(before_node)}")
+    return taken
+
+
+def regrouping_map(kind: str, before: Term, after: Term) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """What a flat or unflat step from node `before` to node `after` moves:
+    per moved subterm, its path in `after` and its source path in `before`,
+    in path order of `after`. A flat step hoists the arguments of the
+    same-operator children into one sorted list (`one_level_flat`); an
+    unflat step hangs the flat arguments off a spine (`unflat_leaf_mapping`).
+    The nodes on the proper prefixes of the paths are the spines."""
+    if kind == "flat":
+        return [((i,), src) for i, src in enumerate(one_level_flat(before)[1], start=1)]
+    walked = list(spine_leaves(after))
+    taken = unflat_leaf_mapping(before, [leaf for _, leaf in walked])
+    return [(path, (i + 1,)) for (path, _), i in zip(walked, taken)]
 
 
 def plan_unflat(whole: Term, at: Position, target: Term, sig: Signature) -> tuple[Term, list[FlatEvent]]:
@@ -141,51 +190,34 @@ def plan_unflat(whole: Term, at: Position, target: Term, sig: Signature) -> tupl
 
     `target` must flatten back to the existing subtree. Each emitted event
     reshapes one flattened node into the same-operator spine the target
-    prescribes there; deeper differences are handled by later events.
+    prescribes there; deeper differences are handled by later events, in
+    preorder, from an explicit stack.
     """
     events: list[FlatEvent] = []
     current = whole
-
-    def rebuild(tgt: Term, op: Symbol, leaves_iter) -> Term:
-        if _same_op(tgt.root, op):
-            return Term(tgt.root, tuple(rebuild(a, op, leaves_iter) for a in tgt.args))
-        return next(leaves_iter)
-
-    def walk(pos: Position, tgt: Term):
-        nonlocal current
+    todo = [(at, target)]
+    while todo:
+        pos, tgt = todo.pop()
         node = subterm_at(current, pos)
         if node == tgt:
-            return
-        if (
-            isinstance(tgt.root, Symbol)
-            and sig.is_ac(tgt.root)
-            and _same_op(node.root, tgt.root)
-        ):
-            slots = spine_leaves(tgt)
+            continue
+        if sig.is_ac(tgt.root) and _same_op(node.root, tgt.root):
+            slots = list(spine_leaves(tgt))
             canon = [flatten_term(sub, sig) for _, sub in slots]
-            # the same multiset, by `==` alone: no whole term is hashed, and
-            # the leaves of an engine target come mostly in the node's order
-            if _consume(node.args, canon) != []:
-                raise ValueError(
-                    f"{pretty(tgt)} is not an AC regrouping of {pretty(node)}"
-                )
-            new_node = rebuild(tgt, tgt.root, iter(canon))
+            # raises unless the flattened leaves are the node's arguments: by
+            # `==` alone, so no whole term is hashed, and the leaves of an
+            # engine target come mostly in the node's order
+            unflat_leaf_mapping(node, canon)
+            new_node = rebuild_spine(tgt, zip((path for path, _ in slots), canon))
             if new_node != node:
                 after = replace_at(current, pos, new_node)
                 events.append((pos, current, after))
                 current = after
-            for (rel, sub), leaf in zip(slots, canon):
-                if leaf != sub:
-                    walk(pos.concat(rel), sub)
+            todo += [(pos.concat(Position(path)), sub) for (path, sub), leaf in zip(slots[::-1], canon[::-1]) if leaf != sub]
+        elif node.root != tgt.root or len(node.args) != len(tgt.args):
+            raise ValueError(f"target {pretty(tgt)} differs structurally from {pretty(node)}")
         else:
-            if node.root != tgt.root or len(node.args) != len(tgt.args):
-                raise ValueError(
-                    f"target {pretty(tgt)} differs structurally from {pretty(node)}"
-                )
-            for i, sub in enumerate(tgt.args, start=1):
-                walk(pos.child(i), sub)
-
-    walk(at, target)
+            todo += [(pos.child(i), tgt.args[i - 1]) for i in range(len(tgt.args), 0, -1)]
     return current, events
 
 
@@ -221,7 +253,7 @@ def _match_gen(p: Term, s: Term, binding: dict, sig: Signature):
     if isinstance(s.root, Variable):
         return
     if sig.is_ac(p.root) and _same_op(s.root, p.root):
-        pats = _pattern_spine(p)
+        pats = [leaf for _, leaf in spine_leaves(p)]
         yield from _ac_args_match(pats, list(s.args), p.root, binding, sig)
         return
     if p.root != s.root or len(p.args) != len(s.args):
@@ -237,21 +269,11 @@ def _seq_match(ps, ss, binding, sig):
         yield from _seq_match(ps[1:], ss[1:], b, sig)
 
 
-def _pattern_spine(p: Term) -> list[Term]:
-    out: list[Term] = []
-    for a in p.args:
-        if _same_op(a.root, p.root):
-            out.extend(_pattern_spine(a))
-        else:
-            out.append(a)
-    return out
-
-
 def spine_roots(pattern: Term) -> tuple[int, Counter, bool]:
-    """The number of spine subpatterns of a pattern (`_pattern_spine`), the
+    """The number of spine subpatterns of a pattern (`spine_leaves`), the
     multiset of their non-variable root symbols, and whether one of them
     is a variable."""
-    spine = _pattern_spine(pattern)
+    spine = [leaf for _, leaf in spine_leaves(pattern)]
     roots = Counter(p.root for p in spine if not isinstance(p.root, Variable))
     return len(spine), roots, sum(roots.values()) < len(spine)
 
@@ -296,8 +318,9 @@ def _ac_args_match(pats: list[Term], args: list[Term], op: Symbol, binding: dict
         bound = binding.get(head.root)
         if bound is not None:
             need = list(bound.args) if _same_op(bound.root, op) else [bound]
-            remaining = _consume(args, need)
-            if remaining is not None:
+            taken = _pair(need, args)
+            if taken is not None:
+                remaining = [a for i, a in enumerate(args) if i not in taken]
                 yield from _ac_args_match(rest, remaining, op, binding, sig)
             return
         # a variable must leave at least one argument per later subpattern
@@ -315,12 +338,3 @@ def _ac_args_match(pats: list[Term], args: list[Term], op: Symbol, binding: dict
             remaining = args[:i] + args[i + 1 :]
             yield from _ac_args_match(rest, remaining, op, b, sig)
 
-
-def _consume(args: list[Term], need: list[Term]) -> list[Term] | None:
-    remaining = list(args)
-    for item in need:
-        try:
-            remaining.remove(item)
-        except ValueError:
-            return None
-    return remaining

@@ -50,6 +50,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# built once: building costs several times what parsing one request does
+_PARSER = _build_parser()
+
+
 def _budget(args) -> int:
     if args.max_steps is not None:
         return args.max_steps
@@ -63,7 +67,7 @@ def _budget(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         theory_text = _read(args.theory)
         th = parse_theory(theory_text, name=os.path.basename(args.theory))

@@ -22,10 +22,10 @@ from .acmatch import (
     is_regrouping,
     match_modulo_ac,
     needs_flat,
-    one_level_flat,
     plan_unflat,
+    rebuild_spine,
+    regrouping_map,
     spine_roots,
-    unflat_leaf_mapping,
 )
 from .terms import (
     EMPTY_SUBST,
@@ -233,15 +233,17 @@ class InstrumentedTrace:
         return self.steps[-1].after if self.steps else self.initial
 
 
-class _Budget:
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.used = 0
+class _Steps(list):
+    """The steps of a run, a list that refuses to grow past `limit`."""
 
-    def spend(self):
-        if self.used >= self.limit:
+    def __init__(self, limit: int):
+        super().__init__()
+        self.limit = limit
+
+    def append(self, step: TraceStep):
+        if len(self) >= self.limit:
             raise StepBudgetExceeded(f"more than {self.limit} elementary steps")
-        self.used += 1
+        super().append(step)
 
 
 # an application candidate: (rule, matcher, regrouped subtree, rewrite
@@ -290,30 +292,20 @@ def _scan(t: Term, rules: list[Rule], sig: Signature, searched: dict[int, Term])
     return first_postorder(t, lambda node: next(_candidates_at(node, rules, sig), None), searched)
 
 
-def _emit_flatten(t: Term, th: RewriteTheory, budget: _Budget, out: list[TraceStep], searched: dict) -> Term:
+def _emit_flatten(t: Term, th: RewriteTheory, out: _Steps, searched: dict) -> Term:
     canon, events = flatten(t, th.signature, searched["flat"])
     for pos, before, after in events:
-        budget.spend()
         out.append(TraceStep("flat", None, pos, EMPTY_SUBST, before, after))
     return canon
 
 
-def _apply_candidate(
-    t: Term,
-    q: Position,
-    cand: _Candidate,
-    th: RewriteTheory,
-    budget: _Budget,
-    out: list[TraceStep],
-) -> Term:
+def _apply_candidate(t: Term, q: Position, cand: _Candidate, th: RewriteTheory, out: _Steps) -> Term:
     rule, sub, target, rel = cand
     current, events = plan_unflat(t, q, target, th.signature)
     for pos, before, after in events:
-        budget.spend()
         out.append(TraceStep("unflat", None, pos, EMPTY_SUBST, before, after))
     rewrite_pos = q.concat(rel)
     after = replace_at(current, rewrite_pos, sub.apply(rule.rhs))
-    budget.spend()
     out.append(TraceStep(rule.kind, rule.name, rewrite_pos, sub, current, after))
     return after
 
@@ -328,23 +320,22 @@ def _builtin_value(node: Term, sig: Signature):
     return None
 
 
-def _normalize_into(t: Term, th: RewriteTheory, budget: _Budget, out: list[TraceStep], searched: dict) -> Term:
-    t = _emit_flatten(t, th, budget, out, searched)
+def _normalize_into(t: Term, th: RewriteTheory, out: _Steps, searched: dict) -> Term:
+    t = _emit_flatten(t, th, out, searched)
     while True:
         hit = first_postorder(t, lambda node: _builtin_value(node, th.signature), searched["builtin"])
         if hit is not None:
             q, (opname, value) = hit
             after = replace_at(t, q, value)
-            budget.spend()
             out.append(TraceStep("builtin", opname, q, EMPTY_SUBST, t, after))
-            t = _emit_flatten(after, th, budget, out, searched)
+            t = _emit_flatten(after, th, out, searched)
             continue
         found = _scan(t, th.equations, th.signature, searched["equation"])
         if found is None:
             return t
         q, cand = found
-        t = _apply_candidate(t, q, cand, th, budget, out)
-        t = _emit_flatten(t, th, budget, out, searched)
+        t = _apply_candidate(t, q, cand, th, out)
+        t = _emit_flatten(t, th, out, searched)
 
 
 def normalize(t: Term, th: RewriteTheory, max_steps: int | None = None) -> tuple[Term, list[TraceStep]]:
@@ -371,19 +362,18 @@ def _drive(
     every subtree off its path, so later scans search only the contractum
     and its new ancestors. The dicts live for one run: the tests depend on
     its theory, and the nodes they hold would otherwise outlive the trace."""
-    budget = _Budget(DEFAULT_STEP_BUDGET if max_steps is None else max_steps)
-    out: list[TraceStep] = []
+    out = _Steps(DEFAULT_STEP_BUDGET if max_steps is None else max_steps)
     # per scan kind, the nodes searched without a hit (`first_postorder`)
     searched = {kind: {} for kind in ("flat", "builtin", "equation", "rule")}
-    t = _normalize_into(t0, th, budget, out, searched)
+    t = _normalize_into(t0, th, out, searched)
     rule_steps = 0
     while not done(t, rule_steps):
         found = _scan(t, th.rules, th.signature, searched["rule"])
         if found is None:
             return InstrumentedTrace(th, t0, out), False
         q, cand = found
-        t = _apply_candidate(t, q, cand, th, budget, out)
-        t = _normalize_into(t, th, budget, out, searched)
+        t = _apply_candidate(t, q, cand, th, out)
+        t = _normalize_into(t, th, out, searched)
         rule_steps += 1
     return InstrumentedTrace(th, t0, out), True
 
@@ -434,10 +424,12 @@ def run_until(
 def apply_step(step: TraceStep, th: RewriteTheory, t: Term) -> Term:
     """The step's transformation applied to any term t. Rule and equation
     steps match the rule's left-hand side syntactically at the step's
-    position, builtin steps evaluate the ground call there, and flat and
-    unflat steps replay the regrouping read from the step's own before and
-    after terms position by position on t's arguments. Raises MalformedStep
-    when the step does not apply to t."""
+    position, builtin steps evaluate the ground call of the named operator
+    there, and flat and unflat steps replay the regrouping read from the
+    step's own before and after terms (`regrouping_map`) position by
+    position on t's node, which must have the before node's root and
+    argument count at the spine nodes the step takes apart. Raises
+    MalformedStep when the step does not apply to t."""
     q = step.position
     try:
         node = subterm_at(t, q)
@@ -450,31 +442,22 @@ def apply_step(step: TraceStep, th: RewriteTheory, t: Term) -> Term:
                 raise MalformedStep(f"{rule.name} does not match {pretty(node)}")
             new_node = sub.apply(rule.rhs)
         elif step.kind == "builtin":
-            op = builtin_ops.REGISTRY.get(node.root.name)
-            if not (th.signature.is_builtin(node.root) and op is not None and is_ground(node)):
-                raise MalformedStep(f"not a ground builtin call: {pretty(node)}")
-            new_node = builtin_ops.eval_builtin(op, node.args)
-            if new_node is None:
-                raise MalformedStep(f"builtin undefined on {pretty(node)}")
-        elif step.kind == "flat":
+            found = _builtin_value(node, th.signature)
+            if found is None or found[0] != step.rule_name:
+                raise MalformedStep(f"not a ground call of builtin {step.rule_name} that evaluates: {pretty(node)}")
+            new_node = found[1]
+        elif step.kind in ("flat", "unflat"):
             # positional, independent of the order t's arguments would sort into
-            _, sources = one_level_flat(subterm_at(step.before, q))
-            new_node = Term(node.root, tuple(
-                node.args[src[0] - 1] if len(src) == 1 else node.args[src[0] - 1].args[src[1] - 1]
-                for src in sources
-            ))
-        elif step.kind == "unflat":
-            flat, grouped = subterm_at(step.before, q), subterm_at(step.after, q)
-            if len(node.args) != len(flat.args):
-                raise MalformedStep("argument count changed under regrouping")
-            mapping = {rel.path: i for rel, i in unflat_leaf_mapping(flat, grouped)}
-
-            def rebuild(shape: Term, rel: tuple[int, ...]) -> Term:
-                if rel in mapping:
-                    return node.args[mapping[rel]]
-                return Term(shape.root, tuple(rebuild(a, rel + (i,)) for i, a in enumerate(shape.args, 1)))
-
-            new_node = rebuild(grouped, ())
+            before, after = subterm_at(step.before, q), subterm_at(step.after, q)
+            moved = []
+            for dst, src in regrouping_map(step.kind, before, after):
+                sub, ref = node, before
+                for i in src:
+                    if sub is not ref and (sub.root != ref.root or len(sub.args) != len(ref.args)):
+                        raise MalformedStep(f"{pretty(node)} is not shaped like {pretty(before)}")
+                    sub, ref = sub.args[i - 1], ref.args[i - 1]
+                moved.append((dst, sub))
+            new_node = rebuild_spine(after, moved)
         else:
             raise MalformedStep(f"unknown step kind {step.kind}")
     except (PositionOutOfRange, IndexError, ValueError) as exc:
@@ -491,6 +474,10 @@ def check_step(step: TraceStep, th: RewriteTheory) -> bool:
             rule = th.find_rule(step.rule_name or "")
             if rule is None or step.matcher.apply(rule.lhs) != node:
                 return False
+        elif len(step.matcher) or (step.kind != "builtin" and step.rule_name is not None):
+            # the other kinds bind nothing, and only a builtin step has a
+            # name, its operator's (`apply_step`)
+            return False
         elif step.kind == "flat":
             if not needs_flat(node, th.signature):
                 return False

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .acmatch import one_level_flat, unflat_leaf_mapping
+from .acmatch import regrouping_map
 from .engine import MalformedStep, RewriteTheory, Rule, TraceStep
 from .terms import (
     HOLE_TERM,
@@ -114,12 +114,9 @@ def label_step(step: TraceStep, th: RewriteTheory, supply: LabelSupply) -> Label
         return _label_contraction(step, th, supply)
     if step.kind == "builtin":
         return _label_builtin(step, supply)
-    if step.kind == "flat":
+    if step.kind in ("flat", "unflat"):
         before_lab = initial_labeling(step.before, supply)
-        return LabeledStep(step, before_lab, _derive_flat(step, before_lab))
-    if step.kind == "unflat":
-        before_lab = initial_labeling(step.before, supply)
-        return LabeledStep(step, before_lab, _derive_unflat(step, before_lab))
+        return LabeledStep(step, before_lab, _derive_regrouping(step, before_lab))
     raise MalformedStep(f"unknown step kind {step.kind}")
 
 
@@ -173,44 +170,25 @@ def _label_builtin(step: TraceStep, supply: LabelSupply) -> LabeledStep:
     return LabeledStep(step, before_lab, after_lab)
 
 
-def _derive_flat(step: TraceStep, before_lab: Labeling) -> Labeling:
-    """One flattening transformation: the collapsed operator occurrences
-    join into the label of the flattened root; every moved argument keeps
-    its labels."""
+def _derive_regrouping(step: TraceStep, before_lab: Labeling) -> Labeling:
+    """One flattening or unflattening transformation (`regrouping_map`):
+    every operator of the after node's spine gets the join of the labels of
+    the before node's spine, so the collapsed occurrences join into the
+    flattened root and a created spine copies the flattened node's label;
+    every moved argument keeps its labels, equal ones assigned in
+    lexicographic position order."""
     q = step.position
-    bnode = subterm_at(step.before, q)
-    _, sources = one_level_flat(bnode)
-    # the root and each merged child i, the source of the hoisted grandchildren (i, j)
-    joined = before_lab[q]
-    for i in {src[0] for src in sources if len(src) == 2}:
-        joined |= before_lab[q.child(i)]
+    moves = regrouping_map(step.kind, subterm_at(step.before, q), subterm_at(step.after, q))
+    # the proper prefixes of the source and target paths are the two spines
+    joined = frozenset().union(*(
+        before_lab[Position(q.path + src[:k])] for _, src in moves for k in range(len(src))
+    ))
     after_lab = Labeling({p: l for p, l in before_lab.items() if not q.is_prefix_of(p)})
-    after_lab[q] = joined
-    for i, src in enumerate(sources, start=1):
-        src_pos = q.concat(Position(src))
-        src_term = subterm_at(step.before, src_pos)
-        dst_pos = q.child(i)
-        for w in positions(src_term):
-            after_lab[dst_pos.concat(w)] = before_lab[src_pos.concat(w)]
-    return after_lab
-
-
-def _derive_unflat(step: TraceStep, before_lab: Labeling) -> Labeling:
-    """One unflattening transformation: every operator of the created spine
-    copies the label of the flattened node; arguments keep their labels,
-    equal ones assigned in lexicographic position order."""
-    q = step.position
-    bnode = subterm_at(step.before, q)
-    anode = subterm_at(step.after, q)
-    after_lab = Labeling({p: l for p, l in before_lab.items() if not q.is_prefix_of(p)})
-    src_label = before_lab[q]
-    for rel, idx in unflat_leaf_mapping(bnode, anode):
-        # the proper prefixes of the leaf paths are the spine nodes
-        for k in range(len(rel.path)):
-            after_lab[Position(q.path + rel.path[:k])] = src_label
-        src_pos = q.child(idx + 1)
-        dst_pos = q.concat(rel)
-        for w in positions(bnode.args[idx]):
+    for dst, src in moves:
+        for k in range(len(dst)):
+            after_lab[Position(q.path + dst[:k])] = joined
+        src_pos, dst_pos = Position(q.path + src), Position(q.path + dst)
+        for w in positions(subterm_at(step.before, src_pos)):
             after_lab[dst_pos.concat(w)] = before_lab[src_pos.concat(w)]
     return after_lab
 
@@ -229,8 +207,7 @@ def label_ac_segment(steps: list[TraceStep], supply: LabelSupply) -> list[Labele
             raise MalformedStep("segment steps are not chained")
         if current is None:
             current = initial_labeling(step.before, supply)
-        derive = _derive_flat if step.kind == "flat" else _derive_unflat
-        after_lab = derive(step, current)
+        after_lab = _derive_regrouping(step, current)
         out.append(LabeledStep(step, current, after_lab))
         current = after_lab
         prev_after = step.after

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .acmatch import one_level_flat, unflat_leaf_mapping
+from .acmatch import rebuild_spine, regrouping_map
 from .engine import InstrumentedTrace, MalformedStep, RewriteTheory, TraceStep, apply_step
 from .labeling import LabeledStep
 from .terms import (
@@ -221,21 +221,10 @@ def _local_origins(step: TraceStep, th: RewriteTheory, kept: Term) -> Term:
         return Substitution(image).apply(rule.lhs)
     if step.kind == "builtin":
         return node if node.args else BULLET_TERM
-    args = [BULLET_TERM] * len(node.args)
-    if step.kind == "flat":
-        _, sources = one_level_flat(node)
-        merged = {src[0]: [BULLET_TERM] * len(node.args[src[0] - 1].args) for src in sources if len(src) == 2}
-        for src, arg in zip(sources, kept.args):
-            if len(src) == 1:
-                args[src[0] - 1] = arg
-            else:
-                merged[src[0]][src[1] - 1] = arg
-        for i, grand in merged.items():
-            args[i - 1] = Term(node.args[i - 1].root, tuple(grand))
-    else:  # unflat
-        for rel, idx in unflat_leaf_mapping(node, subterm_at(step.after, step.position)):
-            args[idx] = _kept_at(kept, rel.path)
-    return Term(node.root, tuple(args))
+    # flat, unflat: each moved subterm's slice goes back to its source, and
+    # the spine the step takes apart keeps its symbols
+    moves = regrouping_map(step.kind, node, subterm_at(step.after, step.position))
+    return rebuild_spine(node, sorted((src, _kept_at(kept, dst)) for dst, src in moves))
 
 
 def concretizes(ts: Term, t: Term) -> bool:

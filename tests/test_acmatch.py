@@ -8,10 +8,11 @@ from rwslice.acmatch import (
     is_regrouping,
     match_modulo_ac,
     plan_unflat,
+    rebuild_spine,
     spine_leaves,
     unflat_leaf_mapping,
 )
-from rwslice.terms import Position, Signature, Substitution, Term, Variable, pretty, term_cmp
+from rwslice.terms import Position, Signature, Substitution, Symbol, Term, Variable, pretty, term_cmp
 from rwslice.theoryfile import parse_term
 
 from genutil import ac_variants, oracle_ac_matchers, random_soup
@@ -256,10 +257,42 @@ def test_is_regrouping_agrees_with_flatten_term():
 def test_unflat_leaf_mapping_stability(sig):
     before = T("f(a,b,b,c)", sig)
     after = T("f(f(b,c),f(a,b))", sig)
-    mapping = unflat_leaf_mapping(before, after)
+    walked = list(spine_leaves(after))
+    mapping = unflat_leaf_mapping(before, [leaf for _, leaf in walked])
     # the first b (arg 2) lands at 1.1, the second (arg 3) at 2.2
-    as_dict = {str(rel): idx for rel, idx in mapping}
+    as_dict = {str(Position(path)): idx for (path, _), idx in zip(walked, mapping)}
     assert as_dict == {"1.1": 1, "1.2": 3, "2.1": 0, "2.2": 2}
+
+
+DEEP = 10_000
+
+
+def test_spine_walks_survive_a_deep_comb(sig):
+    """A right comb of DEEP f nodes: the spine walk, the spine rebuild, the
+    leaf pairing and the regrouping test run without recursion. Nothing
+    compares or hashes whole combs, whose generated `==` still recurses."""
+    f, g = sig.lookup("f", 2).symbol, sig.lookup("g", 1).symbol
+    leaves = [Term(Symbol(f"c{i:05d}", 0)) for i in range(DEEP + 1)]
+    comb = leaves[-1]
+    for leaf in reversed(leaves[:-1]):
+        comb = Term(f, (leaf, comb))
+    flat = Term(f, tuple(leaves))  # sorted: the names sort in index order
+    # the k-th leaf sits at 2.2...2.1 with k twos, the last one at 2.2...2;
+    # the walk is consumed as it goes, as its paths hold DEEP**2 / 2 indices
+    walked = 0
+    for k, (path, leaf) in enumerate(spine_leaves(comb)):
+        assert leaf is leaves[k] and len(path) == min(k + 1, DEEP) and path[-1] == (1 if k < DEEP else 2)
+        walked += 1
+    assert walked == DEEP + 1
+    wrapped = rebuild_spine(comb, ((path, Term(g, (leaf,))) for path, leaf in spine_leaves(comb)))
+    rewalked = 0
+    for (path, leaf), (orig_path, orig) in zip(spine_leaves(wrapped), spine_leaves(comb)):
+        assert path == orig_path and leaf.root == g and leaf.args[0] is orig
+        rewalked += 1
+    assert rewalked == DEEP + 1
+    assert unflat_leaf_mapping(flat, [leaf for _, leaf in spine_leaves(comb)]) == list(range(DEEP + 1))
+    assert is_regrouping(flat, comb, sig)
+    assert not is_regrouping(flat, wrapped, sig)
 
 
 def test_ac_variants_oracle_is_sane(sig):

@@ -7,6 +7,7 @@ from rwslice import acmatch, bundled_example_path, engine
 from rwslice.acmatch import flatten_term, match_modulo_ac, needs_flat
 from rwslice.engine import (
     InstrumentedTrace,
+    MalformedStep,
     NoRuleApplicable,
     RewriteTheory,
     Rule,
@@ -25,12 +26,14 @@ from rwslice.terms import (
     ROOT,
     Signature,
     Substitution,
+    Symbol,
     Term,
     Variable,
     first_postorder,
     positions,
     pretty,
     replace_at,
+    subterm_at,
 )
 from rwslice.theoryfile import parse_term, parse_theory
 
@@ -225,8 +228,33 @@ def test_check_step_rejects_single_field_tampering(generated_steps):
         for v, _ in s.matcher.items():
             rebound = Substitution({**dict(s.matcher.items()), v: BULLET_TERM})
             tampered.append(dataclasses.replace(s, matcher=rebound))
+        if s.kind in ("flat", "unflat", "builtin"):
+            # only a builtin step has a name, its own operator's, and none binds
+            tampered += [dataclasses.replace(s, rule_name=n) for n in ("serve", "+", "-") if n != s.rule_name]
+            tampered.append(dataclasses.replace(s, matcher=Substitution({Variable("X"): s.before})))
         for bad in tampered:
             assert not check_step(bad, th), bad
+
+
+def test_apply_step_rejects_a_node_of_another_shape(generated_steps):
+    """A flat or unflat step replays only on a node with the before node's
+    root and argument count, and, for flat, those of each merged child."""
+    other = Symbol("zz", 2)
+    merged_cases = 0
+    for th, s in generated_steps:
+        if s.kind not in ("flat", "unflat"):
+            continue
+        node = subterm_at(s.before, s.position)
+        wrong = [Term(other, node.args), Term(node.root, node.args + node.args[:1])]
+        if s.kind == "flat":
+            for i, arg in enumerate(node.args):
+                if arg.root == node.root:
+                    wrong.append(Term(node.root, node.args[:i] + (Term(other, arg.args),) + node.args[i + 1:]))
+                    merged_cases += 1
+        for w in wrong:
+            with pytest.raises(MalformedStep):
+                apply_step(s, th, replace_at(s.before, s.position, w))
+    assert merged_cases > 10
 
 
 def test_sub_multiset_rewriting_keeps_rest():

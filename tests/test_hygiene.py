@@ -96,3 +96,60 @@ def test_every_function_is_referenced():
         {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in package},
         [p.read_text(encoding="utf-8") for p in others],
     ) == []
+
+
+def self_calling_functions(source: str) -> list[str]:
+    """The functions and nested functions that call themselves by name, as
+    a plain call or as a method of `self`, each named by its enclosing
+    classes and functions (`outer.inner`)."""
+    out = []
+    stack = [(ast.parse(source), "")]
+    while stack:
+        node, prefix = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+                if not isinstance(child, ast.ClassDef) and any(
+                    isinstance(call, ast.Call) and _calls_by_name(call.func, child.name) for call in ast.walk(child)
+                ):
+                    out.append(name)
+                stack.append((child, name + "."))
+            else:
+                stack.append((child, prefix))
+    return sorted(out)
+
+
+def _calls_by_name(func: ast.expr, name: str) -> bool:
+    if isinstance(func, ast.Name):
+        return func.id == name
+    return isinstance(func, ast.Attribute) and func.attr == name and getattr(func.value, "id", None) == "self"
+
+
+def test_self_calling_functions_detected():
+    src = (
+        "def f(n):\n    return f(n - 1)\n"
+        "def g(t):\n    def walk(u):\n        return [walk(a) for a in u]\n    return walk(t)\n"
+        "class S:\n    def apply(self, t):\n        return self.apply(t)\n"
+        "    def get(self, v):\n        return self._d.get(v)\n"
+        "class E(Exception):\n    def __init__(self):\n        super().__init__()\n"
+    )
+    assert self_calling_functions(src) == ["S.apply", "f", "g.walk"]
+
+
+# recursive helpers left in the package; a deep enough term exhausts the
+# interpreter's stack in each of them, so the list may only shrink
+RECURSIVE = [
+    "Substitution.apply",
+    "_ac_args_match",
+    "_seq_match",
+    "_to_pattern",
+    "is_ground",
+    "positions.walk",
+    "render_labeled",
+    "term_cmp",
+]
+
+
+def test_recursive_functions_are_the_pinned_ones():
+    found = sorted(f for p in sorted((ROOT / "src").rglob("*.py")) for f in self_calling_functions(p.read_text(encoding="utf-8")))
+    assert found == sorted(RECURSIVE)
