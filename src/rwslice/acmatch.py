@@ -171,13 +171,14 @@ def unflat_leaf_mapping(before_node: Term, leaves: list[Term]) -> list[int]:
     return taken
 
 
-def regrouping_map(kind: str, before: Term, after: Term) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+def regrouping_map(kind: str, before: Term, after: Term | None) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """What a flat or unflat step from node `before` to node `after` moves:
     per moved subterm, its path in `after` and its source path in `before`,
     in path order of `after`. A flat step hoists the arguments of the
-    same-operator children into one sorted list (`one_level_flat`); an
-    unflat step hangs the flat arguments off a spine (`unflat_leaf_mapping`).
-    The nodes on the proper prefixes of the paths are the spines."""
+    same-operator children into one sorted list (`one_level_flat`), so its
+    map comes from `before` alone and `after` is not read; an unflat step
+    hangs the flat arguments off a spine (`unflat_leaf_mapping`). The nodes
+    on the proper prefixes of the paths are the spines."""
     if kind == "flat":
         return [((i,), src) for i, src in enumerate(one_level_flat(before)[1], start=1)]
     walked = list(spine_leaves(after))

@@ -226,6 +226,15 @@ class InstrumentedTrace:
                 raise MalformedStep(f"{step.kind} step at {step.position} does not replay", i)
             prev = step.after
 
+    @classmethod
+    def _checked(cls, theory: RewriteTheory, initial: Term, steps: list[TraceStep]) -> "InstrumentedTrace":
+        """The trace of steps that its caller has checked as the constructor
+        does, built without checking them again (`tracefile.parse_trace`)."""
+        trace = object.__new__(cls)
+        for name, value in (("theory", theory), ("initial", initial), ("steps", tuple(steps))):
+            object.__setattr__(trace, name, value)
+        return trace
+
     def terms(self) -> list[Term]:
         return [self.initial] + [s.after for s in self.steps]
 
@@ -426,64 +435,80 @@ def apply_step(step: TraceStep, th: RewriteTheory, t: Term) -> Term:
     steps match the rule's left-hand side syntactically at the step's
     position, builtin steps evaluate the ground call of the named operator
     there, and flat and unflat steps replay the regrouping read from the
-    step's own before and after terms (`regrouping_map`) position by
-    position on t's node, which must have the before node's root and
-    argument count at the spine nodes the step takes apart. Raises
-    MalformedStep when the step does not apply to t."""
+    step's own before node (and, for unflat, the spine of its after node;
+    `regrouping_map`) position by position on t's node, which must have
+    the before node's root and argument count at the spine nodes the step
+    takes apart. Raises MalformedStep when the step does not apply to t."""
     q = step.position
     try:
-        node = subterm_at(t, q)
-        if step.kind in ("rule", "equation"):
-            rule = th.find_rule(step.rule_name or "")
-            if rule is None or rule.kind != step.kind:
-                raise MalformedStep(f"no {step.kind} named {step.rule_name}")
-            sub = match(rule.lhs, node)
-            if sub is None:
-                raise MalformedStep(f"{rule.name} does not match {pretty(node)}")
-            new_node = sub.apply(rule.rhs)
-        elif step.kind == "builtin":
-            found = _builtin_value(node, th.signature)
-            if found is None or found[0] != step.rule_name:
-                raise MalformedStep(f"not a ground call of builtin {step.rule_name} that evaluates: {pretty(node)}")
-            new_node = found[1]
-        elif step.kind in ("flat", "unflat"):
-            # positional, independent of the order t's arguments would sort into
-            before, after = subterm_at(step.before, q), subterm_at(step.after, q)
-            moved = []
-            for dst, src in regrouping_map(step.kind, before, after):
-                sub, ref = node, before
-                for i in src:
-                    if sub is not ref and (sub.root != ref.root or len(sub.args) != len(ref.args)):
-                        raise MalformedStep(f"{pretty(node)} is not shaped like {pretty(before)}")
-                    sub, ref = sub.args[i - 1], ref.args[i - 1]
-                moved.append((dst, sub))
-            new_node = rebuild_spine(after, moved)
-        else:
-            raise MalformedStep(f"unknown step kind {step.kind}")
+        return replace_at(t, q, _rewrite(step, th, subterm_at(t, q))[1])
     except (PositionOutOfRange, IndexError, ValueError) as exc:
         raise MalformedStep(str(exc)) from None
-    return replace_at(t, q, new_node)
+
+
+def _rewrite(step: TraceStep, th: RewriteTheory, node: Term) -> tuple[Substitution, Term]:
+    """The matcher the step binds at `node` and the node that replaces it
+    (`apply_step`)."""
+    if step.kind in ("rule", "equation"):
+        rule = th.find_rule(step.rule_name or "")
+        if rule is None or rule.kind != step.kind:
+            raise MalformedStep(f"no {step.kind} named {step.rule_name}")
+        sub = match(rule.lhs, node)
+        if sub is None:
+            raise MalformedStep(f"{rule.name} does not match {pretty(node)}")
+        return sub, sub.apply(rule.rhs)
+    if step.kind == "builtin":
+        found = _builtin_value(node, th.signature)
+        if found is None or found[0] != step.rule_name:
+            raise MalformedStep(f"not a ground call of builtin {step.rule_name} that evaluates: {pretty(node)}")
+        return EMPTY_SUBST, found[1]
+    if step.kind not in ("flat", "unflat"):
+        raise MalformedStep(f"unknown step kind {step.kind}")
+    # positional, independent of the order node's arguments would sort into
+    before = subterm_at(step.before, step.position)
+    after = subterm_at(step.after, step.position) if step.kind == "unflat" else None
+    moved = []
+    for dst, src in regrouping_map(step.kind, before, after):
+        sub, ref = node, before
+        for i in src:
+            if sub is not ref and (sub.root != ref.root or len(sub.args) != len(ref.args)):
+                raise MalformedStep(f"{pretty(node)} is not shaped like {pretty(before)}")
+            sub, ref = sub.args[i - 1], ref.args[i - 1]
+        moved.append((dst, sub))
+    if after is None:  # flat: one level, the moved arguments in order
+        return EMPTY_SUBST, Term(node.root, tuple(sub for _, sub in moved))
+    return EMPTY_SUBST, rebuild_spine(after, moved)
+
+
+def replay_step(step: TraceStep, th: RewriteTheory) -> tuple[Substitution, Term]:
+    """The matcher and the after term the theory gives the step from its
+    before term: the kind's preconditions hold, then `apply_step`'s rewrite
+    at the step's position. A rule or equation step must record exactly
+    the matcher of the rule's left-hand side there; the other kinds bind
+    nothing, and only a builtin step has a name, its operator's. Of the
+    after term, only an unflat step's is read, for the spine it records.
+    Raises MalformedStep when the step does not replay."""
+    q = step.position
+    try:
+        node = subterm_at(step.before, q)
+        if step.kind == "flat" and not needs_flat(node, th.signature):
+            raise MalformedStep(f"nothing to flatten at {q}")
+        if step.kind == "unflat" and not is_regrouping(node, subterm_at(step.after, q), th.signature):
+            raise MalformedStep(f"no regrouping at {q}")
+        if step.kind in ("flat", "unflat") and step.rule_name is not None:
+            raise MalformedStep(f"a {step.kind} step has no name")
+        sub, new_node = _rewrite(step, th, node)
+        if sub != step.matcher:
+            raise MalformedStep(f"the matcher at {q} is {sub}, not {step.matcher}")
+        return sub, replace_at(step.before, q, new_node)
+    except (PositionOutOfRange, IndexError, ValueError) as exc:
+        raise MalformedStep(str(exc)) from None
 
 
 def check_step(step: TraceStep, th: RewriteTheory) -> bool:
-    """Replay check: the step's kind-specific preconditions hold and
-    apply_step recomputes its after term from its before term."""
+    """Replay check: the step replays (`replay_step`) and its after term is
+    the replay's."""
     try:
-        node = subterm_at(step.before, step.position)
-        if step.kind in ("rule", "equation"):
-            rule = th.find_rule(step.rule_name or "")
-            if rule is None or step.matcher.apply(rule.lhs) != node:
-                return False
-        elif len(step.matcher) or (step.kind != "builtin" and step.rule_name is not None):
-            # the other kinds bind nothing, and only a builtin step has a
-            # name, its operator's (`apply_step`)
-            return False
-        elif step.kind == "flat":
-            if not needs_flat(node, th.signature):
-                return False
-        elif step.kind == "unflat":
-            if not is_regrouping(node, subterm_at(step.after, step.position), th.signature):
-                return False
-        return apply_step(step, th, step.before) == step.after
-    except (PositionOutOfRange, MalformedStep):
+        return replay_step(step, th)[1] == step.after
+    except MalformedStep:
         return False

@@ -41,7 +41,8 @@ class SliceReport:
     def render_structured(self) -> str:
         """The report of docs/formats.md. Every pset but the last is printed
         from its slice, as the positions the slice keeps, less the call
-        position of a builtin step; the last is the criterion."""
+        position of a builtin step, once per printed slice and skipped
+        position; the last is the criterion."""
         ts = self.slice
         criterion = _positions_text(ts.criterion)
         lines = [
@@ -55,9 +56,13 @@ class SliceReport:
             f"terms {len(ts.slices)}",
         ]
         texts = ts.texts
+        psets: dict[tuple[str, str], str] = {}
         for j, (step, sl) in enumerate(zip(ts.trace.steps, ts.slices)):
-            skip = str(step.position) if step.kind == "builtin" else ""
-            lines.append(f"pset {j} {_kept_text(sl, skip)}")
+            key = (texts[j], str(step.position) if step.kind == "builtin" else "")
+            pset = psets.get(key)
+            if pset is None:
+                pset = psets[key] = _kept_text(sl, key[1])
+            lines.append(f"pset {j} {pset}")
             lines.append(f"slice {j} {texts[j]}")
         lines.append(f"pset {len(texts) - 1} {criterion}")
         lines.append(f"slice {len(texts) - 1} {texts[-1]}")

@@ -43,6 +43,7 @@ from .terms import (
     is_bullet,
     match,
     pretty,
+    printed_length,
     replace_at,
     subterm_at,
 )
@@ -311,34 +312,13 @@ def _printed_length(trace: InstrumentedTrace) -> int:
     """len(trace_string(trace.terms())) without printing a term: a built
     trace's consecutive terms differ only at the step's position, so each
     term's length is the previous one's, minus the printed length of the
-    step's redex, plus that of its contractum. A node with arguments prints
-    as its name, two parentheses, its arguments and a comma between two;
-    its length is kept by node identity, as consecutive steps share it (the
-    trace keeps every node alive, so no id is reused during the call)."""
+    step's redex, plus that of its contractum (`printed_length`, its memo
+    kept for the call; the trace keeps every node alive)."""
     lengths: dict[int, int] = {}
-
-    def length(t: Term) -> int:
-        if not t.args:
-            return len(t.root.name)
-        known = lengths.get(id(t))
-        if known is not None:
-            return known
-        todo, stack = [], [t]
-        while stack:
-            node = stack.pop()
-            todo.append(node)
-            stack += [a for a in node.args if a.args and id(a) not in lengths]
-        for node in reversed(todo):  # reversed preorder: children first
-            size = len(node.root.name) + len(node.args) + 1
-            for a in node.args:
-                size += lengths[id(a)] if a.args else len(a.root.name)
-            lengths[id(node)] = size
-        return lengths[id(t)]
-
-    size = total = length(trace.initial)
+    size = total = printed_length(trace.initial, lengths)
     for step in trace.steps:
         q = step.position
-        size += length(subterm_at(step.after, q)) - length(subterm_at(step.before, q))
+        size += printed_length(subterm_at(step.after, q), lengths) - printed_length(subterm_at(step.before, q), lengths)
         total += 4 + size  # " -> " before each later term
     return total
 

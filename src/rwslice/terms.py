@@ -315,6 +315,31 @@ def pretty(t: Term) -> str:
     return "".join(parts)
 
 
+def printed_length(t: Term, memo: dict[int, int]) -> int:
+    """len(pretty(t)) without printing. A node with arguments prints as its
+    name, two parentheses, its arguments and a comma between two. `memo`
+    maps id(node) to the length of each node with arguments measured so
+    far, so a subterm shared by later calls is measured once; the caller
+    keeps those nodes alive while it uses the memo, so no id is reused.
+    The walk uses an explicit stack, not recursion."""
+    if not t.args:
+        return len(t.root.name)
+    known = memo.get(id(t))
+    if known is not None:
+        return known
+    todo, stack = [], [t]
+    while stack:
+        node = stack.pop()
+        todo.append(node)
+        stack += [a for a in node.args if a.args and id(a) not in memo]
+    for node in reversed(todo):  # reversed preorder: children first
+        size = len(node.root.name) + len(node.args) + 1
+        for a in node.args:
+            size += memo[id(a)] if a.args else len(a.root.name)
+        memo[id(node)] = size
+    return memo[id(t)]
+
+
 _NUMERAL_RE = re.compile(r"-?\d+")
 
 

@@ -7,9 +7,11 @@
 
 Terms use the canonical printed syntax (no whitespace), so every field is
 whitespace-separated. Bindings are `X=term;Y=term` sorted by variable
-name. Loading builds an `InstrumentedTrace`, which checks that consecutive
-steps chain and that every step replays against the theory. One parser
-reads a whole file, so consecutive terms share all subterms off the redex.
+name. Loading replays each record on the previous term as it reads it,
+with the checks `InstrumentedTrace` makes, and accepts its `after` field
+when that is the replay's print. So consecutive terms share all subterms
+off the redex, and only the initial term, the bindings and the `after`
+field of an unflat record, which records a spine, are parsed.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ import warnings
 from pathlib import Path
 
 from .acmatch import flatten_term
-from .engine import InstrumentedTrace, MalformedStep, RewriteTheory, TraceStep
-from .terms import EMPTY_SUBST, Position, Substitution, Variable, pretty
+from .engine import InstrumentedTrace, MalformedStep, RewriteTheory, TraceStep, replay_step
+from .terms import EMPTY_SUBST, Position, Substitution, Term, Variable, pretty, printed_length, subterm_at
 from .theoryfile import TheorySyntaxError, _TermParser
 
 _HEADER = "rwtrace 1"
@@ -78,6 +80,11 @@ def parse_trace(text: str, theory: RewriteTheory) -> InstrumentedTrace:
     parser = _TermParser(theory.signature, set(), allow_bullet=False)
     prev_txt = lines[2][1][len("init ") :]
     initial = prev = parser.term(prev_txt)
+    lengths: dict[int, int] = {}  # `printed_length` of the nodes read so far
+    # pretty(prev) when known: a text that reads as a term and is as long as
+    # its print is that print, as the parser only skips blanks and comments
+    canon = prev_txt if len(prev_txt) == printed_length(prev, lengths) else None
+    positions: dict[str, Position] = {}
     steps: list[TraceStep] = []
     for lineno, line in lines[3:]:
         fields = line.split()
@@ -85,27 +92,65 @@ def parse_trace(text: str, theory: RewriteTheory) -> InstrumentedTrace:
             raise MalformedStep(f"line {lineno}: bad step record")
         _, kind, rule, pos, bind, before_txt, after_txt = fields
         try:
-            step = TraceStep(
-                kind=kind,
-                rule_name=None if rule == "-" else rule,
-                position=Position.parse(pos),
-                matcher=_parse_bindings(bind, parser),
-                # a step's before usually repeats the last after: parse it once
-                before=prev if before_txt == prev_txt else parser.term(before_txt),
-                after=parser.term(after_txt),
-            )
+            position = positions.get(pos)
+            if position is None:
+                position = positions[pos] = Position.parse(pos)
+            matcher = _parse_bindings(bind, parser)
+            # a step's before usually repeats the last after: compare the texts
+            chained = before_txt == prev_txt or parser.term(before_txt) == prev
+            spine = parser.term(after_txt) if kind == "unflat" else None
+            step = TraceStep(kind, None if rule == "-" else rule, position, matcher, prev, spine)
+            try:
+                sub, after = replay_step(step, theory) if chained else (None, None)
+            except MalformedStep:
+                after = None
+            if after is not None and _prints_as(after_txt, canon or pretty(prev), prev, after, position, lengths):
+                canon = after_txt
+            else:
+                # not the replay's print: read the field, whose syntax errors come first
+                read = spine if spine is not None else parser.term(after_txt)
+                if not chained:
+                    raise MalformedStep(f"line {lineno}: steps do not chain")
+                if after is None or read != after:
+                    raise MalformedStep(f"line {lineno}: {kind} step at {position} does not replay")
+                canon = None
         except (ValueError, TheorySyntaxError) as exc:
             raise MalformedStep(f"line {lineno}: {exc}")
+        # the step is the loader's own until the trace is built; the replay's
+        # matcher and after term share the nodes of `before`
+        object.__setattr__(step, "matcher", sub)
+        object.__setattr__(step, "after", after)
         steps.append(step)
-        prev, prev_txt = step.after, after_txt
-    try:
-        trace = InstrumentedTrace(theory, initial, steps)
-    except MalformedStep as exc:
-        raise MalformedStep(f"line {lines[3 + exc.index][0]}: {exc.reason}") from None
+        prev, prev_txt = after, after_txt
+    trace = InstrumentedTrace._checked(theory, initial, steps)
     final = trace.final()
     if flatten_term(final, theory.signature) != final:
         warnings.warn("trace ends in a non-canonical term", stacklevel=2)
     return trace
+
+
+def _prints_as(text: str, canon: str, before: Term, after: Term, q: Position, lengths: dict[int, int]) -> bool:
+    """Whether text is pretty(after), where after is before, printed as
+    canon, with the subterm at q replaced: canon's text around that subterm
+    is compared as it stands, and only after's subterm at q is printed.
+    If so, the printed lengths of after and of that subterm go to lengths."""
+    start, node = 0, before
+    for i in q.path:
+        # the node's name, "(", and each earlier argument with its comma
+        start += len(node.root.name) + i + sum(printed_length(a, lengths) for a in node.args[: i - 1])
+        node = node.args[i - 1]
+    end = start + printed_length(node, lengths)
+    new_node = subterm_at(after, q)
+    middle = pretty(new_node)
+    if not (
+        len(text) == len(canon) - (end - start) + len(middle)
+        and text.startswith(middle, start)
+        and text.startswith(canon[:start])
+        and text.endswith(canon[end:])
+    ):
+        return False
+    lengths[id(after)], lengths[id(new_node)] = len(text), len(middle)
+    return True
 
 
 def load_trace(path: str | Path, theory: RewriteTheory) -> InstrumentedTrace:

@@ -347,3 +347,23 @@ def seeded_traces(per_category: int = 50):
             th, trace, _ = random_case(rng, category)
             out.append((th, trace))
     return out
+
+
+# the bench/wide_state.rwt theory: a pair whose left cell is on absorbs
+# the value of its right cell and switches off
+WIDE_STATE = """
+op node : 2 .
+op cell : 2 .
+op on : 0 .
+op off : 0 .
+op + : 2 [builtin] .
+rl [absorb] : node(cell(N,on),cell(M,F)) => node(cell(+(N,M),off),cell(M,F)) .
+"""
+
+
+def wide_tree(depth, index):
+    """Balanced tree of 2^(depth-1) cell pairs; every fourth pair is off."""
+    if depth == 1:
+        mark = "off" if index % 4 == 3 else "on"
+        return f"node(cell({index % 10},{mark}),cell({index * 7 % 10},off))"
+    return f"node({wide_tree(depth - 1, 2 * index)},{wide_tree(depth - 1, 2 * index + 1)})"

@@ -37,7 +37,7 @@ from rwslice.terms import (
 )
 from rwslice.theoryfile import parse_term, parse_theory
 
-from genutil import all_sizes_candidates, postorder_scan, seeded_traces
+from genutil import WIDE_STATE, all_sizes_candidates, postorder_scan, seeded_traces, wide_tree
 
 
 def T(text, sig, variables=None):
@@ -228,6 +228,16 @@ def test_check_step_rejects_single_field_tampering(generated_steps):
         for v, _ in s.matcher.items():
             rebound = Substitution({**dict(s.matcher.items()), v: BULLET_TERM})
             tampered.append(dataclasses.replace(s, matcher=rebound))
+        if s.kind in ("rule", "equation"):
+            # a binding of a variable the left-hand side does not have
+            extra = Substitution({**dict(s.matcher.items()), Variable("Zextra"): subterm_at(s.before, s.position)})
+            tampered.append(dataclasses.replace(s, matcher=extra))
+        if s.kind == "flat":
+            # the flattened node with its last argument dropped, or another root
+            node = subterm_at(s.after, s.position)
+            if len(node.args) > 2:
+                tampered.append(dataclasses.replace(s, after=replace_at(s.after, s.position, Term(node.root, node.args[:-1]))))
+            tampered.append(dataclasses.replace(s, after=replace_at(s.after, s.position, Term(Symbol("zz", 2), node.args))))
         if s.kind in ("flat", "unflat", "builtin"):
             # only a builtin step has a name, its own operator's, and none binds
             tampered += [dataclasses.replace(s, rule_name=n) for n in ("serve", "+", "-") if n != s.rule_name]
@@ -396,26 +406,6 @@ def test_pruned_walk_equals_full_scan_on_generated_traces(generated_traces):
                 assert first_postorder(t, test, seen) == expected, (t, trace.steps)
                 hits += expected is not None
     assert hits > 500
-
-
-# the bench/wide_state.rwt theory: a pair whose left cell is on absorbs
-# the value of its right cell and switches off
-WIDE_STATE = """
-op node : 2 .
-op cell : 2 .
-op on : 0 .
-op off : 0 .
-op + : 2 [builtin] .
-rl [absorb] : node(cell(N,on),cell(M,F)) => node(cell(+(N,M),off),cell(M,F)) .
-"""
-
-
-def wide_tree(depth, index):
-    """Balanced tree of 2^(depth-1) cell pairs; every fourth pair is off."""
-    if depth == 1:
-        mark = "off" if index % 4 == 3 else "on"
-        return f"node(cell({index % 10},{mark}),cell({index * 7 % 10},off))"
-    return f"node({wide_tree(depth - 1, 2 * index)},{wide_tree(depth - 1, 2 * index + 1)})"
 
 
 def test_scans_skip_searched_subtrees(monkeypatch):

@@ -6,9 +6,9 @@ import tracemalloc
 
 import pytest
 
-from rwslice import bundled_example_path, engine
+from rwslice import bundled_example_path, engine, theoryfile, tracefile
 from rwslice.cli import main
-from rwslice.engine import InstrumentedTrace, MalformedStep, Rule, run
+from rwslice.engine import InstrumentedTrace, MalformedStep, Rule, check_step, run
 from rwslice.terms import Position, Signature, Term, Variable, pretty
 from rwslice.theoryfile import (
     ArityMismatchError,
@@ -19,6 +19,8 @@ from rwslice.theoryfile import (
     render_theory,
 )
 from rwslice.tracefile import load_trace, parse_trace, render_trace, save_trace
+
+from genutil import WIDE_STATE, seeded_traces, wide_tree
 
 
 def test_parse_rule_example():
@@ -394,11 +396,95 @@ def test_trace_load_rejects_unchained_steps(lines):
     ("step rule r2 ^ - g(b) m(b)", "line 6: rule step at . does not replay"),
     ("step rule r2 ^ X=zz g(b) m(a)", "line 6: line 1, column 1: unknown operator zz"),
     ("step rule r2 ^ - g(b) m(a)x", "line 6: line 1, column 5: trailing input 'x'"),
+    # a binding of a variable the rule does not have
+    ("step rule r2 ^ Y=b g(b) m(a)", "line 6: rule step at . does not replay"),
 ])
 def test_trace_load_reports_physical_lines(record, message):
     lines = ["rwtrace 1", "theory basic", "init g(f(a))", "step rule r1 1 X=a g(f(a)) g(b)", "", record]
     with pytest.raises(MalformedStep, match=message):
         parse_trace("\n".join(lines) + "\n", _basic_theory())
+
+
+@pytest.mark.parametrize("lines", [
+    # an after field with a comment suffix, and a before field that repeats it without
+    ["init g(f(a))", "step rule r1 1 X=a g(f(a)) g(b)---x", "step rule r2 ^ - g(b) m(a)"],
+    # a before field with a comment suffix
+    ["init g(f(a))", "step rule r1 1 X=a g(f(a))--- g(b)", "step rule r2 ^ - g(b) m(a)"],
+    # an init line with spaces
+    ["init g( f( a ) )", "step rule r1 1 X=a g(f(a)) g(b)", "step rule r2 ^ - g(b) m(a)"],
+])
+def test_trace_load_reads_fields_as_the_parser_does(lines):
+    th = _basic_theory()
+    loaded = parse_trace("\n".join(["rwtrace 1", "theory basic", *lines]) + "\n", th)
+    assert loaded.steps == run(parse_term("g(f(a))", th.signature), th, 10).steps
+
+
+def test_trace_load_reports_the_first_bad_line():
+    # line 4 does not replay and line 5 does not parse: line 4 is reported
+    lines = ["rwtrace 1", "theory basic", "init g(f(a))", "step rule r1 1 X=b g(f(a)) g(b)", "step rule r2 ^ - g(b) m(a)x"]
+    with pytest.raises(MalformedStep, match="line 4: rule step at 1 does not replay"):
+        parse_trace("\n".join(lines) + "\n", _basic_theory())
+
+
+def _load_cases(pc_rule_steps, tree_depth, tree_rule_steps):
+    """(theory, trace) pairs: producer_consumer, client_server and a
+    wide_state tree."""
+    pc = parse_theory(bundled_example_path("producer_consumer.rwt").read_text(), name="pc")
+    cs = parse_theory(bundled_example_path("client_server.rwt").read_text(), name="cs")
+    wide = parse_theory(WIDE_STATE, name="wide")
+    return [
+        (pc, run(parse_term("cfg(tok,prod(0),cons(0,0))", pc.signature), pc, pc_rule_steps)),
+        (cs, run(parse_term("net(srv(0),cli(1,3,none),cli(2,4,none),cli(5,6,none))", cs.signature), cs, 9)),
+        (wide, run(parse_term(wide_tree(tree_depth, 0), wide.signature), wide, tree_rule_steps)),
+    ]
+
+
+def test_loaded_steps_are_their_records():
+    """The loader builds each after term by replay; it is the term its
+    field reads as, and the step passes the constructor's check."""
+    for th, trace in seeded_traces() + _load_cases(40, 6, 24):
+        text = render_trace(trace)
+        loaded = parse_trace(text, th)
+        records = text.splitlines()[3:]
+        assert len(loaded.steps) == len(records)
+        for step, record in zip(loaded.steps, records):
+            assert step.after == parse_term(record.split()[6], th.signature), record
+            assert check_step(step, th), record
+
+
+def test_trace_load_parses_only_init_bindings_and_unflat_fields(monkeypatch):
+    """Loading hands the term parser the init term, each binding and the
+    after field of each unflat record, and on a tree of 256 pairs prints
+    under 5% of the file."""
+    read, printed = [], []
+    real_term, real_pretty = theoryfile._TermParser.term, tracefile.pretty
+
+    def term(parser, text):
+        read.append(text)
+        return real_term(parser, text)
+
+    def counted_pretty(t):
+        out = real_pretty(t)
+        printed.append(len(out))
+        return out
+
+    pc, _, tree = _load_cases(200, 9, 48)
+    assert len(pc[1].steps) == 1201 and sum(1 for s in tree[1].steps if s.kind == "rule") == 48
+    monkeypatch.setattr(theoryfile._TermParser, "term", term)
+    monkeypatch.setattr(tracefile, "pretty", counted_pretty)
+    for th, trace in (pc, tree):
+        text = render_trace(trace)
+        expected = [text.splitlines()[2][len("init "):]]
+        for record in text.splitlines()[3:]:
+            _, kind, _, _, bind, _, after = record.split()
+            expected += [] if bind == "-" else [b.partition("=")[2] for b in bind.split(";")]
+            expected += [after] if kind == "unflat" else []
+        read.clear()
+        printed.clear()
+        assert parse_trace(text, th).steps == trace.steps
+        assert read == expected
+    # the tree's: a contractum and a numeral per rule step
+    assert sum(printed) < 0.05 * len(text)
 
 
 def test_each_step_is_checked_once(tmp_path, monkeypatch, capsys):
@@ -409,13 +495,15 @@ def test_each_step_is_checked_once(tmp_path, monkeypatch, capsys):
     tr_path = tmp_path / "t.rwtrace"
     save_trace(trace, tr_path)
     calls = []
-    real = engine.check_step
+    real = engine.replay_step
 
     def counted(step, theory):
         calls.append(step)
         return real(step, theory)
 
-    monkeypatch.setattr(engine, "check_step", counted)
+    # the constructor checks through engine's name, the loader through its own
+    monkeypatch.setattr(engine, "replay_step", counted)
+    monkeypatch.setattr(tracefile, "replay_step", counted)
     base = ["--theory", str(th_path), "--init", init, "--criterion", "1"]
     for source in (["--trace", str(tr_path)], ["--steps", "5"], ["--end", pretty(trace.final())]):
         calls.clear()
