@@ -36,7 +36,7 @@ def _same_op(a, b) -> bool:
     return isinstance(a, Symbol) and a == b
 
 
-def one_level_flat(node: Term) -> tuple[Term, list[tuple[int, ...]]]:
+def one_level_flat(node: Term) -> tuple[Term, tuple[tuple[int, ...], ...]]:
     """Merge same-operator children into the argument list and sort it.
 
     Returns the new node plus, per new argument, its source path relative
@@ -53,7 +53,7 @@ def one_level_flat(node: Term) -> tuple[Term, list[tuple[int, ...]]]:
             entries.append(((i,), arg))
     entries.sort(key=cmp_to_key(lambda x, y: term_cmp(x[1], y[1])))
     new_node = Term(node.root, tuple(term for _, term in entries))
-    return new_node, [src for src, _ in entries]
+    return new_node, tuple(src for src, _ in entries)
 
 
 def needs_flat(node: Term, sig: Signature) -> bool:
@@ -150,40 +150,50 @@ def _pair(items: Iterable[Term], pool: Sequence[Term]) -> list[int] | None:
     return out
 
 
-def is_regrouping(flat: Term, grouped: Term, sig: Signature) -> bool:
+def is_regrouping(flat: Term, grouped: Term, sig: Signature, searched: dict[int, Term] | None = None, taken=None) -> bool:
     """Whether `grouped` nests the AC node `flat` differently under the same
     operator: it differs from `flat` and flatten_term(grouped) == flat.
-    Flattening a spine flattens its leaves and then merges the spine into
-    one node, so only the leaves are flattened here."""
-    if not (sig.is_ac(flat.root) and grouped.root == flat.root and grouped != flat):
+    If the spine leaves of `grouped` pair with the arguments of `flat`
+    (`taken`, the unflat `regrouping_map`, computed when not given), that
+    is: `flat` is canonical (a `first_postorder` walk whose cleared nodes
+    `searched` keeps for later calls) and grouped != flat, unless two
+    adjacent arguments tie in the term order while unequal. Otherwise the
+    leaves are flattened and merged with `one_level_flat`, as flattening a
+    spine does."""
+    if not (sig.is_ac(flat.root) and grouped.root == flat.root):
         return False
+    taken = regrouping_map("unflat", flat, grouped) if taken is None else taken
+    if taken is not None and not any(term_cmp(a, b) == 0 and a != b for a, b in zip(flat.args, flat.args[1:])):
+        test = lambda node: node if needs_flat(node, sig) else None
+        return first_postorder(flat, test, {} if searched is None else searched) is None and grouped != flat
     leaves = tuple(flatten_term(leaf, sig) for _, leaf in spine_leaves(grouped))
-    return one_level_flat(Term(flat.root, leaves))[0] == flat
+    return grouped != flat and one_level_flat(Term(flat.root, leaves))[0] == flat
 
 
-def unflat_leaf_mapping(before_node: Term, leaves: list[Term]) -> list[int]:
-    """For each spine leaf of a regrouping of the flat node, in path order,
-    the index of the argument it came from (`_pair`). Raises ValueError
-    unless the leaves are the node's arguments in some order."""
-    taken = _pair(leaves, before_node.args)
-    if taken is None or len(taken) != len(before_node.args):
-        raise ValueError(f"{', '.join(map(pretty, leaves))} do not regroup the arguments of {pretty(before_node)}")
-    return taken
-
-
-def regrouping_map(kind: str, before: Term, after: Term | None) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """What a flat or unflat step from node `before` to node `after` moves:
-    per moved subterm, its path in `after` and its source path in `before`,
-    in path order of `after`. A flat step hoists the arguments of the
-    same-operator children into one sorted list (`one_level_flat`), so its
-    map comes from `before` alone and `after` is not read; an unflat step
-    hangs the flat arguments off a spine (`unflat_leaf_mapping`). The nodes
-    on the proper prefixes of the paths are the spines."""
+def regrouping_map(kind: str, before: Term, after: Term | None) -> tuple | None:
+    """What a flat or unflat step from node `before` to node `after` moves.
+    Flat: per new argument, its source path (`one_level_flat`; `after` is
+    not read). Unflat: per spine leaf of `after`, in path order, the index
+    of the argument of `before` it is (`_pair`), or None unless the leaves
+    are those arguments in some order."""
     if kind == "flat":
-        return [((i,), src) for i, src in enumerate(one_level_flat(before)[1], start=1)]
-    walked = list(spine_leaves(after))
-    taken = unflat_leaf_mapping(before, [leaf for _, leaf in walked])
-    return [(path, (i + 1,)) for (path, _), i in zip(walked, taken)]
+        return one_level_flat(before)[1]
+    taken = _pair((leaf for _, leaf in spine_leaves(after)), before.args)
+    return tuple(taken) if taken is not None and len(taken) == len(before.args) else None
+
+
+def regrouping_paths(kind: str, moves, before: Term, after: Term | None):
+    """The paths of a flat or unflat step's `regrouping_map` `moves`: per
+    moved subterm, its path in node `after` and its source path in node
+    `before`, in path order of `after`, made one at a time as they are
+    read. The nodes on the proper prefixes of the paths are the spines.
+    Raises ValueError for an unflat map that is None."""
+    if kind == "flat":
+        return (((i,), src) for i, src in enumerate(moves, start=1))
+    if moves is None:
+        leaves = ", ".join(pretty(leaf) for _, leaf in spine_leaves(after))
+        raise ValueError(f"{leaves} do not regroup the arguments of {pretty(before)}")
+    return ((path, (i + 1,)) for (path, _), i in zip(spine_leaves(after), moves))
 
 
 def plan_unflat(whole: Term, at: Position, target: Term, sig: Signature) -> tuple[Term, list[FlatEvent]]:
@@ -192,7 +202,10 @@ def plan_unflat(whole: Term, at: Position, target: Term, sig: Signature) -> tupl
     `target` must flatten back to the existing subtree. Each emitted event
     reshapes one flattened node into the same-operator spine the target
     prescribes there; deeper differences are handled by later events, in
-    preorder, from an explicit stack.
+    preorder, from an explicit stack. The subtree being canonical, the
+    target's spine leaves are paired with the node's arguments first, and
+    the spine is rebuilt over those argument objects, which the after term
+    thus shares; the leaves are flattened only when one does not pair.
     """
     events: list[FlatEvent] = []
     current = whole
@@ -203,18 +216,20 @@ def plan_unflat(whole: Term, at: Position, target: Term, sig: Signature) -> tupl
         if node == tgt:
             continue
         if sig.is_ac(tgt.root) and _same_op(node.root, tgt.root):
-            slots = list(spine_leaves(tgt))
-            canon = [flatten_term(sub, sig) for _, sub in slots]
-            # raises unless the flattened leaves are the node's arguments: by
-            # `==` alone, so no whole term is hashed, and the leaves of an
-            # engine target come mostly in the node's order
-            unflat_leaf_mapping(node, canon)
-            new_node = rebuild_spine(tgt, zip((path for path, _ in slots), canon))
+            shape = tgt
+            taken = regrouping_map("unflat", node, tgt)  # by `==` alone, so no whole term is hashed
+            if taken is None:  # a leaf that is not canonical: pair the flattened leaves
+                shape = rebuild_spine(tgt, ((path, flatten_term(sub, sig)) for path, sub in spine_leaves(tgt)))
+                taken = regrouping_map("unflat", node, shape)
+            paths = regrouping_paths("unflat", taken, node, shape)  # raises unless the leaves pair
+            new_node = rebuild_spine(tgt, ((dst, node.args[i - 1]) for dst, (i,) in paths))
             if new_node != node:
                 after = replace_at(current, pos, new_node)
                 events.append((pos, current, after))
                 current = after
-            todo += [(pos.concat(Position(path)), sub) for (path, sub), leaf in zip(slots[::-1], canon[::-1]) if leaf != sub]
+            if shape is not tgt:  # regroup the leaves that are not their arguments
+                pairs = list(zip(spine_leaves(tgt), spine_leaves(new_node)))
+                todo += [(pos.concat(Position(path)), sub) for (path, sub), (_, arg) in reversed(pairs) if arg != sub]
         elif node.root != tgt.root or len(node.args) != len(tgt.args):
             raise ValueError(f"target {pretty(tgt)} differs structurally from {pretty(node)}")
         else:

@@ -21,10 +21,10 @@ from .acmatch import (
     flatten_term,
     is_regrouping,
     match_modulo_ac,
-    needs_flat,
     plan_unflat,
     rebuild_spine,
     regrouping_map,
+    regrouping_paths,
     spine_roots,
 )
 from .terms import (
@@ -204,6 +204,17 @@ class TraceStep:
     before: Term
     after: Term
 
+    @cached_property
+    def moves(self) -> tuple | None:
+        """The move map a flat or unflat step keeps, its `regrouping_map`:
+        one entry per moved argument, never a path per spine leaf. The check
+        (`replay_step`) computes it and keeps it here; a step never checked
+        computes it when first read. The replay, the slicer and the labeling
+        read it and walk its paths (`regrouping_paths`)."""
+        q = self.position
+        after = subterm_at(self.after, q) if self.kind == "unflat" else None
+        return regrouping_map(self.kind, subterm_at(self.before, q), after)
+
 
 @dataclass(frozen=True)
 class InstrumentedTrace:
@@ -219,10 +230,11 @@ class InstrumentedTrace:
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(self.steps))
         prev = self.initial
+        searched: dict[int, Term] = {}  # the nodes known canonical (`replay_step`)
         for i, step in enumerate(self.steps):
             if step.before != prev:
                 raise MalformedStep("steps do not chain", i)
-            if not check_step(step, self.theory):
+            if not check_step(step, self.theory, searched=searched):
                 raise MalformedStep(f"{step.kind} step at {step.position} does not replay", i)
             prev = step.after
 
@@ -434,9 +446,9 @@ def apply_step(step: TraceStep, th: RewriteTheory, t: Term) -> Term:
     """The step's transformation applied to any term t. Rule and equation
     steps match the rule's left-hand side syntactically at the step's
     position, builtin steps evaluate the ground call of the named operator
-    there, and flat and unflat steps replay the regrouping read from the
-    step's own before node (and, for unflat, the spine of its after node;
-    `regrouping_map`) position by position on t's node, which must have
+    there, and flat and unflat steps replay the step's move map (`moves`,
+    read from its own before node and, for unflat, the spine of its after
+    node) position by position on t's node, which must have
     the before node's root and argument count at the spine nodes the step
     takes apart. Raises MalformedStep when the step does not apply to t."""
     q = step.position
@@ -467,36 +479,47 @@ def _rewrite(step: TraceStep, th: RewriteTheory, node: Term) -> tuple[Substituti
     # positional, independent of the order node's arguments would sort into
     before = subterm_at(step.before, step.position)
     after = subterm_at(step.after, step.position) if step.kind == "unflat" else None
-    moved = []
-    for dst, src in regrouping_map(step.kind, before, after):
-        sub, ref = node, before
-        for i in src:
-            if sub is not ref and (sub.root != ref.root or len(sub.args) != len(ref.args)):
-                raise MalformedStep(f"{pretty(node)} is not shaped like {pretty(before)}")
-            sub, ref = sub.args[i - 1], ref.args[i - 1]
-        moved.append((dst, sub))
+    def moved():  # each moved subterm of node with its path in the after node, one at a time
+        for dst, src in regrouping_paths(step.kind, step.moves, before, after):
+            sub, ref = node, before
+            for i in src:
+                if sub is not ref and (sub.root != ref.root or len(sub.args) != len(ref.args)):
+                    raise MalformedStep(f"{pretty(node)} is not shaped like {pretty(before)}")
+                sub, ref = sub.args[i - 1], ref.args[i - 1]
+            yield dst, sub
     if after is None:  # flat: one level, the moved arguments in order
-        return EMPTY_SUBST, Term(node.root, tuple(sub for _, sub in moved))
-    return EMPTY_SUBST, rebuild_spine(after, moved)
+        return EMPTY_SUBST, Term(node.root, tuple(sub for _, sub in moved()))
+    return EMPTY_SUBST, rebuild_spine(after, moved())
 
 
-def replay_step(step: TraceStep, th: RewriteTheory) -> tuple[Substitution, Term]:
+def replay_step(step: TraceStep, th: RewriteTheory, *, searched: dict[int, Term] | None = None) -> tuple[Substitution, Term]:
     """The matcher and the after term the theory gives the step from its
     before term: the kind's preconditions hold, then `apply_step`'s rewrite
     at the step's position. A rule or equation step must record exactly
     the matcher of the rule's left-hand side there; the other kinds bind
     nothing, and only a builtin step has a name, its operator's. Of the
     after term, only an unflat step's is read, for the spine it records.
+    A flat or unflat step's preconditions come from its move map, which
+    is computed here and kept (`TraceStep.moves`): an AC node with
+    arguments and a map that is not the identity (exactly `needs_flat`),
+    or a regrouping (`is_regrouping`, given the map and a check pass's
+    `searched`).
     Raises MalformedStep when the step does not replay."""
     q = step.position
     try:
         node = subterm_at(step.before, q)
-        if step.kind == "flat" and not needs_flat(node, th.signature):
-            raise MalformedStep(f"nothing to flatten at {q}")
-        if step.kind == "unflat" and not is_regrouping(node, subterm_at(step.after, q), th.signature):
-            raise MalformedStep(f"no regrouping at {q}")
-        if step.kind in ("flat", "unflat") and step.rule_name is not None:
-            raise MalformedStep(f"a {step.kind} step has no name")
+        if step.kind in ("flat", "unflat"):
+            after = subterm_at(step.after, q) if step.kind == "unflat" else None
+            if after is None and not (th.signature.is_ac(node.root) and node.args):
+                raise MalformedStep(f"nothing to flatten at {q}")
+            moves = regrouping_map(step.kind, node, after)
+            object.__setattr__(step, "moves", moves)  # kept: `TraceStep.moves`
+            if after is None and all(src == (i,) for i, src in enumerate(moves, 1)):
+                raise MalformedStep(f"nothing to flatten at {q}")
+            if after is not None and not is_regrouping(node, after, th.signature, searched, moves):
+                raise MalformedStep(f"no regrouping at {q}")
+            if step.rule_name is not None:
+                raise MalformedStep(f"a {step.kind} step has no name")
         sub, new_node = _rewrite(step, th, node)
         if sub != step.matcher:
             raise MalformedStep(f"the matcher at {q} is {sub}, not {step.matcher}")
@@ -505,10 +528,10 @@ def replay_step(step: TraceStep, th: RewriteTheory) -> tuple[Substitution, Term]
         raise MalformedStep(str(exc)) from None
 
 
-def check_step(step: TraceStep, th: RewriteTheory) -> bool:
-    """Replay check: the step replays (`replay_step`) and its after term is
-    the replay's."""
+def check_step(step: TraceStep, th: RewriteTheory, *, searched: dict[int, Term] | None = None) -> bool:
+    """Replay check: the step replays (`replay_step`, given `searched`) and
+    its after term is the replay's."""
     try:
-        return replay_step(step, th)[1] == step.after
+        return replay_step(step, th, searched=searched)[1] == step.after
     except MalformedStep:
         return False

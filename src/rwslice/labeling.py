@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .acmatch import regrouping_map
+from .acmatch import regrouping_paths
 from .engine import MalformedStep, RewriteTheory, Rule, TraceStep
 from .terms import (
     HOLE_TERM,
@@ -171,14 +171,14 @@ def _label_builtin(step: TraceStep, supply: LabelSupply) -> LabeledStep:
 
 
 def _derive_regrouping(step: TraceStep, before_lab: Labeling) -> Labeling:
-    """One flattening or unflattening transformation (`regrouping_map`):
+    """One flattening or unflattening transformation (`regrouping_paths`):
     every operator of the after node's spine gets the join of the labels of
     the before node's spine, so the collapsed occurrences join into the
     flattened root and a created spine copies the flattened node's label;
     every moved argument keeps its labels, equal ones assigned in
     lexicographic position order."""
     q = step.position
-    moves = regrouping_map(step.kind, subterm_at(step.before, q), subterm_at(step.after, q))
+    moves = list(regrouping_paths(step.kind, step.moves, subterm_at(step.before, q), subterm_at(step.after, q)))
     # the proper prefixes of the source and target paths are the two spines
     joined = frozenset().union(*(
         before_lab[Position(q.path + src[:k])] for _, src in moves for k in range(len(src))

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .acmatch import rebuild_spine, regrouping_map
+from .acmatch import rebuild_spine, regrouping_paths
 from .engine import InstrumentedTrace, MalformedStep, RewriteTheory, TraceStep, apply_step
 from .labeling import LabeledStep
 from .terms import (
@@ -224,7 +224,7 @@ def _local_origins(step: TraceStep, th: RewriteTheory, kept: Term) -> Term:
         return node if node.args else BULLET_TERM
     # flat, unflat: each moved subterm's slice goes back to its source, and
     # the spine the step takes apart keeps its symbols
-    moves = regrouping_map(step.kind, node, subterm_at(step.after, step.position))
+    moves = regrouping_paths(step.kind, step.moves, node, subterm_at(step.after, step.position))
     return rebuild_spine(node, sorted((src, _kept_at(kept, dst)) for dst, src in moves))
 
 

@@ -176,11 +176,15 @@ def subterm_at(t: Term, u: Position) -> Term:
 
 def replace_at(t: Term, u: Position, r: Term) -> Term:
     """The term t with the subtree at u replaced by r. Only the nodes on
-    the path to u are rebuilt, without recursion; the rest is shared."""
-    subterm_at(t, u)  # range check, including the hole restriction
+    the path to u are rebuilt, without recursion; the rest is shared. The
+    walk down checks the path as `subterm_at` does."""
     ancestors = [t]
-    for i in u.path[:-1]:
+    for i in u.path:
+        if not 1 <= i <= len(ancestors[-1].args):
+            raise PositionOutOfRange(f"no position {u} in {pretty(t)}")
         ancestors.append(ancestors[-1].args[i - 1])
+    if is_hole(ancestors.pop()):
+        raise PositionOutOfRange(f"position {u} of {pretty(t)} is a hole")
     for parent, i in zip(reversed(ancestors), reversed(u.path)):
         r = Term(parent.root, parent.args[: i - 1] + (r,) + parent.args[i:])
     return r

@@ -64,7 +64,7 @@ def _parse_bindings(text: str, parser: _TermParser) -> Substitution:
     for part in text.split(";"):
         name, _, value = part.partition("=")
         if not name or not value:
-            raise MalformedStep(f"bad binding {part!r}")
+            raise ValueError(f"bad binding {part!r}")
         bindings[Variable(name)] = parser.term(value)
     return Substitution(bindings)
 
@@ -85,6 +85,7 @@ def parse_trace(text: str, theory: RewriteTheory) -> InstrumentedTrace:
     # its print is that print, as the parser only skips blanks and comments
     canon = prev_txt if len(prev_txt) == printed_length(prev, lengths) else None
     positions: dict[str, Position] = {}
+    searched: dict[int, Term] = {}  # the nodes known canonical (`replay_step`)
     steps: list[TraceStep] = []
     for lineno, line in lines[3:]:
         fields = line.split()
@@ -101,10 +102,10 @@ def parse_trace(text: str, theory: RewriteTheory) -> InstrumentedTrace:
             spine = parser.term(after_txt) if kind == "unflat" else None
             step = TraceStep(kind, None if rule == "-" else rule, position, matcher, prev, spine)
             try:
-                sub, after = replay_step(step, theory) if chained else (None, None)
+                sub, after = replay_step(step, theory, searched=searched) if chained else (None, None)
             except MalformedStep:
                 after = None
-            if after is not None and _prints_as(after_txt, canon or pretty(prev), prev, after, position, lengths):
+            if after is not None and _prints_as(after_txt, canon or pretty(prev), step, after, lengths):
                 canon = after_txt
             else:
                 # not the replay's print: read the field, whose syntax errors come first
@@ -129,19 +130,21 @@ def parse_trace(text: str, theory: RewriteTheory) -> InstrumentedTrace:
     return trace
 
 
-def _prints_as(text: str, canon: str, before: Term, after: Term, q: Position, lengths: dict[int, int]) -> bool:
-    """Whether text is pretty(after), where after is before, printed as
-    canon, with the subterm at q replaced: canon's text around that subterm
-    is compared as it stands, and only after's subterm at q is printed.
+def _prints_as(text: str, canon: str, step: TraceStep, after: Term, lengths: dict[int, int]) -> bool:
+    """Whether text is pretty(after), where after is the step's before term,
+    printed as canon, with the subterm at the step's position replaced:
+    canon's text around that subterm is compared as it stands, and only the
+    new subterm is printed (`_regrouped_text` for a flat or unflat step).
     If so, the printed lengths of after and of that subterm go to lengths."""
-    start, node = 0, before
-    for i in q.path:
+    start, node = 0, step.before
+    for i in step.position.path:
         # the node's name, "(", and each earlier argument with its comma
         start += len(node.root.name) + i + sum(printed_length(a, lengths) for a in node.args[: i - 1])
         node = node.args[i - 1]
     end = start + printed_length(node, lengths)
-    new_node = subterm_at(after, q)
-    middle = pretty(new_node)
+    new_node = subterm_at(after, step.position)
+    regrouped = step.kind in ("flat", "unflat")
+    middle = _regrouped_text(node, new_node, canon, start, lengths) if regrouped else pretty(new_node)
     if not (
         len(text) == len(canon) - (end - start) + len(middle)
         and text.startswith(middle, start)
@@ -151,6 +154,38 @@ def _prints_as(text: str, canon: str, before: Term, after: Term, q: Position, le
         return False
     lengths[id(after)], lengths[id(new_node)] = len(text), len(middle)
     return True
+
+
+def _regrouped_text(node: Term, new_node: Term, canon: str, start: int, lengths: dict[int, int]) -> str:
+    """pretty(new_node), which a flat or unflat step makes of `node`, printed
+    in canon from `start`. The step moves arguments of node and of its
+    children with node's root symbol: their text is cut from canon at the
+    offsets printed lengths give, and only the new spine is printed."""
+    texts, stack = {}, [(node, start)]  # by node id
+    while stack:
+        sub, at = stack.pop()
+        at += len(sub.root.name) + 1
+        for a in sub.args:
+            n = printed_length(a, lengths)
+            texts[id(a)] = canon[at : at + n]
+            if sub is node and a.args and a.root == node.root:
+                stack.append((a, at))
+            at += n + 1
+    parts, stack = [new_node.root.name, "("], [iter(new_node.args)]
+    while stack:
+        for a in stack[-1]:
+            text = texts.get(id(a))
+            if text is None and a.args:  # a node of the new spine
+                parts += (a.root.name, "(")
+                stack.append(iter(a.args))
+                break
+            parts += (a.root.name if text is None else text, ",")
+        else:
+            stack.pop()
+            parts[-1] = ")"
+            if stack:
+                parts.append(",")
+    return "".join(parts)
 
 
 def load_trace(path: str | Path, theory: RewriteTheory) -> InstrumentedTrace:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from rwslice import acmatch
 from rwslice.acmatch import (
     flatten,
     flatten_term,
@@ -9,10 +10,10 @@ from rwslice.acmatch import (
     match_modulo_ac,
     plan_unflat,
     rebuild_spine,
+    regrouping_map,
     spine_leaves,
-    unflat_leaf_mapping,
 )
-from rwslice.terms import Position, Signature, Substitution, Symbol, Term, Variable, pretty, term_cmp
+from rwslice.terms import Position, Signature, Substitution, Symbol, Term, Variable, pretty, replace_at, subterm_at, term_cmp
 from rwslice.theoryfile import parse_term
 
 from genutil import ac_variants, oracle_ac_matchers, random_soup
@@ -218,19 +219,21 @@ def test_plan_unflat_tells_apart_terms_equal_in_the_term_order():
             plan_unflat(node, Position(), wrong, s)
 
 
+def _regrouped(rng, flat):
+    """flat's arguments in a random order under a random spine of its root."""
+    items = list(flat.args)
+    rng.shuffle(items)
+    while len(items) > 1:
+        i = rng.randrange(len(items) - 1)
+        items[i : i + 2] = [Term(flat.root, (items[i], items[i + 1]))]
+    return items[0]
+
+
 def test_is_regrouping_agrees_with_flatten_term():
     rng = random.Random(8)
     s = _soup_sig()
     cfg, pair, u = (s.lookup(n, a).symbol for n, a in (("cfg", 2), ("pair", 2), ("u", 1)))
-
-    def regrouped(flat):
-        """flat's arguments in a random order under a random cfg spine."""
-        items = list(flat.args)
-        rng.shuffle(items)
-        while len(items) > 1:
-            i = rng.randrange(len(items) - 1)
-            items[i : i + 2] = [Term(cfg, (items[i], items[i + 1]))]
-        return items[0]
+    regrouped = lambda flat: _regrouped(rng, flat)
 
     def expected(flat, grouped):
         return s.is_ac(flat.root) and grouped.root == flat.root and grouped != flat and flatten_term(grouped, s) == flat
@@ -249,16 +252,106 @@ def test_is_regrouping_agrees_with_flatten_term():
         for grouped in (soup, regrouped(canon), canon):
             for flat in (canon, Term(cfg, canon.args[::-1]), flatten_term(random_soup(rng, s), s), grouped):
                 cases.append((grouped, flat))
+    # flat nodes whose arguments pair with the leaves but are not canonical
+    # below the top, as an argument u(cfg(b,a)) is not
+    a, b = T("a", s), T("b", s)
+    unsorted = Term(u, (Term(cfg, (b, a)),))
+    for flat in (Term(cfg, (k, unsorted)), Term(cfg, (a, k, unsorted)), Term(cfg, (a, Term(u, (Term(cfg, (k, unsorted)),))))):
+        for grouped in (Term(cfg, flat.args[::-1]), regrouped(flat), regrouped(flat)):
+            assert not expected(flat, grouped) and not is_regrouping(flat, grouped, s), (pretty(flat), pretty(grouped))
+            cases.append((grouped, flat))
     assert sum(expected(f, g) for g, f in cases) > 100
     for grouped, flat in cases:
         assert is_regrouping(flat, grouped, s) == expected(flat, grouped), (pretty(flat), pretty(grouped))
+    # again, with the nodes known canonical shared by every case, as a check pass shares them
+    searched = {}
+    for grouped, flat in cases:
+        assert is_regrouping(flat, grouped, s, searched) == expected(flat, grouped), (pretty(flat), pretty(grouped))
+    assert searched
+
+
+def _plan_unflat_reference(whole, at, target, sig):
+    """plan_unflat as defined before the leaves were paired first: every
+    spine leaf of the target is flattened, and the spine is rebuilt over
+    the flattened leaves."""
+    events, current, todo = [], whole, [(at, target)]
+    while todo:
+        pos, tgt = todo.pop()
+        node = subterm_at(current, pos)
+        if node == tgt:
+            continue
+        if sig.is_ac(tgt.root) and node.root == tgt.root:
+            slots = list(spine_leaves(tgt))
+            canon = [flatten_term(sub, sig) for _, sub in slots]
+            rest = list(node.args)
+            for leaf in canon:
+                rest.remove(leaf)  # ValueError unless the leaves are the arguments
+            if rest:
+                raise ValueError("too few leaves")
+            new_node = rebuild_spine(tgt, zip((path for path, _ in slots), canon))
+            if new_node != node:
+                after = replace_at(current, pos, new_node)
+                events.append((pos, current, after))
+                current = after
+            todo += [(pos.concat(Position(path)), sub) for (path, sub), leaf in zip(slots[::-1], canon[::-1]) if leaf != sub]
+        elif node.root != tgt.root or len(node.args) != len(tgt.args):
+            raise ValueError("structure")
+        else:
+            todo += [(pos.child(i), tgt.args[i - 1]) for i in range(len(tgt.args), 0, -1)]
+    return current, events
+
+
+def _scrambled(rng, t, sig):
+    """t with each AC node regrouped at random, the ones inside its leaves
+    included, so the leaves need not be canonical."""
+    if not t.args:
+        return t
+    args = tuple(_scrambled(rng, a, sig) for a in t.args)
+    return _regrouped(rng, Term(t.root, args)) if sig.is_ac(t.root) else Term(t.root, args)
+
+
+def test_plan_unflat_pairs_canonical_leaves_and_flattens_only_the_others(monkeypatch):
+    """On a canonical node, the spine leaves of the regrouped node are the
+    node's own argument objects and no leaf is flattened; a target whose
+    leaves hold unsorted AC nodes goes through the fallback and gives the
+    events the flatten-every-leaf definition gives."""
+    rng = random.Random(13)
+    s = _soup_sig()
+    cfg, pair = s.lookup("cfg", 2).symbol, s.lookup("pair", 2).symbol
+    flattened = []
+    real = acmatch.flatten_term
+
+    def counted(t, sig):
+        flattened.append(t)
+        return real(t, sig)
+
+    monkeypatch.setattr(acmatch, "flatten_term", counted)
+    fallbacks = 0
+    for _ in range(150):
+        soup = random_soup(rng, s)
+        if rng.random() < 0.5:
+            soup = Term(cfg, (soup, Term(pair, (random_soup(rng, s), T("k", s)))))
+        node = real(soup, s)
+        # a target of other objects than the node's, as a match builds it
+        canonical_leaves = parse_term(pretty(_regrouped(rng, node)), s)
+        flattened.clear()
+        final, events = plan_unflat(node, Position(), canonical_leaves, s)
+        assert flattened == [] and final == canonical_leaves
+        assert sorted(map(id, (leaf for _, leaf in spine_leaves(final)))) == sorted(map(id, node.args))
+        assert events == _plan_unflat_reference(node, Position(), canonical_leaves, s)[1]
+        target = _scrambled(rng, node, s)
+        flattened.clear()
+        final, events = plan_unflat(node, Position(), target, s)
+        assert final == target and events == _plan_unflat_reference(node, Position(), target, s)[1]
+        fallbacks += bool(flattened)
+    assert fallbacks > 20
 
 
 def test_unflat_leaf_mapping_stability(sig):
     before = T("f(a,b,b,c)", sig)
     after = T("f(f(b,c),f(a,b))", sig)
     walked = list(spine_leaves(after))
-    mapping = unflat_leaf_mapping(before, [leaf for _, leaf in walked])
+    mapping = regrouping_map("unflat", before, after)
     # the first b (arg 2) lands at 1.1, the second (arg 3) at 2.2
     as_dict = {str(Position(path)): idx for (path, _), idx in zip(walked, mapping)}
     assert as_dict == {"1.1": 1, "1.2": 3, "2.1": 0, "2.2": 2}
@@ -290,7 +383,7 @@ def test_spine_walks_survive_a_deep_comb(sig):
         assert path == orig_path and leaf.root == g and leaf.args[0] is orig
         rewalked += 1
     assert rewalked == DEEP + 1
-    assert unflat_leaf_mapping(flat, [leaf for _, leaf in spine_leaves(comb)]) == list(range(DEEP + 1))
+    assert regrouping_map("unflat", flat, comb) == tuple(range(DEEP + 1))
     assert is_regrouping(flat, comb, sig)
     assert not is_regrouping(flat, wrapped, sig)
 

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import sys
 
 import pytest
 
@@ -20,10 +21,12 @@ from rwslice.engine import (
     rewrite_step_modulo_E,
     run,
 )
+from rwslice.slicer import trace_slice
 from rwslice.terms import (
     BULLET_TERM,
     EMPTY_SUBST,
     ROOT,
+    Position,
     Signature,
     Substitution,
     Symbol,
@@ -37,7 +40,7 @@ from rwslice.terms import (
 )
 from rwslice.theoryfile import parse_term, parse_theory
 
-from genutil import WIDE_STATE, all_sizes_candidates, postorder_scan, seeded_traces, wide_tree
+from genutil import WIDE_STATE, all_sizes_candidates, postorder_scan, random_soup, seeded_traces, wide_tree
 
 
 def T(text, sig, variables=None):
@@ -287,6 +290,66 @@ def test_check_step_rejects_identity_unflat():
     t = flatten_term(T("net(srv(0),cli(1,3,none),cli(2,4,none))", th.signature), th.signature)
     assert len(t.args) == 3
     assert not check_step(TraceStep("unflat", None, ROOT, EMPTY_SUBST, t, t), th)
+
+
+def test_flat_precondition_is_needs_flat(generated_traces):
+    """A flat step's precondition, "an AC node with arguments whose
+    `one_level_flat` map is not the identity", holds exactly where
+    `needs_flat` does: at every node of the seeded traces and of random
+    soups."""
+    soups = RewriteTheory(_soup_signature())
+    rng = random.Random(21)
+    cases = [(th, t) for th, trace in generated_traces for t in trace.terms()]
+    cases += [(soups, random_soup(rng, soups.signature)) for _ in range(200)]
+    seen, flat = set(), 0
+    for th, t in cases:
+        for p in positions(t):
+            node = subterm_at(t, p)
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            try:
+                engine.replay_step(TraceStep("flat", None, ROOT, EMPTY_SUBST, node, node), th)
+                holds = True
+            except MalformedStep as exc:
+                holds = exc.reason != "nothing to flatten at ^"
+            assert holds == needs_flat(node, th.signature), pretty(node)
+            flat += holds
+    assert flat > 50
+
+
+def _soup_signature():
+    s = Signature()
+    s.declare("cfg", 2, assoc=True, comm=True)
+    for name, arity in (("u", 1), ("w", 1), ("k", 0), ("a", 0), ("b", 0)):
+        s.declare(name, arity)
+    return s
+
+
+def test_unflat_step_keeps_one_entry_per_leaf():
+    """Checking and slicing a step that unflattens a 500-argument node into
+    a right comb keeps one map entry per leaf on the step, not a path."""
+    sig = Signature()
+    cfg = sig.declare("cfg", 2, assoc=True, comm=True)
+    leaves = [Term(sig.declare(f"c{i:03d}", 0)) for i in range(500)]
+    flat = Term(cfg, tuple(leaves))
+    comb = leaves[-1]
+    for leaf in reversed(leaves[:-1]):
+        comb = Term(cfg, (leaf, comb))
+    th = RewriteTheory(sig)
+    step = TraceStep("unflat", None, ROOT, EMPTY_SUBST, flat, comb)
+    # the check compares the comb with its replay by the generated `==`,
+    # which recurses once per spine node
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 4_000))
+    try:
+        trace = InstrumentedTrace(th, flat, [step])
+        ts = trace_slice(trace, [Position((2,) * 10 + (1,))])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert ts.slices[0].args[10] == leaves[10] and ts.steps[0].index == 0
+    assert set(vars(step)) == {f.name for f in dataclasses.fields(TraceStep)} | {"moves"}
+    assert step.moves == tuple(range(500)) and all(type(i) is int for i in step.moves)
 
 
 def test_candidates_at_equals_all_sizes_reference():

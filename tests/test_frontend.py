@@ -1,12 +1,13 @@
 import dataclasses
 import gc
+from collections import Counter
 import os
 import sys
 import tracemalloc
 
 import pytest
 
-from rwslice import bundled_example_path, engine, theoryfile, tracefile
+from rwslice import acmatch, bundled_example_path, engine, theoryfile, tracefile
 from rwslice.cli import main
 from rwslice.engine import InstrumentedTrace, MalformedStep, Rule, check_step, run
 from rwslice.terms import Position, Signature, Term, Variable, pretty
@@ -18,6 +19,7 @@ from rwslice.theoryfile import (
     parse_theory,
     render_theory,
 )
+from rwslice.slicer import trace_slice
 from rwslice.tracefile import load_trace, parse_trace, render_trace, save_trace
 
 from genutil import WIDE_STATE, seeded_traces, wide_tree
@@ -398,6 +400,7 @@ def test_trace_load_rejects_unchained_steps(lines):
     ("step rule r2 ^ - g(b) m(a)x", "line 6: line 1, column 5: trailing input 'x'"),
     # a binding of a variable the rule does not have
     ("step rule r2 ^ Y=b g(b) m(a)", "line 6: rule step at . does not replay"),
+    ("step rule r2 ^ X g(b) m(a)", "line 6: bad binding 'X'"),
 ])
 def test_trace_load_reports_physical_lines(record, message):
     lines = ["rwtrace 1", "theory basic", "init g(f(a))", "step rule r1 1 X=a g(f(a)) g(b)", "", record]
@@ -454,8 +457,10 @@ def test_loaded_steps_are_their_records():
 
 def test_trace_load_parses_only_init_bindings_and_unflat_fields(monkeypatch):
     """Loading hands the term parser the init term, each binding and the
-    after field of each unflat record, and on a tree of 256 pairs prints
-    under 5% of the file."""
+    after field of each unflat record. It prints under 8,000 characters of
+    the producer_consumer trace, whose flat and unflat records it accepts
+    without printing their nodes, and on a tree of 256 pairs under 5% of
+    the file."""
     read, printed = [], []
     real_term, real_pretty = theoryfile._TermParser.term, tracefile.pretty
 
@@ -483,8 +488,53 @@ def test_trace_load_parses_only_init_bindings_and_unflat_fields(monkeypatch):
         printed.clear()
         assert parse_trace(text, th).steps == trace.steps
         assert read == expected
+        if th is pc[0]:
+            # the contracta of the rule, equation and builtin steps
+            assert sum(printed) < 8_000
     # the tree's: a contractum and a numeral per rule step
     assert sum(printed) < 0.05 * len(text)
+
+
+def test_regrouping_maps_are_computed_once_by_the_check(monkeypatch):
+    """The check computes each flat or unflat step's move map, with one
+    `one_level_flat` per flat step and no flattening of a leaf that pairs;
+    slicing reads the kept maps and computes none."""
+    calls = dict.fromkeys(("regrouping_map", "one_level_flat", "_pair", "flatten_term"), 0)
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    # a step's map comes through engine's name, the rest through acmatch's
+    count(engine, "regrouping_map")
+    for name in ("one_level_flat", "_pair", "flatten_term"):
+        count(acmatch, name)
+    cs = parse_theory(bundled_example_path("client_server.rwt").read_text(), name="cs")
+    clients = ",".join(f"cli({i},{i + 2},none)" for i in range(1, 6))
+    pc = parse_theory(bundled_example_path("producer_consumer.rwt").read_text(), name="pc")
+    text = render_trace(run(parse_term("cfg(tok,prod(0),cons(0,0))", pc.signature), pc, 200))
+    # (request, one_level_flat calls per flat step: the run's flattening and the check)
+    for build, per_flat in (
+        (lambda: run(parse_term(f"net(srv(0),{clients})", cs.signature), cs, 15), 2),
+        (lambda: parse_trace(text, pc), 1),
+    ):
+        calls.update(dict.fromkeys(calls, 0))
+        trace = build()
+        kinds = Counter(s.kind for s in trace.steps)
+        assert kinds["unflat"] > 0 and calls["regrouping_map"] == kinds["flat"] + kinds["unflat"]
+        assert calls["one_level_flat"] == per_flat * kinds["flat"] and calls["flatten_term"] == 0
+        calls.update(dict.fromkeys(calls, 0))
+        for criterion in ([Position()], [Position((1,))], [Position((len(trace.final().args),))]):
+            trace_slice(trace, criterion)
+        assert calls == dict.fromkeys(calls, 0)
+        # the constructor's check, on copies of the steps, which keep no map yet
+        InstrumentedTrace(trace.theory, trace.initial, [dataclasses.replace(s) for s in trace.steps])
+        assert calls["one_level_flat"] == kinds["flat"] and calls["flatten_term"] == 0
 
 
 def test_each_step_is_checked_once(tmp_path, monkeypatch, capsys):
@@ -497,9 +547,9 @@ def test_each_step_is_checked_once(tmp_path, monkeypatch, capsys):
     calls = []
     real = engine.replay_step
 
-    def counted(step, theory):
+    def counted(step, theory, **kwargs):
         calls.append(step)
-        return real(step, theory)
+        return real(step, theory, **kwargs)
 
     # the constructor checks through engine's name, the loader through its own
     monkeypatch.setattr(engine, "replay_step", counted)

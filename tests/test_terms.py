@@ -87,6 +87,14 @@ def test_replace_at(sig):
     assert replace_at(t, Position(), parse_term("c", sig)) == parse_term("c", sig)
     contractum = parse_term("d(s(h(b)),h(b))", sig)
     assert replace_at(t, P("1"), contractum) == parse_term("d(d(s(h(b)),h(b)),a)", sig)
+    # a bad position fails as subterm_at fails there, with the same message
+    context = replace_at(t, P("1.1.2"), HOLE_TERM)
+    for term, bad in ((t, "3"), (t, "0"), (t, "1.1.2.1.1"), (context, "1.1.2")):
+        with pytest.raises(PositionOutOfRange) as expected:
+            subterm_at(term, P(bad))
+        with pytest.raises(PositionOutOfRange) as got:
+            replace_at(term, P(bad), contractum)
+        assert str(got.value) == str(expected.value)
 
 
 def test_match_examples(sig):
