@@ -3,8 +3,8 @@
 Nested applications of an assoc-comm operator are kept in a flattened
 canonical form: one node with the argument list sorted by the total term
 order. The transformations between nested and flattened shapes are
-recorded as explicit events so that the rewrite engine can expose them
-as trace steps.
+computed one at a time (`needs_flat`, `regroupings`) so that the rewrite
+engine can make each of them a trace step.
 """
 
 from __future__ import annotations
@@ -197,22 +197,25 @@ def regrouping_paths(kind: str, moves, before: Term, after: Term | None):
 
 
 def plan_unflat(whole: Term, at: Position, target: Term, sig: Signature) -> tuple[Term, list[FlatEvent]]:
-    """Stepwise regrouping of the canonical subtree at `at` into `target`.
-
-    `target` must flatten back to the existing subtree. Each emitted event
-    reshapes one flattened node into the same-operator spine the target
-    prescribes there; deeper differences are handled by later events, in
-    preorder, from an explicit stack. The subtree being canonical, the
-    target's spine leaves are paired with the node's arguments first, and
-    the spine is rebuilt over those argument objects, which the after term
-    thus shares; the leaves are flattened only when one does not pair.
-    """
+    """Stepwise regrouping of the canonical subtree at `at` into `target`:
+    one event per step of `regroupings`."""
     events: list[FlatEvent] = []
-    current = whole
-    todo = [(at, target)]
+    for pos, new_node in regroupings(subterm_at(whole, at), target, sig):
+        events.append((at.concat(pos), whole, replace_at(whole, at.concat(pos), new_node)))
+        whole = events[-1][2]
+    return whole, events
+
+
+def regroupings(node: Term, target: Term, sig: Signature) -> Iterator[tuple[Position, Term]]:
+    """The steps that regroup the canonical `node` into `target`, which must
+    flatten back to it, made one at a time: each step's position below node
+    and the same-operator spine the target prescribes there, built over the
+    flattened node's argument objects. Deeper differences come in later
+    steps, in preorder, from a stack of (position, node, target); the target's
+    spine leaves are flattened only when one does not pair with an argument."""
+    todo = [(Position(), node, target)]
     while todo:
-        pos, tgt = todo.pop()
-        node = subterm_at(current, pos)
+        pos, node, tgt = todo.pop()
         if node == tgt:
             continue
         if sig.is_ac(tgt.root) and _same_op(node.root, tgt.root):
@@ -224,17 +227,14 @@ def plan_unflat(whole: Term, at: Position, target: Term, sig: Signature) -> tupl
             paths = regrouping_paths("unflat", taken, node, shape)  # raises unless the leaves pair
             new_node = rebuild_spine(tgt, ((dst, node.args[i - 1]) for dst, (i,) in paths))
             if new_node != node:
-                after = replace_at(current, pos, new_node)
-                events.append((pos, current, after))
-                current = after
+                yield pos, new_node
             if shape is not tgt:  # regroup the leaves that are not their arguments
                 pairs = list(zip(spine_leaves(tgt), spine_leaves(new_node)))
-                todo += [(pos.concat(Position(path)), sub) for (path, sub), (_, arg) in reversed(pairs) if arg != sub]
+                todo += [(pos.concat(Position(path)), arg, sub) for (path, sub), (_, arg) in reversed(pairs) if arg != sub]
         elif node.root != tgt.root or len(node.args) != len(tgt.args):
             raise ValueError(f"target {pretty(tgt)} differs structurally from {pretty(node)}")
         else:
-            todo += [(pos.child(i), tgt.args[i - 1]) for i in range(len(tgt.args), 0, -1)]
-    return current, events
+            todo += [(pos.child(i), node.args[i - 1], tgt.args[i - 1]) for i in range(len(tgt.args), 0, -1)]
 
 
 def match_modulo_ac(pattern: Term, subject: Term, sig: Signature) -> list[tuple[Substitution, Term]]:

@@ -17,14 +17,14 @@ from functools import cached_property
 from . import builtin_ops
 from .acmatch import (
     ac_groups,
-    flatten,
     flatten_term,
     is_regrouping,
     match_modulo_ac,
-    plan_unflat,
+    needs_flat,
     rebuild_spine,
     regrouping_map,
     regrouping_paths,
+    regroupings,
     spine_roots,
 )
 from .terms import (
@@ -44,6 +44,7 @@ from .terms import (
     pretty,
     replace_at,
     subterm_at,
+    term_eq,
 )
 
 DEFAULT_STEP_BUDGET = 10_000
@@ -139,9 +140,14 @@ def _occurrences(t: Term) -> dict[Variable, list[tuple[int, ...]]]:
 
 
 def _to_pattern(t: Term) -> Term:
-    if isinstance(t.root, Variable):
-        return HOLE_TERM
-    return Term(t.root, tuple(_to_pattern(a) for a in t.args))
+    """t with a hole for each variable, built bottom-up over its nodes in
+    breadth-first order, without recursion."""
+    nodes, built = [t], {}
+    for node in nodes:  # the list grows as it is read
+        nodes += node.args
+    for node in reversed(nodes):
+        built[id(node)] = HOLE_TERM if isinstance(node.root, Variable) else Term(node.root, tuple(built[id(a)] for a in node.args))
+    return built[id(t)]
 
 
 class RewriteTheory:
@@ -219,8 +225,9 @@ class TraceStep:
 @dataclass(frozen=True)
 class InstrumentedTrace:
     """A trace of `theory` from `initial`. Every trace is checked once, when
-    it is built: its steps chain and each one replays (`check_step`).
-    Raises MalformedStep naming the first step that does not. The trace is
+    it is built: its steps chain and each one replays (`check_step`), or
+    MalformedStep names the first that does not. The engine and the loader
+    make each step by its replay instead (`_checked`). The trace is
     immutable (`steps` is stored as a tuple), so the check stays true."""
 
     theory: RewriteTheory
@@ -232,7 +239,7 @@ class InstrumentedTrace:
         prev = self.initial
         searched: dict[int, Term] = {}  # the nodes known canonical (`replay_step`)
         for i, step in enumerate(self.steps):
-            if step.before != prev:
+            if not term_eq(step.before, prev):
                 raise MalformedStep("steps do not chain", i)
             if not check_step(step, self.theory, searched=searched):
                 raise MalformedStep(f"{step.kind} step at {step.position} does not replay", i)
@@ -241,7 +248,7 @@ class InstrumentedTrace:
     @classmethod
     def _checked(cls, theory: RewriteTheory, initial: Term, steps: list[TraceStep]) -> "InstrumentedTrace":
         """The trace of steps that its caller has checked as the constructor
-        does, built without checking them again (`tracefile.parse_trace`)."""
+        does, built without checking them again (`_drive`, `parse_trace`)."""
         trace = object.__new__(cls)
         for name, value in (("theory", theory), ("initial", initial), ("steps", tuple(steps))):
             object.__setattr__(trace, name, value)
@@ -255,16 +262,24 @@ class InstrumentedTrace:
 
 
 class _Steps(list):
-    """The steps of a run, a list that refuses to grow past `limit`."""
+    """The steps of a run of `th`, a list that refuses to grow past `limit`,
+    and per scan kind the nodes searched without a hit (`first_postorder`)."""
 
-    def __init__(self, limit: int):
+    def __init__(self, th: RewriteTheory, limit: int):
         super().__init__()
-        self.limit = limit
+        self.th, self.limit = th, limit
+        self.searched = {kind: {} for kind in ("flat", "builtin", "equation", "rule")}
 
-    def append(self, step: TraceStep):
+    def add(self, step: TraceStep) -> Term:
+        """Appends the step, given with no after term (an unflat step: with
+        its spine), made by its replay (`replay_step`, whose canonical nodes
+        are the flat scan's), and returns the after term."""
         if len(self) >= self.limit:
             raise StepBudgetExceeded(f"more than {self.limit} elementary steps")
-        super().append(step)
+        after = replay_step(step, self.th, searched=self.searched["flat"])[1]
+        object.__setattr__(step, "after", after)
+        self.append(step)
+        return after
 
 
 # an application candidate: (rule, matcher, regrouped subtree, rewrite
@@ -313,22 +328,19 @@ def _scan(t: Term, rules: list[Rule], sig: Signature, searched: dict[int, Term])
     return first_postorder(t, lambda node: next(_candidates_at(node, rules, sig), None), searched)
 
 
-def _emit_flatten(t: Term, th: RewriteTheory, out: _Steps, searched: dict) -> Term:
-    canon, events = flatten(t, th.signature, searched["flat"])
-    for pos, before, after in events:
-        out.append(TraceStep("flat", None, pos, EMPTY_SUBST, before, after))
-    return canon
+def _emit_flatten(t: Term, out: _Steps) -> Term:
+    test = lambda node: needs_flat(node, out.th.signature) or None
+    while (hit := first_postorder(t, test, out.searched["flat"])) is not None:
+        t = out.add(TraceStep("flat", None, hit[0], EMPTY_SUBST, t, None))
+    return t
 
 
-def _apply_candidate(t: Term, q: Position, cand: _Candidate, th: RewriteTheory, out: _Steps) -> Term:
+def _apply_candidate(t: Term, q: Position, cand: _Candidate, out: _Steps) -> Term:
     rule, sub, target, rel = cand
-    current, events = plan_unflat(t, q, target, th.signature)
-    for pos, before, after in events:
-        out.append(TraceStep("unflat", None, pos, EMPTY_SUBST, before, after))
-    rewrite_pos = q.concat(rel)
-    after = replace_at(current, rewrite_pos, sub.apply(rule.rhs))
-    out.append(TraceStep(rule.kind, rule.name, rewrite_pos, sub, current, after))
-    return after
+    for pos, spine in regroupings(subterm_at(t, q), target, out.th.signature):
+        pos = q.concat(pos)
+        t = out.add(TraceStep("unflat", None, pos, EMPTY_SUBST, t, replace_at(t, pos, spine)))
+    return out.add(TraceStep(rule.kind, rule.name, q.concat(rel), sub, t, None))
 
 
 def _builtin_value(node: Term, sig: Signature):
@@ -341,22 +353,18 @@ def _builtin_value(node: Term, sig: Signature):
     return None
 
 
-def _normalize_into(t: Term, th: RewriteTheory, out: _Steps, searched: dict) -> Term:
-    t = _emit_flatten(t, th, out, searched)
+def _normalize_into(t: Term, out: _Steps) -> Term:
+    th, searched = out.th, out.searched
+    t = _emit_flatten(t, out)
     while True:
         hit = first_postorder(t, lambda node: _builtin_value(node, th.signature), searched["builtin"])
         if hit is not None:
-            q, (opname, value) = hit
-            after = replace_at(t, q, value)
-            out.append(TraceStep("builtin", opname, q, EMPTY_SUBST, t, after))
-            t = _emit_flatten(after, th, out, searched)
+            t = _emit_flatten(out.add(TraceStep("builtin", hit[1][0], hit[0], EMPTY_SUBST, t, None)), out)
             continue
         found = _scan(t, th.equations, th.signature, searched["equation"])
         if found is None:
             return t
-        q, cand = found
-        t = _apply_candidate(t, q, cand, th, out)
-        t = _emit_flatten(t, th, out, searched)
+        t = _emit_flatten(_apply_candidate(t, *found, out), out)
 
 
 def normalize(t: Term, th: RewriteTheory, max_steps: int | None = None) -> tuple[Term, list[TraceStep]]:
@@ -378,25 +386,22 @@ def _drive(
     """The deterministic strategy from t0: normalize, then apply one rule
     and normalize again until done(term, rule steps taken) holds at a
     rule-step boundary. `finished` is False when the run stopped earlier
-    because no rule applies. Each scan kind keeps the nodes it searched
+    because no rule applies. Each step is made by its replay, and so
+    checked once (`_Steps.add`). Each scan kind keeps the nodes it searched
     without a hit for the whole run (`first_postorder`): a step shares
     every subtree off its path, so later scans search only the contractum
     and its new ancestors. The dicts live for one run: the tests depend on
     its theory, and the nodes they hold would otherwise outlive the trace."""
-    out = _Steps(DEFAULT_STEP_BUDGET if max_steps is None else max_steps)
-    # per scan kind, the nodes searched without a hit (`first_postorder`)
-    searched = {kind: {} for kind in ("flat", "builtin", "equation", "rule")}
-    t = _normalize_into(t0, th, out, searched)
+    out = _Steps(th, DEFAULT_STEP_BUDGET if max_steps is None else max_steps)
+    t = _normalize_into(t0, out)
     rule_steps = 0
     while not done(t, rule_steps):
-        found = _scan(t, th.rules, th.signature, searched["rule"])
+        found = _scan(t, th.rules, th.signature, out.searched["rule"])
         if found is None:
-            return InstrumentedTrace(th, t0, out), False
-        q, cand = found
-        t = _apply_candidate(t, q, cand, th, out)
-        t = _normalize_into(t, th, out, searched)
+            return InstrumentedTrace._checked(th, t0, out), False
+        t = _normalize_into(_apply_candidate(t, *found, out), out)
         rule_steps += 1
-    return InstrumentedTrace(th, t0, out), True
+    return InstrumentedTrace._checked(th, t0, out), True
 
 
 def rewrite_step_modulo_E(
@@ -502,8 +507,8 @@ def replay_step(step: TraceStep, th: RewriteTheory, *, searched: dict[int, Term]
     A flat or unflat step's preconditions come from its move map, which
     is computed here and kept (`TraceStep.moves`): an AC node with
     arguments and a map that is not the identity (exactly `needs_flat`),
-    or a regrouping (`is_regrouping`, given the map and a check pass's
-    `searched`).
+    or a regrouping (`is_regrouping`, given the map and the `searched` of
+    a check pass, or of a run's flat scan, which tests the same nodes).
     Raises MalformedStep when the step does not replay."""
     q = step.position
     try:
@@ -530,8 +535,8 @@ def replay_step(step: TraceStep, th: RewriteTheory, *, searched: dict[int, Term]
 
 def check_step(step: TraceStep, th: RewriteTheory, *, searched: dict[int, Term] | None = None) -> bool:
     """Replay check: the step replays (`replay_step`, given `searched`) and
-    its after term is the replay's."""
+    its after term is the replay's (`term_eq`)."""
     try:
-        return replay_step(step, th, searched=searched)[1] == step.after
+        return term_eq(replay_step(step, th, searched=searched)[1], step.after)
     except MalformedStep:
         return False

@@ -204,9 +204,19 @@ def vars_of(t: Term) -> list[Variable]:
 
 
 def is_ground(t: Term) -> bool:
-    if isinstance(t.root, Variable):
-        return False
-    return all(is_ground(a) for a in t.args)
+    return not vars_of(t)
+
+
+def term_eq(a: Term, b: Term) -> bool:
+    """a == b on an explicit stack; a subterm the two share is not walked."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if x is not y:
+            if x.root != y.root or len(x.args) != len(y.args):
+                return False
+            stack += zip(x.args, y.args)
+    return True
 
 
 def term_cmp(a: Term, b: Term) -> int:

@@ -349,6 +349,13 @@ def seeded_traces(per_category: int = 50):
     return out
 
 
+# (bundled theory, initial term, rule steps) of a short run of each
+BUNDLED_RUNS = [
+    ("producer_consumer.rwt", "cfg(tok,prod(0),cons(0,0))", 12),
+    ("client_server.rwt", "net(srv(0),cli(1,3,none),cli(2,4,none))", 6),
+]
+
+
 # the bench/wide_state.rwt theory: a pair whose left cell is on absorbs
 # the value of its right cell and switches off
 WIDE_STATE = """

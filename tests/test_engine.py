@@ -1,6 +1,5 @@
 import dataclasses
 import random
-import sys
 
 import pytest
 
@@ -20,6 +19,7 @@ from rwslice.engine import (
     normalize,
     rewrite_step_modulo_E,
     run,
+    run_until,
 )
 from rwslice.slicer import trace_slice
 from rwslice.terms import (
@@ -40,7 +40,7 @@ from rwslice.terms import (
 )
 from rwslice.theoryfile import parse_term, parse_theory
 
-from genutil import WIDE_STATE, all_sizes_candidates, postorder_scan, random_soup, seeded_traces, wide_tree
+from genutil import BUNDLED_RUNS, WIDE_STATE, all_sizes_candidates, postorder_scan, random_soup, seeded_traces, wide_tree
 
 
 def T(text, sig, variables=None):
@@ -285,6 +285,34 @@ def test_instrumented_trace_terms(basic_theory):
     assert len(terms) == len(trace.steps) + 1
 
 
+def test_constructor_accepts_copies_of_engine_steps():
+    """The engine makes each step by its replay and skips the constructor's
+    check; the constructor accepts copies of those steps, which carry no
+    move map until its check computes one."""
+    cases = list(seeded_traces())
+    for theory, init, rule_steps in BUNDLED_RUNS:
+        th = parse_theory(bundled_example_path(theory).read_text(), name=theory)
+        cases.append((th, run(T(init, th.signature), th, rule_steps)))
+    cs = parse_theory(bundled_example_path("client_server.rwt").read_text(), name="cs")
+    clients = ",".join(f"cli({i},{i + 2},none)" for i in range(1, 9))
+    cases.append((cs, run(T(f"net(srv(0),{clients})", cs.signature), cs, 24)))
+    assert {s.kind for _, trace in cases for s in trace.steps} == {"rule", "equation", "builtin", "flat", "unflat"}
+    for th, trace in cases:
+        copies = [dataclasses.replace(s) for s in trace.steps]
+        assert InstrumentedTrace(th, trace.initial, copies).steps == trace.steps
+
+
+def test_runs_make_steps_without_check_step(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run called check_step")
+
+    monkeypatch.setattr(engine, "check_step", refuse)
+    for theory, init, rule_steps in BUNDLED_RUNS:
+        th = parse_theory(bundled_example_path(theory).read_text(), name=theory)
+        trace = run(T(init, th.signature), th, rule_steps)
+        assert run_until(trace.initial, trace.final(), th).steps == trace.steps
+
+
 def test_check_step_rejects_identity_unflat():
     th = parse_theory(bundled_example_path("client_server.rwt").read_text())
     t = flatten_term(T("net(srv(0),cli(1,3,none),cli(2,4,none))", th.signature), th.signature)
@@ -338,15 +366,9 @@ def test_unflat_step_keeps_one_entry_per_leaf():
         comb = Term(cfg, (leaf, comb))
     th = RewriteTheory(sig)
     step = TraceStep("unflat", None, ROOT, EMPTY_SUBST, flat, comb)
-    # the check compares the comb with its replay by the generated `==`,
-    # which recurses once per spine node
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 4_000))
-    try:
-        trace = InstrumentedTrace(th, flat, [step])
-        ts = trace_slice(trace, [Position((2,) * 10 + (1,))])
-    finally:
-        sys.setrecursionlimit(limit)
+    # the check compares the comb with its replay without recursion (`term_eq`)
+    trace = InstrumentedTrace(th, flat, [step])
+    ts = trace_slice(trace, [Position((2,) * 10 + (1,))])
     assert ts.slices[0].args[10] == leaves[10] and ts.steps[0].index == 0
     assert set(vars(step)) == {f.name for f in dataclasses.fields(TraceStep)} | {"moves"}
     assert step.moves == tuple(range(500)) and all(type(i) is int for i in step.moves)

@@ -142,8 +142,6 @@ RECURSIVE = [
     "Substitution.apply",
     "_ac_args_match",
     "_seq_match",
-    "_to_pattern",
-    "is_ground",
     "positions.walk",
     "render_labeled",
     "term_cmp",

@@ -36,7 +36,7 @@ from rwslice.terms import (
 from rwslice.theoryfile import parse_term, parse_theory
 from rwslice.tracefile import render_trace, save_trace
 
-from genutil import random_criterion, seeded_traces
+from genutil import BUNDLED_RUNS, random_criterion, seeded_traces
 
 
 def reference_slice(trace, labeled, crit) -> TraceSlice:
@@ -110,12 +110,6 @@ def test_local_pass_equals_labeled_pass_on_ac_segment():
     steps += [TraceStep("unflat", None, p, EMPTY_SUBST, b, a) for p, b, a in unflat_events]
     assert [s.kind for s in steps].count("flat") >= 2 and any(s.kind == "unflat" for s in steps)
     assert_local_equals_labeled(InstrumentedTrace(RewriteTheory(sig), t0, steps), random.Random(3))
-
-
-BUNDLED_RUNS = [
-    ("producer_consumer.rwt", "cfg(tok,prod(0),cons(0,0))", 12),
-    ("client_server.rwt", "net(srv(0),cli(1,3,none),cli(2,4,none))", 6),
-]
 
 
 @pytest.mark.parametrize("theory, init, rule_steps", BUNDLED_RUNS)

@@ -17,6 +17,7 @@ from rwslice.terms import (
     replace_at,
     subterm_at,
     term_cmp,
+    term_eq,
 )
 from rwslice.theoryfile import parse_term
 
@@ -178,3 +179,22 @@ def test_term_cmp_is_the_key_order(sig):
         for t in terms:
             ks, kt = key(s), key(t)
             assert term_cmp(s, t) == (ks > kt) - (ks < kt), (pretty(s), pretty(t))
+
+
+def test_term_eq_is_equality_without_recursion(sig):
+    rng = random.Random(10)
+    a, b = Term(Symbol("a", 0)), Term(Symbol("b", 0))
+    f3 = Term(Symbol("f", 3), (a, b, a))
+    terms = [random_ground_term(rng, sig, 3) for _ in range(60)] + [
+        Term(Variable("a")), a, f3, Term(Symbol("f", 2), (a, b, a)), Term(Symbol("f", 2), (a, b)),
+    ]
+    for s in terms:
+        for t in terms:
+            assert term_eq(s, t) == (s == t), (pretty(s), pretty(t))
+    # chains of depth 10^4, built apart so that no subterm is shared
+    chains = []
+    for leaf in (a, a, b):
+        for _ in range(10_000):
+            leaf = Term(Symbol("s", 1), (leaf,))
+        chains.append(leaf)
+    assert term_eq(chains[0], chains[1]) and not term_eq(chains[0], chains[2])
