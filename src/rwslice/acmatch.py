@@ -64,12 +64,11 @@ def needs_flat(node: Term, sig: Signature) -> bool:
     return any(term_cmp(a, b) > 0 for a, b in zip(node.args, node.args[1:]))
 
 
-def flatten(t: Term, sig: Signature, searched: dict[int, Term] | None = None) -> tuple[Term, list[FlatEvent]]:
+def flatten(t: Term, sig: Signature) -> tuple[Term, list[FlatEvent]]:
     """AC canonical form of t plus the innermost-first flattening events.
-    `searched` holds the nodes with nothing to flatten in their subtree
-    (`first_postorder`); a caller may carry it from one call to the next."""
-    if searched is None:
-        searched = {}
+    Each event's scan skips the subtrees that earlier scans found with
+    nothing to flatten (`first_postorder`)."""
+    searched: dict[int, Term] = {}
     events: list[FlatEvent] = []
     current = t
     while True:

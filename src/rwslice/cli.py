@@ -55,15 +55,18 @@ _PARSER = _build_parser()
 
 
 def _budget(args) -> int:
-    if args.max_steps is not None:
-        return args.max_steps
-    env = os.environ.get(ENV_MAX_STEPS)
-    if env is not None:
+    budget = args.max_steps
+    if budget is None:
+        env = os.environ.get(ENV_MAX_STEPS)
+        if env is None:
+            return DEFAULT_STEP_BUDGET
         try:
-            return int(env)
+            budget = int(env)
         except ValueError:
             raise CliError(f"{ENV_MAX_STEPS} must be an integer, got {env!r}")
-    return DEFAULT_STEP_BUDGET
+    if budget < 0:
+        raise CliError(f"the step budget must be nonnegative, got {budget}")
+    return budget
 
 
 def main(argv=None) -> int:

@@ -237,11 +237,10 @@ class InstrumentedTrace:
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(self.steps))
         prev = self.initial
-        searched: dict[int, Term] = {}  # the nodes known canonical (`replay_step`)
         for i, step in enumerate(self.steps):
             if not term_eq(step.before, prev):
                 raise MalformedStep("steps do not chain", i)
-            if not check_step(step, self.theory, searched=searched):
+            if not check_step(step, self.theory):
                 raise MalformedStep(f"{step.kind} step at {step.position} does not replay", i)
             prev = step.after
 
@@ -507,9 +506,10 @@ def replay_step(step: TraceStep, th: RewriteTheory, *, searched: dict[int, Term]
     A flat or unflat step's preconditions come from its move map, which
     is computed here and kept (`TraceStep.moves`): an AC node with
     arguments and a map that is not the identity (exactly `needs_flat`),
-    or a regrouping (`is_regrouping`, given the map and the `searched` of
-    a check pass, or of a run's flat scan, which tests the same nodes).
-    Raises MalformedStep when the step does not replay."""
+    or a regrouping (`is_regrouping`, given the map and `searched`). Only
+    a run and the loader pass `searched`, the nodes known canonical: a
+    run's flat scan, which tests the same nodes, or the loader's memo for
+    one file. Raises MalformedStep when the step does not replay."""
     q = step.position
     try:
         node = subterm_at(step.before, q)
@@ -533,10 +533,10 @@ def replay_step(step: TraceStep, th: RewriteTheory, *, searched: dict[int, Term]
         raise MalformedStep(str(exc)) from None
 
 
-def check_step(step: TraceStep, th: RewriteTheory, *, searched: dict[int, Term] | None = None) -> bool:
-    """Replay check: the step replays (`replay_step`, given `searched`) and
-    its after term is the replay's (`term_eq`)."""
+def check_step(step: TraceStep, th: RewriteTheory) -> bool:
+    """Replay check: the step replays (`replay_step`) and its after term is
+    the replay's (`term_eq`)."""
     try:
-        return term_eq(replay_step(step, th, searched=searched)[1], step.after)
+        return term_eq(replay_step(step, th)[1], step.after)
     except MalformedStep:
         return False

@@ -122,14 +122,12 @@ def positions(t: Term) -> list[Position]:
     of positions carrying a real symbol or variable.
     """
     out: list[Position] = []
-
-    def walk(node: Term, pos: Position):
+    stack = [(t, ROOT)]
+    while stack:
+        node, pos = stack.pop()
         if not is_hole(node):
             out.append(pos)
-        for i, arg in enumerate(node.args, start=1):
-            walk(arg, pos.child(i))
-
-    walk(t, ROOT)
+        stack.extend((node.args[i - 1], pos.child(i)) for i in range(len(node.args), 0, -1))
     return out
 
 

@@ -65,7 +65,10 @@ def _parse_bindings(text: str, parser: _TermParser) -> Substitution:
         name, _, value = part.partition("=")
         if not name or not value:
             raise ValueError(f"bad binding {part!r}")
-        bindings[Variable(name)] = parser.term(value)
+        var = Variable(name)
+        if var in bindings:
+            raise ValueError(f"variable {name} bound twice")
+        bindings[var] = parser.term(value)
     return Substitution(bindings)
 
 
@@ -81,9 +84,9 @@ def parse_trace(text: str, theory: RewriteTheory) -> InstrumentedTrace:
     prev_txt = lines[2][1][len("init ") :]
     initial = prev = parser.term(prev_txt)
     lengths: dict[int, int] = {}  # `printed_length` of the nodes read so far
-    # pretty(prev) when known: a text that reads as a term and is as long as
-    # its print is that print, as the parser only skips blanks and comments
-    canon = prev_txt if len(prev_txt) == printed_length(prev, lengths) else None
+    # pretty(prev): a text that reads as a term and is as long as its print
+    # is that print, as the parser only skips blanks and comments
+    canon = prev_txt if len(prev_txt) == printed_length(prev, lengths) else pretty(prev)
     positions: dict[str, Position] = {}
     searched: dict[int, Term] = {}  # the nodes known canonical (`replay_step`)
     steps: list[TraceStep] = []
@@ -105,7 +108,7 @@ def parse_trace(text: str, theory: RewriteTheory) -> InstrumentedTrace:
                 sub, after = replay_step(step, theory, searched=searched) if chained else (None, None)
             except MalformedStep:
                 after = None
-            if after is not None and _prints_as(after_txt, canon or pretty(prev), step, after, lengths):
+            if after is not None and _prints_as(after_txt, canon, step, after, lengths):
                 canon = after_txt
             else:
                 # not the replay's print: read the field, whose syntax errors come first
@@ -114,7 +117,7 @@ def parse_trace(text: str, theory: RewriteTheory) -> InstrumentedTrace:
                     raise MalformedStep(f"line {lineno}: steps do not chain")
                 if after is None or read != after:
                     raise MalformedStep(f"line {lineno}: {kind} step at {position} does not replay")
-                canon = None
+                canon = pretty(after)
         except (ValueError, TheorySyntaxError) as exc:
             raise MalformedStep(f"line {lineno}: {exc}")
         # the step is the loader's own until the trace is built; the replay's
@@ -134,8 +137,8 @@ def _prints_as(text: str, canon: str, step: TraceStep, after: Term, lengths: dic
     """Whether text is pretty(after), where after is the step's before term,
     printed as canon, with the subterm at the step's position replaced:
     canon's text around that subterm is compared as it stands, and only the
-    new subterm is printed (`_regrouped_text` for a flat or unflat step).
-    If so, the printed lengths of after and of that subterm go to lengths."""
+    new subterm is printed, whatever the step's kind. If so, the printed
+    lengths of after and of that subterm go to lengths."""
     start, node = 0, step.before
     for i in step.position.path:
         # the node's name, "(", and each earlier argument with its comma
@@ -143,8 +146,7 @@ def _prints_as(text: str, canon: str, step: TraceStep, after: Term, lengths: dic
         node = node.args[i - 1]
     end = start + printed_length(node, lengths)
     new_node = subterm_at(after, step.position)
-    regrouped = step.kind in ("flat", "unflat")
-    middle = _regrouped_text(node, new_node, canon, start, lengths) if regrouped else pretty(new_node)
+    middle = pretty(new_node)
     if not (
         len(text) == len(canon) - (end - start) + len(middle)
         and text.startswith(middle, start)
@@ -154,38 +156,6 @@ def _prints_as(text: str, canon: str, step: TraceStep, after: Term, lengths: dic
         return False
     lengths[id(after)], lengths[id(new_node)] = len(text), len(middle)
     return True
-
-
-def _regrouped_text(node: Term, new_node: Term, canon: str, start: int, lengths: dict[int, int]) -> str:
-    """pretty(new_node), which a flat or unflat step makes of `node`, printed
-    in canon from `start`. The step moves arguments of node and of its
-    children with node's root symbol: their text is cut from canon at the
-    offsets printed lengths give, and only the new spine is printed."""
-    texts, stack = {}, [(node, start)]  # by node id
-    while stack:
-        sub, at = stack.pop()
-        at += len(sub.root.name) + 1
-        for a in sub.args:
-            n = printed_length(a, lengths)
-            texts[id(a)] = canon[at : at + n]
-            if sub is node and a.args and a.root == node.root:
-                stack.append((a, at))
-            at += n + 1
-    parts, stack = [new_node.root.name, "("], [iter(new_node.args)]
-    while stack:
-        for a in stack[-1]:
-            text = texts.get(id(a))
-            if text is None and a.args:  # a node of the new spine
-                parts += (a.root.name, "(")
-                stack.append(iter(a.args))
-                break
-            parts += (a.root.name if text is None else text, ",")
-        else:
-            stack.pop()
-            parts[-1] = ")"
-            if stack:
-                parts.append(",")
-    return "".join(parts)
 
 
 def load_trace(path: str | Path, theory: RewriteTheory) -> InstrumentedTrace:

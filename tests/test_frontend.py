@@ -2,6 +2,7 @@ import dataclasses
 import gc
 from collections import Counter
 import os
+import re
 import sys
 import tracemalloc
 
@@ -10,7 +11,7 @@ import pytest
 from rwslice import acmatch, bundled_example_path, engine, theoryfile, tracefile
 from rwslice.cli import main
 from rwslice.engine import InstrumentedTrace, MalformedStep, Rule, check_step, run
-from rwslice.terms import Position, Signature, Term, Variable, pretty
+from rwslice.terms import Position, Signature, Term, Variable, pretty, subterm_at
 from rwslice.theoryfile import (
     ArityMismatchError,
     TheorySyntaxError,
@@ -354,6 +355,12 @@ def test_cli_error_paths(theory_file, capsys):
     # parse error
     assert main(["--theory", theory_file, "--init", "g(", "--steps", "1", "--criterion", "^"]) == 1
     capsys.readouterr()
+    # negative step budget; a budget of 0 is valid and runs out at once
+    args = ["--theory", theory_file, "--init", "g(f(a))", "--steps", "1", "--criterion", "^", "--max-steps"]
+    assert main(args + ["-5"]) == 1
+    assert "step budget must be nonnegative, got -5" in capsys.readouterr().err
+    assert main(args + ["0"]) == 1
+    assert "more than 0 elementary steps" in capsys.readouterr().err
 
 
 def test_cli_env_budget(theory_file, capsys, monkeypatch):
@@ -364,6 +371,12 @@ def test_cli_env_budget(theory_file, capsys, monkeypatch):
     monkeypatch.setenv("RWSLICE_MAX_STEPS", "nonsense")
     assert main(["--theory", theory_file, "--init", "g(f(a))", "--steps", "1", "--criterion", "^"]) == 1
     capsys.readouterr()
+    monkeypatch.setenv("RWSLICE_MAX_STEPS", "-5")
+    assert main(["--theory", theory_file, "--init", "g(f(a))", "--steps", "1", "--criterion", "^"]) == 1
+    assert "step budget must be nonnegative, got -5" in capsys.readouterr().err
+    monkeypatch.setenv("RWSLICE_MAX_STEPS", "0")
+    assert main(["--theory", theory_file, "--init", "g(f(a))", "--steps", "1", "--criterion", "^"]) == 1
+    assert "more than 0 elementary steps" in capsys.readouterr().err
 
 
 def test_cli_full_expansion_flag(capsys):
@@ -401,6 +414,9 @@ def test_trace_load_rejects_unchained_steps(lines):
     # a binding of a variable the rule does not have
     ("step rule r2 ^ Y=b g(b) m(a)", "line 6: rule step at . does not replay"),
     ("step rule r2 ^ X g(b) m(a)", "line 6: bad binding 'X'"),
+    # a variable bound twice, to other or to equal terms
+    ("step rule r1 1 X=b;X=a g(f(a)) g(b)", "line 6: variable X bound twice"),
+    ("step rule r1 1 X=a;X=a g(f(a)) g(b)", "line 6: variable X bound twice"),
 ])
 def test_trace_load_reports_physical_lines(record, message):
     lines = ["rwtrace 1", "theory basic", "init g(f(a))", "step rule r1 1 X=a g(f(a)) g(b)", "", record]
@@ -457,10 +473,9 @@ def test_loaded_steps_are_their_records():
 
 def test_trace_load_parses_only_init_bindings_and_unflat_fields(monkeypatch):
     """Loading hands the term parser the init term, each binding and the
-    after field of each unflat record. It prints under 8,000 characters of
-    the producer_consumer trace, whose flat and unflat records it accepts
-    without printing their nodes, and on a tree of 256 pairs under 5% of
-    the file."""
+    after field of each unflat record. Of each record it prints the new
+    subterm at the step's position once, whatever the step's kind, and
+    nothing else: on a tree of 256 pairs that is under 5% of the file."""
     read, printed = [], []
     real_term, real_pretty = theoryfile._TermParser.term, tracefile.pretty
 
@@ -473,11 +488,13 @@ def test_trace_load_parses_only_init_bindings_and_unflat_fields(monkeypatch):
         printed.append(len(out))
         return out
 
-    pc, _, tree = _load_cases(200, 9, 48)
+    cases = _load_cases(200, 9, 48)
+    pc, _, tree = cases
     assert len(pc[1].steps) == 1201 and sum(1 for s in tree[1].steps if s.kind == "rule") == 48
     monkeypatch.setattr(theoryfile._TermParser, "term", term)
     monkeypatch.setattr(tracefile, "pretty", counted_pretty)
-    for th, trace in (pc, tree):
+    totals = []
+    for th, trace in cases:
         text = render_trace(trace)
         expected = [text.splitlines()[2][len("init "):]]
         for record in text.splitlines()[3:]:
@@ -488,11 +505,43 @@ def test_trace_load_parses_only_init_bindings_and_unflat_fields(monkeypatch):
         printed.clear()
         assert parse_trace(text, th).steps == trace.steps
         assert read == expected
-        if th is pc[0]:
-            # the contracta of the rule, equation and builtin steps
-            assert sum(printed) < 8_000
-    # the tree's: a contractum and a numeral per rule step
-    assert sum(printed) < 0.05 * len(text)
+        assert sum(printed) == sum(len(real_pretty(subterm_at(s.after, s.position))) for s in trace.steps)
+        totals.append(sum(printed))
+    assert totals == [29_255, 1_858, 1_701]
+    assert totals[-1] < 0.05 * len(text)
+
+
+def _swap_clients(record: str) -> str:
+    """The record with the texts of its after field's two `cli` arguments
+    swapped."""
+    fields = record.split()
+    first, second = re.finditer(r"cli\([^()]*\)", fields[6])
+    after = fields[6]
+    fields[6] = (
+        after[: first.start()] + second.group() + after[first.end() : second.start()] + first.group() + after[second.end() :]
+    )
+    return " ".join(fields)
+
+
+def test_trace_load_rejects_tampered_regroupings():
+    """Swapping the two client arguments in the after field of any flat or
+    unflat record of a client_server run keeps its length and its syntax,
+    and the loader rejects the file: the record does not replay, or, when
+    the swapped spine is itself a regrouping, the next record does not
+    chain."""
+    cs = parse_theory(bundled_example_path("client_server.rwt").read_text(), name="cs")
+    trace = run(parse_term("net(srv(0),cli(1,3,none),cli(2,4,none))", cs.signature), cs, 9)
+    lines = render_trace(trace).splitlines()
+    tampered = 0
+    for i, record in enumerate(lines[3:], start=3):
+        if record.split()[1] not in ("flat", "unflat"):
+            continue
+        swapped = _swap_clients(record)
+        assert swapped != record and len(swapped) == len(record)
+        with pytest.raises(MalformedStep):
+            parse_trace("\n".join(lines[:i] + [swapped] + lines[i + 1 :]) + "\n", cs)
+        tampered += 1
+    assert tampered == 16
 
 
 def test_regrouping_maps_are_computed_once_by_the_check(monkeypatch):

@@ -142,7 +142,6 @@ RECURSIVE = [
     "Substitution.apply",
     "_ac_args_match",
     "_seq_match",
-    "positions.walk",
     "render_labeled",
     "term_cmp",
 ]

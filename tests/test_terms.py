@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -70,6 +71,22 @@ def test_positions_nested(sig):
     t = parse_term("d(f(g(a,h(b)),a),a)", sig)
     expected = {"^", "1", "1.1", "1.1.1", "1.1.2", "1.1.2.1", "1.2", "2"}
     assert {str(p) for p in positions(t)} == expected
+
+
+def test_positions_are_preorder_without_recursion(sig):
+    t = parse_term("d(f(g(a,h(b)),a),a)", sig)
+    assert [str(p) for p in positions(t)] == ["^", "1", "1.1", "1.1.1", "1.1.2", "1.1.2.1", "1.2", "2"]
+    t = Term(Symbol("f", 2), (HOLE_TERM, parse_term("h(a)", sig)))
+    assert [str(p) for p in positions(t)] == ["^", "2", "2.1"]
+    # h(s^depth(z)), deeper than the recursion limit; its positions hold
+    # depth^2/2 path indices (about 400 MB at a depth of 10,000)
+    depth = 2_000
+    assert sys.getrecursionlimit() < depth
+    deep = Term(Symbol("z", 0))
+    for _ in range(depth):
+        deep = Term(Symbol("s", 1), (deep,))
+    found = positions(Term(Symbol("h", 1), (deep,)))
+    assert len(found) == depth + 2 and found[-1].path == (1,) * (depth + 1)
 
 
 def test_subterm_at(sig):
