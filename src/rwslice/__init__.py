@@ -9,6 +9,7 @@ from .terms import (
     Position,
     PositionOutOfRange,
     ROOT,
+    RwsliceError,
     Signature,
     SignatureError,
     Substitution,

@@ -14,23 +14,17 @@ import argparse
 import os
 import sys
 
-from .engine import (
-    DEFAULT_STEP_BUDGET,
-    NoRuleApplicable,
-    StepBudgetExceeded,
-    run,
-    run_until,
-)
+from .engine import DEFAULT_STEP_BUDGET, run, run_until
 from .report import SliceReport
 from .slicer import trace_slice
-from .terms import Position, pretty
+from .terms import Position, RwsliceError, pretty
 from .theoryfile import parse_term, parse_theory
-from .tracefile import load_trace
+from .tracefile import parse_trace
 
 ENV_MAX_STEPS = "RWSLICE_MAX_STEPS"
 
 
-class CliError(Exception):
+class CliError(RwsliceError):
     pass
 
 
@@ -72,17 +66,13 @@ def _budget(args) -> int:
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        theory_text = _read(args.theory)
-        th = parse_theory(theory_text, name=os.path.basename(args.theory))
+        th = parse_theory(_read(args.theory), name=os.path.basename(args.theory))
         init = parse_term(args.init, th.signature)
         budget = _budget(args)
         if args.trace is not None:
-            trace = load_trace(args.trace, th)
+            trace = parse_trace(_read(args.trace), th)
             if trace.initial != init:
-                raise CliError(
-                    f"--init {pretty(init)} does not match the trace's initial term "
-                    f"{pretty(trace.initial)}"
-                )
+                raise CliError(f"--init {pretty(init)} does not match the trace's initial term {pretty(trace.initial)}")
         elif args.steps is not None:
             if args.steps < 0:
                 raise CliError("--steps must be nonnegative")
@@ -98,11 +88,8 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(report.render_pretty(full_expansion=args.full_expansion))
         return 0
-    except (CliError, NoRuleApplicable, StepBudgetExceeded) as exc:
+    except RwsliceError as exc:  # anything else is a defect and keeps its traceback
         print(f"rwslice: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # parse errors, invalid criteria, bad traces
-        print(f"rwslice: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 
@@ -110,8 +97,8 @@ def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
-        raise CliError(str(exc))
+    except (OSError, UnicodeDecodeError) as exc:  # UnicodeDecodeError: not UTF-8
+        raise CliError(f"{path}: {exc.strerror if isinstance(exc, OSError) else exc}")
 
 
 def _parse_criterion(text: str):

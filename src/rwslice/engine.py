@@ -33,6 +33,7 @@ from .terms import (
     Position,
     PositionOutOfRange,
     ROOT,
+    RwsliceError,
     Signature,
     Substitution,
     Symbol,
@@ -50,15 +51,15 @@ from .terms import (
 DEFAULT_STEP_BUDGET = 10_000
 
 
-class NoRuleApplicable(Exception):
+class NoRuleApplicable(RwsliceError):
     pass
 
 
-class StepBudgetExceeded(Exception):
+class StepBudgetExceeded(RwsliceError):
     pass
 
 
-class MalformedStep(Exception):
+class MalformedStep(RwsliceError):
     """A trace step that cannot be replayed against its theory. `index`,
     when known, is the step's index in its trace."""
 
@@ -67,7 +68,7 @@ class MalformedStep(Exception):
         self.reason, self.index = reason, index
 
 
-class TheoryError(Exception):
+class TheoryError(RwsliceError):
     pass
 
 
@@ -458,7 +459,7 @@ def apply_step(step: TraceStep, th: RewriteTheory, t: Term) -> Term:
     q = step.position
     try:
         return replace_at(t, q, _rewrite(step, th, subterm_at(t, q))[1])
-    except (PositionOutOfRange, IndexError, ValueError) as exc:
+    except PositionOutOfRange as exc:
         raise MalformedStep(str(exc)) from None
 
 
@@ -506,10 +507,11 @@ def replay_step(step: TraceStep, th: RewriteTheory, *, searched: dict[int, Term]
     A flat or unflat step's preconditions come from its move map, which
     is computed here and kept (`TraceStep.moves`): an AC node with
     arguments and a map that is not the identity (exactly `needs_flat`),
-    or a regrouping (`is_regrouping`, given the map and `searched`). Only
-    a run and the loader pass `searched`, the nodes known canonical: a
-    run's flat scan, which tests the same nodes, or the loader's memo for
-    one file. Raises MalformedStep when the step does not replay."""
+    or a map (the spine leaves are the node's arguments) and a regrouping
+    (`is_regrouping`, given the map and `searched`). Only a run and the
+    loader pass `searched`, the nodes known canonical: a run's flat scan,
+    which tests the same nodes, or the loader's memo for one file. Raises
+    MalformedStep when the step does not replay."""
     q = step.position
     try:
         node = subterm_at(step.before, q)
@@ -521,7 +523,7 @@ def replay_step(step: TraceStep, th: RewriteTheory, *, searched: dict[int, Term]
             object.__setattr__(step, "moves", moves)  # kept: `TraceStep.moves`
             if after is None and all(src == (i,) for i, src in enumerate(moves, 1)):
                 raise MalformedStep(f"nothing to flatten at {q}")
-            if after is not None and not is_regrouping(node, after, th.signature, searched, moves):
+            if after is not None and (moves is None or not is_regrouping(node, after, th.signature, searched, moves)):
                 raise MalformedStep(f"no regrouping at {q}")
             if step.rule_name is not None:
                 raise MalformedStep(f"a {step.kind} step has no name")
@@ -529,7 +531,7 @@ def replay_step(step: TraceStep, th: RewriteTheory, *, searched: dict[int, Term]
         if sub != step.matcher:
             raise MalformedStep(f"the matcher at {q} is {sub}, not {step.matcher}")
         return sub, replace_at(step.before, q, new_node)
-    except (PositionOutOfRange, IndexError, ValueError) as exc:
+    except PositionOutOfRange as exc:
         raise MalformedStep(str(exc)) from None
 
 

@@ -38,6 +38,7 @@ from .terms import (
     BULLET_TERM,
     Position,
     PositionOutOfRange,
+    RwsliceError,
     Substitution,
     Term,
     is_bullet,
@@ -49,7 +50,7 @@ from .terms import (
 )
 
 
-class InvalidCriterion(Exception):
+class InvalidCriterion(RwsliceError):
     pass
 
 
@@ -109,15 +110,15 @@ def _check_criterion(final: Term, crit: frozenset[Position]) -> None:
         raise InvalidCriterion(f"criterion positions {bad} are not positions of {pretty(final)}")
 
 
-def _not_positions(t: Term, items: Iterable[Position]) -> list[Position]:
-    """The items that are not positions of t, in order."""
+def _not_positions(t: Term, items: Iterable[Position]) -> str:
+    """The items that are not positions of t, in order, as the CLI reads them."""
     bad = []
     for p in items:
         try:
             subterm_at(t, p)
         except PositionOutOfRange:
             bad.append(p)
-    return sorted(bad)
+    return ",".join(map(str, sorted(bad)))
 
 
 def slice_term(t: Term, relevant: Iterable[Position]) -> Term:

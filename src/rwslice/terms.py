@@ -10,7 +10,11 @@ import re
 from dataclasses import dataclass
 
 
-class PositionOutOfRange(Exception):
+class RwsliceError(Exception):
+    """An input that rwslice rejects; any other exception it raises is a defect."""
+
+
+class PositionOutOfRange(RwsliceError):
     """A position does not address a node of the given term."""
 
 
@@ -385,7 +389,7 @@ def term_bool(t: Term) -> bool | None:
     return None
 
 
-class SignatureError(Exception):
+class SignatureError(RwsliceError):
     pass
 
 

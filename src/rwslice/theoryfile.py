@@ -22,6 +22,7 @@ import re
 from .engine import RewriteTheory, Rule
 from .terms import (
     BULLET_TERM,
+    RwsliceError,
     Signature,
     SignatureError,
     Symbol,
@@ -33,11 +34,10 @@ from .terms import (
 )
 
 
-class TheorySyntaxError(Exception):
-    def __init__(self, message: str, line: int = 0, col: int = 0):
+class TheorySyntaxError(RwsliceError):
+    def __init__(self, message: str, line: int = 0, col: int = 0, text: str = ""):
         super().__init__(f"line {line}, column {col}: {message}" if line else message)
-        self.line = line
-        self.col = col
+        self.message, self.line, self.col, self.text = message, line, col, text  # text: what was read
 
 
 class UnknownSymbolError(TheorySyntaxError):
@@ -85,10 +85,10 @@ class _Cursor:
     def error(self, message: str, i: int, cls: type[TheorySyntaxError] = TheorySyntaxError) -> TheorySyntaxError:
         """cls(message) at the line and column of token i (1:1 if none)."""
         if i < 0:
-            return cls(message, 1, 1)
+            return cls(message, 1, 1, self.text)
         k = bisect.bisect_right(self.ends, i)  # token i is on line k
         starts = [m.start() for m in _TOKEN_RE.finditer(_code_lines(self.text)[k - 1])]
-        return cls(message, k, starts[i - self.ends[k - 1]] + 1)
+        return cls(message, k, starts[i - self.ends[k - 1]] + 1, self.text)
 
 
 class _TermParser:

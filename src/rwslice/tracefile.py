@@ -16,6 +16,7 @@ field of an unflat record, which records a spine, are parsed.
 
 from __future__ import annotations
 
+import re
 import warnings
 from pathlib import Path
 
@@ -81,21 +82,22 @@ def parse_trace(text: str, theory: RewriteTheory) -> InstrumentedTrace:
         raise MalformedStep("expected theory and init lines")
     # one parser for the whole file, so that all its terms share subterms
     parser = _TermParser(theory.signature, set(), allow_bullet=False)
-    prev_txt = lines[2][1][len("init ") :]
-    initial = prev = parser.term(prev_txt)
-    lengths: dict[int, int] = {}  # `printed_length` of the nodes read so far
-    # pretty(prev): a text that reads as a term and is as long as its print
-    # is that print, as the parser only skips blanks and comments
-    canon = prev_txt if len(prev_txt) == printed_length(prev, lengths) else pretty(prev)
-    positions: dict[str, Position] = {}
-    searched: dict[int, Term] = {}  # the nodes known canonical (`replay_step`)
-    steps: list[TraceStep] = []
-    for lineno, line in lines[3:]:
-        fields = line.split()
-        if len(fields) != 7 or fields[0] != "step":
-            raise MalformedStep(f"line {lineno}: bad step record")
-        _, kind, rule, pos, bind, before_txt, after_txt = fields
-        try:
+    lineno, line = lines[2]
+    prev_txt = line[len("init ") :]
+    try:
+        initial = prev = parser.term(prev_txt)
+        lengths: dict[int, int] = {}  # `printed_length` of the nodes read so far
+        # pretty(prev): a text that reads as a term and is as long as its print
+        # is that print, as the parser only skips blanks and comments
+        canon = prev_txt if len(prev_txt) == printed_length(prev, lengths) else pretty(prev)
+        positions: dict[str, Position] = {}
+        searched: dict[int, Term] = {}  # the nodes known canonical (`replay_step`)
+        steps: list[TraceStep] = []
+        for lineno, line in lines[3:]:
+            fields = line.split()
+            if len(fields) != 7 or fields[0] != "step":
+                raise MalformedStep(f"line {lineno}: bad step record")
+            _, kind, rule, pos, bind, before_txt, after_txt = fields
             position = positions.get(pos)
             if position is None:
                 position = positions[pos] = Position.parse(pos)
@@ -118,19 +120,33 @@ def parse_trace(text: str, theory: RewriteTheory) -> InstrumentedTrace:
                 if after is None or read != after:
                     raise MalformedStep(f"line {lineno}: {kind} step at {position} does not replay")
                 canon = pretty(after)
-        except (ValueError, TheorySyntaxError) as exc:
-            raise MalformedStep(f"line {lineno}: {exc}")
-        # the step is the loader's own until the trace is built; the replay's
-        # matcher and after term share the nodes of `before`
-        object.__setattr__(step, "matcher", sub)
-        object.__setattr__(step, "after", after)
-        steps.append(step)
-        prev, prev_txt = after, after_txt
+            # the step is the loader's own until the trace is built; the replay's
+            # matcher and after term share the nodes of `before`
+            object.__setattr__(step, "matcher", sub)
+            object.__setattr__(step, "after", after)
+            steps.append(step)
+            prev, prev_txt = after, after_txt
+    except TheorySyntaxError as exc:
+        raise _located(exc, lineno, line) from None
+    except ValueError as exc:  # a position or binding that does not read
+        raise MalformedStep(f"line {lineno}: {exc}") from None
     trace = InstrumentedTrace._checked(theory, initial, steps)
     final = trace.final()
     if flatten_term(final, theory.signature) != final:
         warnings.warn("trace ends in a non-canonical term", stacklevel=2)
     return trace
+
+
+def _located(exc: TheorySyntaxError, lineno: int, line: str) -> MalformedStep:
+    """exc at its line and column in the file. The loader reads the init term, or a step's
+    binding values, before and after fields left to right: exc's is the first with its text."""
+    start = len("init ")
+    if not line.startswith("init "):
+        bind, *sides = list(re.finditer(r"\S+", line))[4:]
+        values = re.finditer(r"(?:^|;)[^=;]*=([^;]*)", bind[0])  # as `_parse_bindings` reads them
+        texts = [(bind.start() + m.start(1), m[1]) for m in values] + [(m.start(), m[0]) for m in sides]
+        start = next(at for at, text in texts if text == exc.text)
+    return MalformedStep(f"line {lineno}, column {start + exc.col}: {exc.message}")
 
 
 def _prints_as(text: str, canon: str, step: TraceStep, after: Term, lengths: dict[int, int]) -> bool:

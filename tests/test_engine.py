@@ -320,6 +320,20 @@ def test_check_step_rejects_identity_unflat():
     assert not check_step(TraceStep("unflat", None, ROOT, EMPTY_SUBST, t, t), th)
 
 
+def test_replay_rejects_an_unflat_whose_leaves_are_not_the_arguments():
+    """The spine leaves of a regrouping are the node's arguments: a spine
+    with a leaf that only flattens to one, as a change below the spine
+    makes, is no regrouping, though `is_regrouping`'s flattening accepts it."""
+    th = parse_theory("op f : 2 [assoc comm] .\nop g : 1 .\nop a : 0 .\nop b : 0 .\nop c : 0 .\nop d : 0 .\n")
+    before = T("f(d,g(f(a,b,c)))", th.signature)
+    after = T("f(d,g(f(f(a,b),c)))", th.signature)
+    assert acmatch.is_regrouping(before, after, th.signature)
+    step = TraceStep("unflat", None, ROOT, EMPTY_SUBST, before, after)
+    with pytest.raises(MalformedStep, match=r"no regrouping at \^"):
+        engine.replay_step(step, th)
+    assert not check_step(step, th)
+
+
 def test_flat_precondition_is_needs_flat(generated_traces):
     """A flat step's precondition, "an AC node with arguments whose
     `one_level_flat` map is not the identity", holds exactly where

@@ -8,7 +8,7 @@ import tracemalloc
 
 import pytest
 
-from rwslice import acmatch, bundled_example_path, engine, theoryfile, tracefile
+from rwslice import acmatch, bundled_example_path, cli, engine, theoryfile, tracefile
 from rwslice.cli import main
 from rwslice.engine import InstrumentedTrace, MalformedStep, Rule, check_step, run
 from rwslice.terms import Position, Signature, Term, Variable, pretty, subterm_at
@@ -349,9 +349,11 @@ def test_cli_error_paths(theory_file, capsys):
     # unreachable end state
     assert main(["--theory", theory_file, "--init", "g(f(a))", "--end", "g(g(a))", "--criterion", "^"]) == 1
     assert "not reached" in capsys.readouterr().err
-    # invalid criterion
+    # invalid criterion; its positions print as the option reads them
     assert main(["--theory", theory_file, "--init", "g(f(a))", "--steps", "2", "--criterion", "5.5"]) == 1
     assert "criterion" in capsys.readouterr().err.lower()
+    assert main(["--theory", theory_file, "--init", "g(f(a))", "--steps", "2", "--criterion", "9,1.1.1.1"]) == 1
+    assert capsys.readouterr().err == "rwslice: criterion positions 1.1.1.1,9 are not positions of m(a)\n"
     # parse error
     assert main(["--theory", theory_file, "--init", "g(", "--steps", "1", "--criterion", "^"]) == 1
     capsys.readouterr()
@@ -361,6 +363,31 @@ def test_cli_error_paths(theory_file, capsys):
     assert "step budget must be nonnegative, got -5" in capsys.readouterr().err
     assert main(args + ["0"]) == 1
     assert "more than 0 elementary steps" in capsys.readouterr().err
+
+
+def test_cli_reports_unreadable_files(theory_file, tmp_path, capsys):
+    args = ["--theory", theory_file, "--init", "g(f(a))", "--criterion", "^", "--trace"]
+    missing = tmp_path / "missing.rwtrace"
+    assert main(args + [str(missing)]) == 1
+    assert capsys.readouterr().err == f"rwslice: {missing}: No such file or directory\n"
+    assert main(args + [str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"rwslice: {tmp_path}: Is a directory\n"
+    latin1 = tmp_path / "latin1.rwt"
+    latin1.write_bytes("op f : 1 .  --- f\u00e9e\nop a : 0 .\n".encode("latin-1"))
+    assert main(["--theory", str(latin1), "--init", "f(a)", "--steps", "0", "--criterion", "^"]) == 1
+    assert capsys.readouterr().err.startswith(f"rwslice: {latin1}: 'utf-8' codec can't decode byte 0xe9")
+
+
+def test_cli_lets_internal_errors_through(theory_file, monkeypatch):
+    """Only an input error becomes a message; any other exception is a
+    defect and keeps its traceback."""
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("a defect")
+
+    monkeypatch.setattr(cli, "run", broken)
+    with pytest.raises(RuntimeError, match="a defect"):
+        main(["--theory", theory_file, "--init", "g(f(a))", "--steps", "1", "--criterion", "^"])
 
 
 def test_cli_env_budget(theory_file, capsys, monkeypatch):
@@ -409,8 +436,8 @@ def test_trace_load_rejects_unchained_steps(lines):
     ("step bogus", "line 6: bad step record"),
     ("step rule r2 ^ - g(f(a)) m(a)", "line 6: steps do not chain"),
     ("step rule r2 ^ - g(b) m(b)", "line 6: rule step at . does not replay"),
-    ("step rule r2 ^ X=zz g(b) m(a)", "line 6: line 1, column 1: unknown operator zz"),
-    ("step rule r2 ^ - g(b) m(a)x", "line 6: line 1, column 5: trailing input 'x'"),
+    ("step rule r2 ^ X=zz g(b) m(a)", "line 6, column 18: unknown operator zz"),
+    ("step rule r2 ^ - g(b) m(a)x", "line 6, column 27: trailing input 'x'"),
     # a binding of a variable the rule does not have
     ("step rule r2 ^ Y=b g(b) m(a)", "line 6: rule step at . does not replay"),
     ("step rule r2 ^ X g(b) m(a)", "line 6: bad binding 'X'"),
@@ -422,6 +449,20 @@ def test_trace_load_reports_physical_lines(record, message):
     lines = ["rwtrace 1", "theory basic", "init g(f(a))", "step rule r1 1 X=a g(f(a)) g(b)", "", record]
     with pytest.raises(MalformedStep, match=message):
         parse_trace("\n".join(lines) + "\n", _basic_theory())
+
+
+@pytest.mark.parametrize("lines, message", [
+    # the init term's own column, past the record's keyword, on its physical line
+    (["init  g(zz)"], "line 4, column 9: unknown operator zz"),
+    (["init g(f(a)) x"], "line 4, column 14: trailing input 'x'"),
+    # the second of two binding values, and a before field equal to the after field
+    (["init g(f(a))", "step rule r1 1 X=a;Y=zz g(f(a)) g(b)"], "line 5, column 22: unknown operator zz"),
+    (["init g(f(a))", "step rule r1 1 X=a g(f(a)) g(b)", "step rule r2 ^ - g(c) g(c)"], "line 6, column 20: unknown operator c"),
+])
+def test_trace_load_reports_terms_at_their_file_column(lines, message):
+    text = "\n".join(["rwtrace 1", "theory basic", "", *lines]) + "\n"
+    with pytest.raises(MalformedStep, match=re.escape(message)):
+        parse_trace(text, _basic_theory())
 
 
 @pytest.mark.parametrize("lines", [

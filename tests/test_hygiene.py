@@ -1,6 +1,8 @@
-"""Source hygiene checks that need only the standard library."""
+"""Source hygiene checks. All but the exception lint, which imports the
+package, need only the standard library."""
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -150,3 +152,49 @@ RECURSIVE = [
 def test_recursive_functions_are_the_pinned_ones():
     found = sorted(f for p in sorted((ROOT / "src").rglob("*.py")) for f in self_calling_functions(p.read_text(encoding="utf-8")))
     assert found == sorted(RECURSIVE)
+
+
+# exception classes that do not report an input error; the list may only shrink
+NOT_INPUT_ERRORS = ["ReplayFailure"]
+
+
+def test_exceptions_are_input_errors_but_the_pinned_ones():
+    from rwslice import RwsliceError
+
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        module = importlib.import_module(".".join(path.relative_to(ROOT / "src").with_suffix("").parts).removesuffix(".__init__"))
+        found += [
+            name
+            for name, value in vars(module).items()
+            if isinstance(value, type) and issubclass(value, BaseException) and value.__module__ == module.__name__
+            and not issubclass(value, RwsliceError)
+        ]
+    assert sorted(found) == sorted(NOT_INPUT_ERRORS)
+
+
+def blanket_handlers(source: str) -> list[str]:
+    """The handlers that catch every exception: a bare `except:`, or one
+    naming Exception or BaseException, alone or in a tuple."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ExceptHandler):
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(t is None or getattr(t, "id", None) in ("Exception", "BaseException") for t in caught):
+                out.append(f"line {node.lineno}")
+    return out
+
+
+def test_blanket_handlers_detected():
+    src = (
+        "try:\n    f()\nexcept:\n    pass\n"
+        "try:\n    f()\nexcept (ValueError, Exception) as e:\n    pass\n"
+        "try:\n    f()\nexcept BaseException:\n    pass\n"
+        "try:\n    f()\nexcept ValueError:\n    pass\n"
+    )
+    assert blanket_handlers(src) == ["line 3", "line 7", "line 11"]
+
+
+def test_no_blanket_handlers():
+    found = {str(p.relative_to(ROOT)): blanket_handlers(p.read_text(encoding="utf-8")) for p in sorted((ROOT / "src").rglob("*.py"))}
+    assert {path: lines for path, lines in found.items() if lines} == {}

@@ -211,6 +211,12 @@ def test_slice_full_and_empty(step_theory):
         slice_term(t, {P("4")})
 
 
+def test_slice_term_names_bad_positions_as_the_cli_reads_them(step_theory):
+    t = T("d(f(g(a,h(b)),a),a)", step_theory.signature)
+    with pytest.raises(PositionOutOfRange, match=r"^1\.3,4 are not positions of d\(f\(g\(a,h\(b\)\),a\),a\)$"):
+        slice_term(t, {P("4"), P("1.3"), P("1.1")})
+
+
 def test_slice_prefix_closure(step_theory):
     t = T("d(f(g(a,h(b)),a),a)", step_theory.signature)
     p = {P("1.1.2"), P("1.2")}
