@@ -263,12 +263,47 @@ class InstrumentedTrace:
 
 class _Steps(list):
     """The steps of a run of `th`, a list that refuses to grow past `limit`,
-    and per scan kind the nodes searched without a hit (`first_postorder`)."""
+    and the run's strategy. Per step kind, `tests` holds the node test of
+    its scan and `searched` the nodes that scan searched without a hit
+    (`first_postorder`). `simplify` and `rewrite` give the priority order:
+    flat, builtin, equation, then rule; a kind with no rules has no hit
+    and is left out, never walked."""
 
     def __init__(self, th: RewriteTheory, limit: int):
         super().__init__()
         self.th, self.limit = th, limit
-        self.searched = {kind: {} for kind in ("flat", "builtin", "equation", "rule")}
+        sig = th.signature
+        self.tests = {
+            "flat": lambda node: needs_flat(node, sig) or None,
+            "builtin": lambda node: _builtin_value(node, sig),
+            "equation": lambda node: next(_candidates_at(node, th.equations, sig), None),
+            "rule": lambda node: next(_candidates_at(node, th.rules, sig), None),
+        }
+        self.searched = {kind: {} for kind in self.tests}
+        self.simplify = ("flat", "builtin") + (("equation",) if th.equations else ())
+        self.rewrite = ("rule",) if th.rules else ()
+
+    def first(self, t: Term, kinds: tuple[str, ...]):
+        """(kind, position, hit) of the first of `kinds` with a hit in t, at
+        its leftmost-innermost hit, or None."""
+        for kind in kinds:
+            hit = first_postorder(t, self.tests[kind], self.searched[kind])
+            if hit is not None:
+                return kind, *hit
+        return None
+
+    def take(self, t: Term, kind: str, q: Position, hit) -> Term:
+        """Makes the step for `first`'s hit at q in t, a flat or builtin
+        step, or the regroupings an equation or rule candidate needs and
+        then its step, and returns the term it leads to."""
+        if kind in ("flat", "builtin"):
+            name = hit[0] if kind == "builtin" else None
+            return self.add(TraceStep(kind, name, q, EMPTY_SUBST, t, None))
+        rule, sub, target, rel = hit  # relative to the node at q (`_candidates_at`)
+        for pos, spine in regroupings(subterm_at(t, q), target, self.th.signature):
+            pos = q.concat(pos)
+            t = self.add(TraceStep("unflat", None, pos, EMPTY_SUBST, t, replace_at(t, pos, spine)))
+        return self.add(TraceStep(kind, rule.name, q.concat(rel), sub, t, None))
 
     def add(self, step: TraceStep) -> Term:
         """Appends the step, given with no after term (an unflat step: with
@@ -280,11 +315,6 @@ class _Steps(list):
         object.__setattr__(step, "after", after)
         self.append(step)
         return after
-
-
-# an application candidate: (rule, matcher, regrouped subtree, rewrite
-# position relative to the scanned node)
-_Candidate = tuple[Rule, Substitution, Term, Position]
 
 
 def _candidates_at(node: Term, rules: list[Rule], sig: Signature):
@@ -300,7 +330,9 @@ def _candidates_at(node: Term, rules: list[Rule], sig: Signature):
     without a spine variable a group has exactly the spine's roots: every
     other group has no matcher. `combinations` over a subset of the
     indices yields a subsequence of its order over all of them, so the
-    candidate sequence is the one over all groups of all sizes."""
+    candidate sequence is the one over all groups of all sizes. Each
+    candidate is (rule, matcher, regrouped subtree, rewrite position
+    relative to the node)."""
     n = len(node.args)
     for rule in rules:
         root = rule.lhs.root
@@ -318,31 +350,6 @@ def _candidates_at(node: Term, rules: list[Rule], sig: Signature):
                 yield (rule, sub, target, Position((1,)))
 
 
-def _scan(t: Term, rules: list[Rule], sig: Signature, searched: dict[int, Term]):
-    """First applicable candidate in leftmost-innermost position order.
-    Returns (node position, candidate). `searched` holds the nodes already
-    known to have no candidate for these rules anywhere in their subtree;
-    see `first_postorder`."""
-    if not rules:
-        return None
-    return first_postorder(t, lambda node: next(_candidates_at(node, rules, sig), None), searched)
-
-
-def _emit_flatten(t: Term, out: _Steps) -> Term:
-    test = lambda node: needs_flat(node, out.th.signature) or None
-    while (hit := first_postorder(t, test, out.searched["flat"])) is not None:
-        t = out.add(TraceStep("flat", None, hit[0], EMPTY_SUBST, t, None))
-    return t
-
-
-def _apply_candidate(t: Term, q: Position, cand: _Candidate, out: _Steps) -> Term:
-    rule, sub, target, rel = cand
-    for pos, spine in regroupings(subterm_at(t, q), target, out.th.signature):
-        pos = q.concat(pos)
-        t = out.add(TraceStep("unflat", None, pos, EMPTY_SUBST, t, replace_at(t, pos, spine)))
-    return out.add(TraceStep(rule.kind, rule.name, q.concat(rel), sub, t, None))
-
-
 def _builtin_value(node: Term, sig: Signature):
     """(operator name, value) of a ground builtin call that evaluates."""
     root = node.root
@@ -353,26 +360,10 @@ def _builtin_value(node: Term, sig: Signature):
     return None
 
 
-def _normalize_into(t: Term, out: _Steps) -> Term:
-    th, searched = out.th, out.searched
-    t = _emit_flatten(t, out)
-    while True:
-        hit = first_postorder(t, lambda node: _builtin_value(node, th.signature), searched["builtin"])
-        if hit is not None:
-            t = _emit_flatten(out.add(TraceStep("builtin", hit[1][0], hit[0], EMPTY_SUBST, t, None)), out)
-            continue
-        found = _scan(t, th.equations, th.signature, searched["equation"])
-        if found is None:
-            return t
-        t = _emit_flatten(_apply_candidate(t, *found, out), out)
-
-
 def normalize(t: Term, th: RewriteTheory, max_steps: int | None = None) -> tuple[Term, list[TraceStep]]:
-    """Equational canonical form of t with the steps taken to reach it.
-
-    Strategy: flatten first, then repeatedly fire the leftmost-innermost
-    builtin call or equation (declaration order, deterministic matcher
-    order), re-flattening after each contraction."""
+    """Equational canonical form of t with the steps taken to reach it:
+    the strategy's flat, builtin and equation steps (`_drive`), up to the
+    first canonical term."""
     trace, _ = _drive(t, th, max_steps, lambda *_: True)
     return trace.final(), list(trace.steps)
 
@@ -383,25 +374,28 @@ def _drive(
     max_steps: int | None,
     done: Callable[[Term, int], bool],
 ) -> tuple[InstrumentedTrace, bool]:
-    """The deterministic strategy from t0: normalize, then apply one rule
-    and normalize again until done(term, rule steps taken) holds at a
-    rule-step boundary. `finished` is False when the run stopped earlier
-    because no rule applies. Each step is made by its replay, and so
-    checked once (`_Steps.add`). Each scan kind keeps the nodes it searched
-    without a hit for the whole run (`first_postorder`): a step shares
-    every subtree off its path, so later scans search only the contractum
-    and its new ancestors. The dicts live for one run: the tests depend on
-    its theory, and the nodes they hold would otherwise outlive the trace."""
+    """The deterministic strategy from t0, one elementary step at a time:
+    the first hit among flat, builtin and equation (`_Steps.simplify`);
+    when none hits, the term is canonical, and the run stops if done(term,
+    rule steps taken) holds, else takes a rule step. `finished` is False
+    when the run stopped earlier because no rule applies. Each step is
+    made by its replay, and so checked once (`_Steps.add`). Each scan kind
+    keeps the nodes it searched without a hit for the whole run
+    (`first_postorder`): a step shares every subtree off its path, so
+    later scans search only the contractum and its new ancestors. The
+    memos live for one run: the tests depend on its theory, and the nodes
+    they hold would otherwise outlive the trace."""
     out = _Steps(th, DEFAULT_STEP_BUDGET if max_steps is None else max_steps)
-    t = _normalize_into(t0, out)
-    rule_steps = 0
-    while not done(t, rule_steps):
-        found = _scan(t, th.rules, th.signature, out.searched["rule"])
-        if found is None:
-            return InstrumentedTrace._checked(th, t0, out), False
-        t = _normalize_into(_apply_candidate(t, *found, out), out)
-        rule_steps += 1
-    return InstrumentedTrace._checked(th, t0, out), True
+    t, rule_steps = t0, 0
+    while True:
+        hit = out.first(t, out.simplify)
+        if hit is None:  # t is canonical
+            finished = done(t, rule_steps)
+            hit = None if finished else out.first(t, out.rewrite)
+            if hit is None:
+                return InstrumentedTrace._checked(th, t0, out), finished
+            rule_steps += 1
+        t = out.take(t, *hit)
 
 
 def rewrite_step_modulo_E(
@@ -481,6 +475,8 @@ def _rewrite(step: TraceStep, th: RewriteTheory, node: Term) -> tuple[Substituti
         return EMPTY_SUBST, found[1]
     if step.kind not in ("flat", "unflat"):
         raise MalformedStep(f"unknown step kind {step.kind}")
+    if step.kind == "unflat" and step.moves is None:
+        raise MalformedStep(f"no regrouping at {step.position}")
     # positional, independent of the order node's arguments would sort into
     before = subterm_at(step.before, step.position)
     after = subterm_at(step.after, step.position) if step.kind == "unflat" else None

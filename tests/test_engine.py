@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -39,6 +40,7 @@ from rwslice.terms import (
     subterm_at,
 )
 from rwslice.theoryfile import parse_term, parse_theory
+from rwslice.tracefile import render_trace
 
 from genutil import BUNDLED_RUNS, WIDE_STATE, all_sizes_candidates, postorder_scan, random_soup, seeded_traces, wide_tree
 
@@ -302,6 +304,17 @@ def test_constructor_accepts_copies_of_engine_steps():
         assert InstrumentedTrace(th, trace.initial, copies).steps == trace.steps
 
 
+def test_seeded_traces_are_unchanged(generated_traces):
+    """The sha256 of the `render_trace` texts of the seeded traces, in
+    order. Every step of every run is pinned by it, so it changes only
+    with a deliberate change of the strategy or of a step's meaning,
+    which CHANGES.md names with the new value."""
+    digest = hashlib.sha256()
+    for _, trace in generated_traces:
+        digest.update(render_trace(trace).encode())
+    assert digest.hexdigest() == "016a3be4c385206bbb12783a874ca9cb0738b746f0bac499923a973c0654a92b"
+
+
 def test_runs_make_steps_without_check_step(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a run called check_step")
@@ -332,6 +345,17 @@ def test_replay_rejects_an_unflat_whose_leaves_are_not_the_arguments():
     with pytest.raises(MalformedStep, match=r"no regrouping at \^"):
         engine.replay_step(step, th)
     assert not check_step(step, th)
+
+
+def test_apply_step_rejects_an_unchecked_unflat_whose_leaves_are_not_the_arguments():
+    """A step never checked computes its move map when first read
+    (`TraceStep.moves`); with no map, `apply_step` names the step as
+    `replay_step` does."""
+    th = parse_theory("op f : 2 [assoc comm] .\nop g : 1 .\nop a : 0 .\nop b : 0 .\nop c : 0 .\nop d : 0 .\n")
+    before = T("f(d,g(f(a,b,c)))", th.signature)
+    step = TraceStep("unflat", None, ROOT, EMPTY_SUBST, before, T("f(d,g(f(f(a,b),c)))", th.signature))
+    with pytest.raises(MalformedStep, match=r"no regrouping at \^"):
+        apply_step(step, th, before)
 
 
 def test_flat_precondition_is_needs_flat(generated_traces):
@@ -489,20 +513,17 @@ def test_candidates_only_at_nodes_with_the_rule_root(monkeypatch):
 
 
 def test_pruned_walk_equals_full_scan_on_generated_traces(generated_traces):
+    """The pruned walk finds the full scan's first hit for each node test
+    a run uses (`_Steps.tests`), on every term of the seeded traces."""
     hits = 0
     for th, trace in generated_traces:
-        sig = th.signature
-        tests = [
-            lambda node: node if needs_flat(node, sig) else None,
-            lambda node: engine._builtin_value(node, sig),
-            lambda node: next(engine._candidates_at(node, th.rules, sig), None),
-            lambda node: next(engine._candidates_at(node, th.equations, sig), None),
-        ]
-        searched = [{} for _ in tests]
+        tests = engine._Steps(th, 0).tests
+        assert list(tests) == ["flat", "builtin", "equation", "rule"]
+        searched = {kind: {} for kind in tests}
         for t in trace.terms():
-            for test, seen in zip(tests, searched):
+            for kind, test in tests.items():
                 expected = postorder_scan(t, test)
-                assert first_postorder(t, test, seen) == expected, (t, trace.steps)
+                assert first_postorder(t, test, searched[kind]) == expected, (t, trace.steps)
                 hits += expected is not None
     assert hits > 500
 
@@ -523,20 +544,45 @@ def test_scans_skip_searched_subtrees(monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     count(engine, "_candidates_at")
-    count(acmatch, "needs_flat")
+    count(engine, "needs_flat")  # the name the flat scan's test calls
     trace = run(init, th, 24)
     kinds = [s.kind for s in trace.steps]
     assert kinds.count("rule") == kinds.count("builtin") == 24
     # a full rescan before every step takes 9,371 and 12,543 calls
-    assert calls["_candidates_at"] <= 1_500
-    assert calls["needs_flat"] <= 2_500
+    assert 0 < calls["_candidates_at"] <= 1_500
+    assert 0 < calls["needs_flat"] <= 2_500
 
 
 def test_scans_survive_deep_terms():
-    th = parse_theory("op s : 1 .\nop z : 0 .\nop h : 1 .\nrl [h] : h(X) => X .\n")
+    """Every scan, and the whole strategy, walks s^10000(z) without
+    recursion, on a theory with a kind of each scan and no hit for any."""
+    th = parse_theory(
+        "op f : 2 [assoc comm] .\nop + : 2 [builtin] .\nop s : 1 .\nop z : 0 .\n"
+        "op h : 1 .\nop a : 0 .\neq h(a) = a .\nrl [r] : h(s(X)) => X .\n"
+    )
     t = T("z", th.signature)
     s = th.signature.lookup("s", 1).symbol
     for _ in range(10_000):
         t = Term(s, (t,))
-    assert engine._scan(t, th.rules, th.signature, {}) is None
+    steps = engine._Steps(th, 0)
+    assert steps.first(t, steps.simplify + steps.rewrite) is None
     assert flatten_term(t, th.signature) is t
+    assert run(t, th, 1).steps == ()
+
+
+def test_strategy_order_is_flat_builtin_equation_then_rule():
+    """Each step is the first hit of flat, then builtin, then equation,
+    over the whole term, though the equation's node comes first in
+    postorder; a rule step is taken only on the canonical term."""
+    th = parse_theory(
+        "op f : 2 [assoc comm] .\nop + : 2 [builtin] .\nop k : 2 .\nop h : 1 .\n"
+        "op a : 0 .\nop b : 0 .\nop c : 0 .\neq h(X) = X .\nrl [r] : k(X,Y) => X .\n"
+    )
+    trace = run(T("k(k(h(a),+(1,2)),f(f(c,b),a))", th.signature), th, 1)
+    assert [(s.kind, s.rule_name, str(s.position)) for s in trace.steps] == [
+        ("flat", None, "2.1"),
+        ("flat", None, "2"),
+        ("builtin", "+", "1.2"),
+        ("equation", "eq1", "1.1"),
+        ("rule", "r", "1"),
+    ]
