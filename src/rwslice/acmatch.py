@@ -26,6 +26,7 @@ from .terms import (
     replace_at,
     subterm_at,
     term_cmp,
+    vars_of,
 )
 
 # a transformation event: (position, whole term before, whole term after)
@@ -149,26 +150,6 @@ def _pair(items: Iterable[Term], pool: Sequence[Term]) -> list[int] | None:
     return out
 
 
-def is_regrouping(flat: Term, grouped: Term, sig: Signature, searched: dict[int, Term] | None = None, taken=None) -> bool:
-    """Whether `grouped` nests the AC node `flat` differently under the same
-    operator: it differs from `flat` and flatten_term(grouped) == flat.
-    If the spine leaves of `grouped` pair with the arguments of `flat`
-    (`taken`, the unflat `regrouping_map`, computed when not given), that
-    is: `flat` is canonical (a `first_postorder` walk whose cleared nodes
-    `searched` keeps for later calls) and grouped != flat, unless two
-    adjacent arguments tie in the term order while unequal. Otherwise the
-    leaves are flattened and merged with `one_level_flat`, as flattening a
-    spine does."""
-    if not (sig.is_ac(flat.root) and grouped.root == flat.root):
-        return False
-    taken = regrouping_map("unflat", flat, grouped) if taken is None else taken
-    if taken is not None and not any(term_cmp(a, b) == 0 and a != b for a, b in zip(flat.args, flat.args[1:])):
-        test = lambda node: node if needs_flat(node, sig) else None
-        return first_postorder(flat, test, {} if searched is None else searched) is None and grouped != flat
-    leaves = tuple(flatten_term(leaf, sig) for _, leaf in spine_leaves(grouped))
-    return grouped != flat and one_level_flat(Term(flat.root, leaves))[0] == flat
-
-
 def regrouping_map(kind: str, before: Term, after: Term | None) -> tuple | None:
     """What a flat or unflat step from node `before` to node `after` moves.
     Flat: per new argument, its source path (`one_level_flat`; `after` is
@@ -284,13 +265,15 @@ def _seq_match(ps, ss, binding, sig):
         yield from _seq_match(ps[1:], ss[1:], b, sig)
 
 
-def spine_roots(pattern: Term) -> tuple[int, Counter, bool]:
+def spine_roots(pattern: Term) -> tuple[int, Counter, bool, bool]:
     """The number of spine subpatterns of a pattern (`spine_leaves`), the
-    multiset of their non-variable root symbols, and whether one of them
-    is a variable."""
+    multiset of their non-variable root symbols, whether one is a variable,
+    and whether one is a variable that occurs nowhere else in the pattern."""
     spine = [leaf for _, leaf in spine_leaves(pattern)]
     roots = Counter(p.root for p in spine if not isinstance(p.root, Variable))
-    return len(spine), roots, sum(roots.values()) < len(spine)
+    named = Counter(p.root for p in spine if isinstance(p.root, Variable))
+    nested = {v for p in spine for v in vars_of(p) if p.args}
+    return len(spine), roots, bool(named), any(k == 1 and v not in nested for v, k in named.items())
 
 
 def ac_groups(spine: tuple[int, Counter, bool], args: tuple[Term, ...]):
@@ -300,7 +283,7 @@ def ac_groups(spine: tuple[int, Counter, bool], args: tuple[Term, ...]):
     subpattern that is not a variable takes one argument with its own root
     (`_ac_args_match`), so the node's roots must cover the spine's, and
     without a spine variable a group has exactly the spine's roots."""
-    m, need, vary = spine
+    m, need, vary, _ = spine
     roots = [a.root for a in args]
     have = Counter(roots)
     if any(have[r] < c for r, c in need.items()):
@@ -338,9 +321,9 @@ def _ac_args_match(pats: list[Term], args: list[Term], op: Symbol, binding: dict
                 remaining = [a for i, a in enumerate(args) if i not in taken]
                 yield from _ac_args_match(rest, remaining, op, binding, sig)
             return
-        # a variable must leave at least one argument per later subpattern
+        # a variable leaves one argument per later subpattern; the last takes all
         max_take = len(args) - len(rest)
-        for size in range(1, max_take + 1):
+        for size in range(1 if rest else max(max_take, 1), max_take + 1):
             for idxs in combinations(range(len(args)), size):
                 value = args[idxs[0]] if size == 1 else Term(op, tuple(args[i] for i in idxs))
                 extended = dict(binding)

@@ -18,7 +18,6 @@ from . import builtin_ops
 from .acmatch import (
     ac_groups,
     flatten_term,
-    is_regrouping,
     match_modulo_ac,
     needs_flat,
     rebuild_spine,
@@ -115,9 +114,9 @@ class Rule:
         return _occurrences(self.rhs)
 
     @cached_property
-    def lhs_spine(self) -> tuple[int, Counter, bool]:
+    def lhs_spine(self) -> tuple[int, Counter, bool, bool]:
         """`acmatch.spine_roots` of the left-hand side, computed once per
-        rule; the engine reads it at AC nodes (`ac_groups`)."""
+        rule; the engine reads it at AC nodes (`ac_groups`, `_candidates_at`)."""
         return spine_roots(self.lhs)
 
     def redex_pattern(self) -> Term:
@@ -330,7 +329,9 @@ def _candidates_at(node: Term, rules: list[Rule], sig: Signature):
     without a spine variable a group has exactly the spine's roots: every
     other group has no matcher. `combinations` over a subset of the
     indices yields a subsequence of its order over all of them, so the
-    candidate sequence is the one over all groups of all sizes. Each
+    candidate sequence is the one over all groups of all sizes. No group
+    has a matcher when the whole node has none and a spine variable occurs
+    once in the left-hand side: it could take the other arguments too. Each
     candidate is (rule, matcher, regrouped subtree, rewrite position
     relative to the node)."""
     n = len(node.args)
@@ -340,8 +341,10 @@ def _candidates_at(node: Term, rules: list[Rule], sig: Signature):
             continue
         for idxs in ac_groups(rule.lhs_spine, node.args) if sig.is_ac(root) else (range(n),):
             if len(idxs) == n:
-                for sub, shape in match_modulo_ac(rule.lhs, node, sig):
-                    yield (rule, sub, shape, ROOT)
+                whole = match_modulo_ac(rule.lhs, node, sig)
+                yield from ((rule, sub, shape, ROOT) for sub, shape in whole)
+                if not whole and rule.lhs_spine[3]:
+                    break
                 continue
             group = Term(node.root, tuple(node.args[i] for i in idxs))
             for sub, shape in match_modulo_ac(rule.lhs, group, sig):
@@ -433,7 +436,7 @@ def run_until(
     shows up at a rule-step boundary. Raises NoRuleApplicable when the run
     stops elsewhere, StepBudgetExceeded when the budget runs out first."""
     target = flatten_term(end, th.signature)
-    trace, finished = _drive(t0, th, max_steps, lambda t, _: t == target)
+    trace, finished = _drive(t0, th, max_steps, lambda t, _: term_eq(t, target))
     if not finished:
         raise NoRuleApplicable(
             f"end state {pretty(end)} not reached; the run stops at {pretty(trace.final())}"
@@ -500,26 +503,27 @@ def replay_step(step: TraceStep, th: RewriteTheory, *, searched: dict[int, Term]
     the matcher of the rule's left-hand side there; the other kinds bind
     nothing, and only a builtin step has a name, its operator's. Of the
     after term, only an unflat step's is read, for the spine it records.
-    A flat or unflat step's preconditions come from its move map, which
-    is computed here and kept (`TraceStep.moves`): an AC node with
-    arguments and a map that is not the identity (exactly `needs_flat`),
-    or a map (the spine leaves are the node's arguments) and a regrouping
-    (`is_regrouping`, given the map and `searched`). Only a run and the
-    loader pass `searched`, the nodes known canonical: a run's flat scan,
-    which tests the same nodes, or the loader's memo for one file. Raises
-    MalformedStep when the step does not replay."""
+    A flat step's precondition is `needs_flat` at its node; an unflat
+    step's, that its node is AC and canonical (a `first_postorder` walk,
+    which skips the nodes in `searched`) and its spine has the node's
+    root, differs from it, and has exactly the node's arguments as leaves
+    (a move map). The move map is computed here and kept (`TraceStep.moves`).
+    Only a run and the loader pass `searched`, the nodes known canonical: a
+    run's flat scan, which tests the same nodes, or the loader's memo for
+    one file. Raises MalformedStep when the step does not replay."""
     q = step.position
     try:
         node = subterm_at(step.before, q)
         if step.kind in ("flat", "unflat"):
-            after = subterm_at(step.after, q) if step.kind == "unflat" else None
-            if after is None and not (th.signature.is_ac(node.root) and node.args):
+            sig, after = th.signature, subterm_at(step.after, q) if step.kind == "unflat" else None
+            if after is None and not needs_flat(node, sig):
                 raise MalformedStep(f"nothing to flatten at {q}")
             moves = regrouping_map(step.kind, node, after)
             object.__setattr__(step, "moves", moves)  # kept: `TraceStep.moves`
-            if after is None and all(src == (i,) for i, src in enumerate(moves, 1)):
-                raise MalformedStep(f"nothing to flatten at {q}")
-            if after is not None and (moves is None or not is_regrouping(node, after, th.signature, searched, moves)):
+            if after is not None and (
+                moves is None or not sig.is_ac(node.root) or after.root != node.root or term_eq(after, node)
+                or first_postorder(node, lambda n: needs_flat(n, sig) or None, {} if searched is None else searched)
+            ):
                 raise MalformedStep(f"no regrouping at {q}")
             if step.rule_name is not None:
                 raise MalformedStep(f"a {step.kind} step has no name")

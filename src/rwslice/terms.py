@@ -103,6 +103,16 @@ class Term:
                 f"{self.root.name} declared with arity {self.root.arity}, got {n} arguments"
             )
 
+    def __hash__(self) -> int:
+        """The hash of the preorder sequence of (root, argument count), which
+        equal terms share, made on an explicit stack, not by recursion."""
+        seq, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            seq.append((node.root, len(node.args)))
+            stack += reversed(node.args)
+        return hash(tuple(seq))
+
     def __repr__(self) -> str:
         return f"Term<{pretty(self)}>"
 
@@ -222,10 +232,11 @@ def term_eq(a: Term, b: Term) -> bool:
 
 
 def term_cmp(a: Term, b: Term) -> int:
-    """Total order on terms, negative, zero or positive like a comparison:
-    root name, then node class (variables first), then number of
-    arguments, then arguments left to right. Decided at the first
-    difference, so most comparisons look at the roots only."""
+    """Total order on the terms of one signature (`Signature.declare`),
+    negative, zero or positive like a comparison: root name, then node
+    class (variables first), then number of arguments, then arguments left
+    to right. Decided at the first difference, so most comparisons look at
+    the roots only."""
     if a is b:
         return 0
     ka = (a.root.name, isinstance(a.root, Symbol), len(a.args))
@@ -436,6 +447,9 @@ class Signature:
             raise SignatureError(f"{name}: AC attributes require a binary operator")
         if builtin and (assoc or comm):
             raise SignatureError(f"{name}: builtin operators cannot be AC")
+        if assoc and comm and any(n == name and k > 2 for n, k in self._ops) or arity > 2 and self.is_ac(Symbol(name, 2)):
+            # a flattened f node over n arguments would tie with, and print as, an f/n node
+            raise SignatureError(f"{name}: an AC {name}/2 cannot be declared beside an {name}/n with n > 2")
         sym = Symbol(name, arity, "builtin" if builtin else "constructor")
         self._ops[(name, arity)] = OpDecl(sym, assoc, comm, builtin, sort)
         return sym

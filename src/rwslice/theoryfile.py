@@ -159,6 +159,8 @@ class _TermParser:
         ):
             if arity:
                 raise cur.error(f"variable {name} cannot take arguments", at)
+            if ";" in name or "=" in name:
+                raise cur.error(f"variable {name}: ';' and '=' separate a trace's bindings", at)
             return Variable(name)
         if is_numeral_name(name) or name in ("true", "false"):
             if arity:
@@ -201,6 +203,8 @@ def parse_theory(text: str, name: str = "") -> RewriteTheory:
         if tok == "op":
             name_at = cur.i
             op_name = cur.next()
+            if ";" in op_name:
+                raise cur.error(f"operator {op_name}: ';' separates a trace's bindings", name_at)
             cur.next(":")
             arity = cur.next()
             if not arity.isdigit():
@@ -248,6 +252,8 @@ def parse_theory(text: str, name: str = "") -> RewriteTheory:
         elif tok == "rl":
             cur.next("[")
             rule_name = cur.next()
+            if rule_name == "-":
+                raise cur.error("a rule cannot be named '-', a trace's empty name", cur.i - 1)
             cur.next("]")
             cur.next(":")
             lhs = parse_side()

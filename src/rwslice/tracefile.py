@@ -105,7 +105,7 @@ def parse_trace(text: str, theory: RewriteTheory) -> InstrumentedTrace:
             # a step's before usually repeats the last after: compare the texts
             chained = before_txt == prev_txt or parser.term(before_txt) == prev
             spine = parser.term(after_txt) if kind == "unflat" else None
-            step = TraceStep(kind, None if rule == "-" else rule, position, matcher, prev, spine)
+            step = TraceStep(kind, None if rule == "-" and kind != "builtin" else rule, position, matcher, prev, spine)
             try:
                 sub, after = replay_step(step, theory, searched=searched) if chained else (None, None)
             except MalformedStep:

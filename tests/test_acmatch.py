@@ -2,18 +2,20 @@ import random
 
 import pytest
 
+from collections import Counter
+
 from rwslice import acmatch
 from rwslice.acmatch import (
     flatten,
     flatten_term,
-    is_regrouping,
     match_modulo_ac,
     plan_unflat,
     rebuild_spine,
     regrouping_map,
     spine_leaves,
 )
-from rwslice.terms import Position, Signature, Substitution, Symbol, Term, Variable, pretty, replace_at, subterm_at, term_cmp
+from rwslice.engine import MalformedStep, RewriteTheory, TraceStep, replay_step
+from rwslice.terms import EMPTY_SUBST, ROOT, Position, Signature, Substitution, Symbol, Term, Variable, pretty, replace_at, subterm_at, term_cmp
 from rwslice.theoryfile import parse_term
 
 from genutil import ac_variants, oracle_ac_matchers, random_soup
@@ -202,10 +204,11 @@ def test_plan_unflat_rejects_non_equivalent(sig):
 def test_plan_unflat_tells_apart_terms_equal_in_the_term_order():
     """A flattened AC node of f/2 over three arguments and an f/3 node over
     the same arguments are unequal, but neither precedes the other in the
-    term order."""
+    term order. No signature declares the two (`Signature.declare`), so
+    f/3 is a symbol outside it."""
     s = Signature()
     f2 = s.declare("f", 2, assoc=True, comm=True)
-    f3 = s.declare("f", 3)
+    f3 = Symbol("f", 3)
     k = s.declare("k", 2, assoc=True, comm=True)
     a, b, c = (Term(s.declare(n, 0)) for n in "abc")
     flat2, node3 = Term(f2, (a, b, c)), Term(f3, (a, b, c))
@@ -229,20 +232,30 @@ def _regrouped(rng, flat):
     return items[0]
 
 
-def test_is_regrouping_agrees_with_flatten_term():
+def test_replay_unflat_agrees_with_flatten_term():
+    """`replay_step` accepts an unflat step from flat to grouped exactly when
+    grouped differs from flat, flattens to it, and has flat's arguments as
+    its spine leaves."""
     rng = random.Random(8)
     s = _soup_sig()
+    th = RewriteTheory(s)
     cfg, pair, u = (s.lookup(n, a).symbol for n, a in (("cfg", 2), ("pair", 2), ("u", 1)))
     regrouped = lambda flat: _regrouped(rng, flat)
 
     def expected(flat, grouped):
-        return s.is_ac(flat.root) and grouped.root == flat.root and grouped != flat and flatten_term(grouped, s) == flat
+        if not (s.is_ac(flat.root) and grouped.root == flat.root and grouped != flat and flatten_term(grouped, s) == flat):
+            return False
+        return Counter(leaf for _, leaf in spine_leaves(grouped)) == Counter(flat.args)
 
-    # distinct leaves equal in the term order: a flattened cfg node and a cfg/3 one
-    abk = tuple(T(x, s) for x in "abk")
-    tied = [Term(u, (Term(cfg, abk),)), Term(u, (Term(s.declare("cfg", 3), abk),))]
+    def replays(flat, grouped, searched=None):
+        try:
+            replay_step(TraceStep("unflat", None, ROOT, EMPTY_SUBST, flat, grouped), th, searched=searched)
+        except MalformedStep:
+            return False
+        return True
+
     k = T("k", s)
-    cases = [(Term(cfg, (Term(cfg, (tied[i], k)), tied[1 - i])), Term(cfg, (k, *tied))) for i in (0, 1)]
+    cases = []
     for _ in range(150):
         soup = random_soup(rng, s)
         # half of them carry an AC node inside a leaf
@@ -258,15 +271,17 @@ def test_is_regrouping_agrees_with_flatten_term():
     unsorted = Term(u, (Term(cfg, (b, a)),))
     for flat in (Term(cfg, (k, unsorted)), Term(cfg, (a, k, unsorted)), Term(cfg, (a, Term(u, (Term(cfg, (k, unsorted)),))))):
         for grouped in (Term(cfg, flat.args[::-1]), regrouped(flat), regrouped(flat)):
-            assert not expected(flat, grouped) and not is_regrouping(flat, grouped, s), (pretty(flat), pretty(grouped))
+            assert not expected(flat, grouped) and not replays(flat, grouped), (pretty(flat), pretty(grouped))
             cases.append((grouped, flat))
     assert sum(expected(f, g) for g, f in cases) > 100
+    # a leaf that only flattens to an argument: a change below the spine
+    assert sum(flatten_term(g, s) == f != g and not expected(f, g) for g, f in cases) > 20
     for grouped, flat in cases:
-        assert is_regrouping(flat, grouped, s) == expected(flat, grouped), (pretty(flat), pretty(grouped))
+        assert replays(flat, grouped) == expected(flat, grouped), (pretty(flat), pretty(grouped))
     # again, with the nodes known canonical shared by every case, as a check pass shares them
     searched = {}
     for grouped, flat in cases:
-        assert is_regrouping(flat, grouped, s, searched) == expected(flat, grouped), (pretty(flat), pretty(grouped))
+        assert replays(flat, grouped, searched) == expected(flat, grouped), (pretty(flat), pretty(grouped))
     assert searched
 
 
@@ -363,7 +378,7 @@ DEEP = 10_000
 def test_spine_walks_survive_a_deep_comb(sig):
     """A right comb of DEEP f nodes: the spine walk, the spine rebuild, the
     leaf pairing and the regrouping test run without recursion. Nothing
-    compares or hashes whole combs, whose generated `==` still recurses."""
+    compares whole combs, whose generated `==` still recurses."""
     f, g = sig.lookup("f", 2).symbol, sig.lookup("g", 1).symbol
     leaves = [Term(Symbol(f"c{i:05d}", 0)) for i in range(DEEP + 1)]
     comb = leaves[-1]
@@ -384,8 +399,10 @@ def test_spine_walks_survive_a_deep_comb(sig):
         rewalked += 1
     assert rewalked == DEEP + 1
     assert regrouping_map("unflat", flat, comb) == tuple(range(DEEP + 1))
-    assert is_regrouping(flat, comb, sig)
-    assert not is_regrouping(flat, wrapped, sig)
+    th = RewriteTheory(sig)
+    replay_step(TraceStep("unflat", None, ROOT, EMPTY_SUBST, flat, comb), th)
+    with pytest.raises(MalformedStep, match="no regrouping"):
+        replay_step(TraceStep("unflat", None, ROOT, EMPTY_SUBST, flat, wrapped), th)
 
 
 def test_ac_variants_oracle_is_sane(sig):

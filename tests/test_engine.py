@@ -336,11 +336,11 @@ def test_check_step_rejects_identity_unflat():
 def test_replay_rejects_an_unflat_whose_leaves_are_not_the_arguments():
     """The spine leaves of a regrouping are the node's arguments: a spine
     with a leaf that only flattens to one, as a change below the spine
-    makes, is no regrouping, though `is_regrouping`'s flattening accepts it."""
+    makes, is no regrouping, though the spine flattens to the node."""
     th = parse_theory("op f : 2 [assoc comm] .\nop g : 1 .\nop a : 0 .\nop b : 0 .\nop c : 0 .\nop d : 0 .\n")
     before = T("f(d,g(f(a,b,c)))", th.signature)
     after = T("f(d,g(f(f(a,b),c)))", th.signature)
-    assert acmatch.is_regrouping(before, after, th.signature)
+    assert flatten_term(after, th.signature) == before
     step = TraceStep("unflat", None, ROOT, EMPTY_SUBST, before, after)
     with pytest.raises(MalformedStep, match=r"no regrouping at \^"):
         engine.replay_step(step, th)
@@ -418,6 +418,7 @@ def test_candidates_at_equals_all_sizes_reference():
     sig.declare("g", 1)
     sig.declare("h", 1)  # a root of patterns only
     sig.declare("k", 1)  # a root of leaves only
+    sig.declare("e", 2)
     for name in "abc":
         sig.declare(name, 0)
     xy = {"x", "y"}
@@ -435,18 +436,26 @@ def test_candidates_at_equals_all_sizes_reference():
         Rule("boundvar", T("f(g(x),x)", sig, xy), T("a", sig)),
         Rule("nested", T("f(f(x,a),b)", sig, xy), T("a", sig)),
         Rule("nonac", T("g(x)", sig, xy), T("a", sig)),
+        # spine variables that occur once in the left-hand side, last or not
+        Rule("lastvar", T("f(g(x),y)", sig, xy), T("a", sig)),
+        Rule("linear2", T("f(x,y)", sig, xy), T("a", sig)),
+        Rule("linearnested", T("f(e(x,a),y)", sig, xy), T("a", sig)),
+        Rule("mixed", T("f(g(x),f(x,y))", sig, xy), T("a", sig)),
+        # a spine variable that occurs again below the spine
+        Rule("nestedvar", T("f(e(x,y),y)", sig, xy), T("a", sig)),
+        Rule("boundvar2", T("f(x,g(x))", sig, xy), T("a", sig)),
     ]
-    leaves = [T(text, sig) for text in ("a", "b", "c", "g(a)", "g(b)", "g(g(a))", "k(a)", "k(g(b))")]
+    leaves = [T(text, sig) for text in ("a", "b", "c", "g(a)", "g(b)", "g(g(a))", "k(a)", "k(g(b))", "e(a,a)", "e(b,g(a))")]
     rng = random.Random(7)
     matched = 0
-    for _ in range(40):
+    for _ in range(120):
         args = tuple(rng.choice(leaves) for _ in range(rng.randint(3, 7)))
         node = flatten_term(Term(sig.lookup("f", 2).symbol, args), sig)
         rules = rng.sample(pool, k=rng.randint(1, 4))
         expected = all_sizes_candidates(node, rules, sig)
         assert list(engine._candidates_at(node, rules, sig)) == expected, (node, rules)
         matched += bool(expected)
-    assert matched > 15
+    assert matched > 50
 
 
 def _count_match_calls(monkeypatch, bound):
@@ -462,6 +471,31 @@ def _count_match_calls(monkeypatch, bound):
 
     monkeypatch.setattr(engine, "match_modulo_ac", counted)
     return calls
+
+
+@pytest.mark.parametrize("b_arg, rule_steps", [(15, 1), (16, 0)])
+def test_a_spine_variable_that_occurs_once_takes_the_rest_at_once(monkeypatch, b_arg, rule_steps):
+    """`c(c(a(X),b(X)),R)` on sixteen a's and one b, whose argument one of
+    them matches or none does: the last spine variable R takes every
+    argument left in one binding, and when the whole soup has no matcher
+    no smaller group is searched. Each search took time exponential in the
+    width of the soup."""
+    th = parse_theory("op c : 2 [assoc comm] .\nop a : 1 .\nop b : 1 .\nop d : 0 .\nrl [r] : c(c(a(X),b(X)),R) => d .\n")
+    soup = T("c(" + ",".join(f"a({i})" for i in range(16)) + f",b({b_arg}))", th.signature)
+    calls = _count_match_calls(monkeypatch, 5)
+    spine_calls = [0]
+    real = acmatch._ac_args_match
+
+    def counted(*args):
+        spine_calls[0] += 1
+        if spine_calls[0] > 100:
+            pytest.fail("more than 100 _ac_args_match calls")
+        return real(*args)
+
+    monkeypatch.setattr(acmatch, "_ac_args_match", counted)
+    trace = run(soup, th, 1)
+    assert sum(s.kind == "rule" for s in trace.steps) == rule_steps
+    assert calls[0] == 1 and spine_calls[0] > 0
 
 
 def test_match_calls_on_wide_soup(monkeypatch):

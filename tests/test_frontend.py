@@ -11,6 +11,7 @@ import pytest
 from rwslice import acmatch, bundled_example_path, cli, engine, theoryfile, tracefile
 from rwslice.cli import main
 from rwslice.engine import InstrumentedTrace, MalformedStep, Rule, check_step, run
+from rwslice.report import SliceReport
 from rwslice.terms import Position, Signature, Term, Variable, pretty, subterm_at
 from rwslice.theoryfile import (
     ArityMismatchError,
@@ -146,6 +147,17 @@ _SIG = "op f : 2 [assoc comm] .\nop g : 1 .\nop a : 0 ."
     ("op f : 1 [foo] .", TheorySyntaxError, "unknown attribute 'foo'", 1, 11),
     ("op f : 3 [assoc comm] .", TheorySyntaxError, "f: AC attributes require a binary operator", 1, 4),
     ("var .", TheorySyntaxError, "empty var declaration", 1, 1),
+    # names a trace file could not read back, and an AC operator beside a wider one
+    ("op p;q : 0 .", TheorySyntaxError, "operator p;q: ';' separates a trace's bindings", 1, 4),
+    ("op f : 1 .\nvar x=y .\nrl [r] : f(x=y) => f(x=y) .", TheorySyntaxError,
+     "variable x=y: ';' and '=' separate a trace's bindings", 3, 12),
+    ("op f : 1 .\nrl [r] : f(X;Y) => f(X;Y) .", TheorySyntaxError,
+     "variable X;Y: ';' and '=' separate a trace's bindings", 2, 12),
+    ("op f : 1 .\nrl [-] : f(X) => f(X) .", TheorySyntaxError, "a rule cannot be named '-', a trace's empty name", 2, 5),
+    ("op f : 2 [assoc comm] .\nop f : 3 .", TheorySyntaxError,
+     "f: an AC f/2 cannot be declared beside an f/n with n > 2", 2, 4),
+    ("op f : 3 .\nop f : 2 [assoc comm] .", TheorySyntaxError,
+     "f: an AC f/2 cannot be declared beside an f/n with n > 2", 2, 4),
     ("bogus", TheorySyntaxError, "unexpected token 'bogus'", 1, 1),
 ])
 def test_syntax_error_table(text, cls, message, line, col):
@@ -184,6 +196,53 @@ def test_trace_round_trip(tmp_path):
     assert loaded.steps == trace.steps
     # save(load(x)) is identity on the canonical text
     assert render_trace(loaded, "basic") == path.read_text(encoding="utf-8")
+
+
+def test_trace_round_trip_with_the_builtin_minus():
+    """A builtin step's name field holds its operator, so there `-` names
+    the builtin `-`, not the empty name of the other kinds."""
+    th = parse_theory("op - : 2 [builtin] .\nop f : 1 .\nrl [r] : f(X) => f(-(X,1)) .\n")
+    trace = run(parse_term("f(5)", th.signature), th, 2)
+    text = render_trace(trace)
+    assert "step builtin - 1 - f(-(5,1)) f(4)\n" in text
+    loaded = parse_trace(text, th)
+    assert loaded.steps == trace.steps and render_trace(loaded) == text
+
+
+_DEEP_THEORY = "op h : 1 .\nop s : 1 .\nop z : 0 .\nrl [r] : h(s(X)) => h(X) .\n"
+
+
+def _deep(d: int) -> str:
+    return "h(" + "s(" * d + "z" + ")" * d + ")"
+
+
+def test_deep_terms_run_slice_report_save_and_load(tmp_path):
+    """h(s^10000(z)) through the engine, whose matcher set hashes each
+    binding (`Term.__hash__`), the slicer, the structured report, and a save
+    and load of the trace, none of which recurses."""
+    th = parse_theory(_DEEP_THEORY, name="deep")
+    trace = run(parse_term(_deep(10_000), th.signature), th, 3)
+    assert [s.kind for s in trace.steps] == ["rule"] * 3
+    report = SliceReport(trace_slice(trace, [Position((1, 1))]), theory_name="deep").render_structured()
+    assert report.startswith("rwslice-report 1\n") and "\nslice 3 h(s(s(•)))\n" in report
+    save_trace(trace, tmp_path / "deep.rwtrace")
+    loaded = load_trace(tmp_path / "deep.rwtrace", th)
+    assert len(loaded.steps) == 3 and pretty(loaded.final()) == _deep(9_997)
+
+
+def test_cli_slices_deep_terms(tmp_path, capsys):
+    """--steps, --end (`run_until` compares with `term_eq`) and --trace on
+    h(s^10000(z)) print one report."""
+    theory = tmp_path / "deep.rwt"
+    theory.write_text(_DEEP_THEORY, encoding="utf-8")
+    th = parse_theory(_DEEP_THEORY, name="deep.rwt")
+    save_trace(run(parse_term(_deep(10_000), th.signature), th, 3), tmp_path / "deep.rwtrace")
+    common = ["--theory", str(theory), "--init", _deep(10_000), "--criterion", "1.1", "--format", "structured"]
+    reports = []
+    for end in (["--steps", "3"], ["--end", _deep(9_997)], ["--trace", str(tmp_path / "deep.rwtrace")]):
+        assert main(common + end) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1] == reports[2] and "\nslice 3 h(s(s(•)))\n" in reports[0]
 
 
 def _nodes(t: Term) -> list[Term]:

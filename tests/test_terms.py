@@ -8,6 +8,7 @@ from rwslice.terms import (
     Position,
     PositionOutOfRange,
     Signature,
+    SignatureError,
     Substitution,
     Symbol,
     Term,
@@ -215,3 +216,40 @@ def test_term_eq_is_equality_without_recursion(sig):
             leaf = Term(Symbol("s", 1), (leaf,))
         chains.append(leaf)
     assert term_eq(chains[0], chains[1]) and not term_eq(chains[0], chains[2])
+
+
+def test_term_hash_agrees_with_equality_without_recursion(sig):
+    rng = random.Random(11)
+    terms = [random_ground_term(rng, sig, 3) for _ in range(80)]
+    rebuilt = [parse_term(pretty(t), sig) for t in terms]  # equal, built apart
+    for s, t in zip(terms, rebuilt):
+        assert s == t and s is not t and hash(s) == hash(t)
+    assert len({hash(t) for t in terms}) >= len(set(terms)) - 2
+    # chains of depth 10^4 built apart, whose generated hash would recurse
+    chains = []
+    for _ in range(2):
+        leaf = Term(Symbol("z", 0))
+        for _ in range(10_000):
+            leaf = Term(Symbol("s", 1), (leaf,))
+        chains.append(leaf)
+    assert hash(chains[0]) == hash(chains[1]) and hash(chains[0]) != hash(chains[0].args[0])
+    assert hash(Substitution({Variable("X"): chains[0]})) == hash(Substitution({Variable("X"): chains[1]}))
+
+
+@pytest.mark.parametrize("first, second", [(2, 3), (3, 2), (2, 5), (5, 2)])
+def test_declare_rejects_an_ac_operator_beside_a_wider_one(first, second):
+    """A flattened AC f/2 node over n arguments would tie with an f/n node
+    in the term order, and print as one, so the two are never declared
+    together, in either order."""
+    sig = Signature()
+    sig.declare("f", first, assoc=first == 2, comm=first == 2)
+    with pytest.raises(SignatureError, match=r"an AC f/2 cannot be declared beside an f/n with n > 2"):
+        sig.declare("f", second, assoc=second == 2, comm=second == 2)
+    # other arities, or a binary f that is not AC, are fine
+    sig = Signature()
+    for arity in (0, 1, 2, 3):
+        sig.declare("f", arity)
+    sig = Signature()
+    sig.declare("f", 2, assoc=True, comm=True)
+    sig.declare("f", 1)
+    sig.declare("g", 3)
