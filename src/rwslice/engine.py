@@ -38,7 +38,6 @@ from .terms import (
     Symbol,
     Term,
     Variable,
-    first_postorder,
     is_ground,
     match,
     pretty,
@@ -118,6 +117,15 @@ class Rule:
         """`acmatch.spine_roots` of the left-hand side, computed once per
         rule; the engine reads it at AC nodes (`ac_groups`, `_candidates_at`)."""
         return spine_roots(self.lhs)
+
+    @cached_property
+    def lhs_symbols(self) -> frozenset[Symbol]:
+        """The operator symbols of the left-hand side; `_candidates_at`
+        matches it syntactically when none is AC."""
+        nodes = [self.lhs]
+        for node in nodes:  # the list grows as it is read
+            nodes += node.args
+        return frozenset(node.root for node in nodes if isinstance(node.root, Symbol))
 
     def redex_pattern(self) -> Term:
         return _to_pattern(self.lhs)
@@ -260,13 +268,25 @@ class InstrumentedTrace:
         return self.steps[-1].after if self.steps else self.initial
 
 
+# the scan kinds in the strategy's priority order; kind k is bit 1 << k of
+# a scan's masks (`_first_hit`)
+KINDS = ("flat", "builtin", "equation", "rule")
+FLAT, BUILTIN, EQUATION, RULE = 1, 2, 4, 8
+
+
 class _Steps(list):
     """The steps of a run of `th`, a list that refuses to grow past `limit`,
-    and the run's strategy. Per step kind, `tests` holds the node test of
-    its scan and `searched` the nodes that scan searched without a hit
-    (`first_postorder`). `simplify` and `rewrite` give the priority order:
-    flat, builtin, equation, then rule; a kind with no rules has no hit
-    and is left out, never walked."""
+    and the run's strategy. `tests` holds the node test of each scan kind,
+    in priority order (`KINDS`): flat, builtin, equation, then rule.
+    `roots`, built once per run from the signature and the rules, gives
+    per root name the mask of the kinds a node with that root admits: flat
+    at an AC root, builtin at a builtin one, equation or rule where some
+    left-hand side of that kind has the root. A name declared at several
+    arities admits the kinds of each, which the tests tell apart; a name
+    not in it admits none, and its nodes are not tested. `searched` is the
+    run's one memo (`_first_hit`), read by the scan (`first`) and by the
+    replay's canonical check (`add`). `simplify` and `rewrite` are the
+    masks of the kinds some root admits."""
 
     def __init__(self, th: RewriteTheory, limit: int):
         super().__init__()
@@ -278,18 +298,22 @@ class _Steps(list):
             "equation": lambda node: next(_candidates_at(node, th.equations, sig), None),
             "rule": lambda node: next(_candidates_at(node, th.rules, sig), None),
         }
-        self.searched = {kind: {} for kind in self.tests}
-        self.simplify = ("flat", "builtin") + (("equation",) if th.equations else ())
-        self.rewrite = ("rule",) if th.rules else ()
+        roots: dict[str, int] = {}
+        admitted = 0
+        kinds = [(s, FLAT) for s in sig.ac_symbols] + [(d.symbol, BUILTIN) for d in sig.ops() if d.builtin]
+        kinds += [(r.lhs.root, EQUATION) for r in th.equations] + [(r.lhs.root, RULE) for r in th.rules]
+        for root, kind in kinds:
+            roots[root.name] = roots.get(root.name, 0) | kind
+            admitted |= kind
+        self.roots = roots
+        self.simplify, self.rewrite = admitted & ~RULE, admitted & RULE
+        self.searched: dict[int, tuple] = {}
 
-    def first(self, t: Term, kinds: tuple[str, ...]):
-        """(kind, position, hit) of the first of `kinds` with a hit in t, at
-        its leftmost-innermost hit, or None."""
-        for kind in kinds:
-            hit = first_postorder(t, self.tests[kind], self.searched[kind])
-            if hit is not None:
-                return kind, *hit
-        return None
+    def first(self, t: Term, wanted: int):
+        """(kind, position, hit) of the first kind of the mask `wanted`, in
+        priority order, with a hit in t, at its leftmost-innermost hit, or
+        None: one walk (`_first_hit`)."""
+        return _first_hit(t, wanted, self.searched, self.roots.get, self.tests)
 
     def take(self, t: Term, kind: str, q: Position, hit) -> Term:
         """Makes the step for `first`'s hit at q in t, a flat or builtin
@@ -306,14 +330,83 @@ class _Steps(list):
 
     def add(self, step: TraceStep) -> Term:
         """Appends the step, given with no after term (an unflat step: with
-        its spine), made by its replay (`replay_step`, whose canonical nodes
-        are the flat scan's), and returns the after term."""
+        its spine), made by its replay (`replay_step`, whose canonical check
+        reads and extends the flat bits of the run's memo), and returns the
+        after term."""
         if len(self) >= self.limit:
             raise StepBudgetExceeded(f"more than {self.limit} elementary steps")
-        after = replay_step(step, self.th, searched=self.searched["flat"])[1]
+        after = replay_step(step, self.th, searched=self.searched)[1]
         object.__setattr__(step, "after", after)
         self.append(step)
         return after
+
+
+def _first_hit(t: Term, wanted: int, searched: dict[int, tuple], admits, tests: dict):
+    """(kind, position, result) of the first kind of the mask `wanted`, in
+    priority order, for which its test in `tests` (by `KINDS` name, in that
+    order) is not None at some node of t, at the kind's first such node in
+    leftmost-innermost (postorder) order; or None. One walk on an explicit
+    stack, not recursion, building a position only for a hit.
+
+    At each node it tests, in priority order, the wanted kinds that
+    admits(root name, 0) gives, a mask. A hit keeps only the kinds ranked
+    above it wanted, and the walk stops when none is. `searched` maps
+    id(node) to the node, the mask of the kinds with no hit in its subtree,
+    and the hit found at the node itself, (kind index, result), or None;
+    the walk skips a subtree whose mask covers the wanted kinds, tests no
+    kind its mask holds, and adds to it the kinds still wanted when the
+    subtree is done. A hit the walk passes over for a higher kind found later is kept
+    there, so the next walks read it instead of testing again while the
+    higher kind's steps go first. When each test depends on nothing but
+    its node's subtree, a skipped subtree has no hit and a kept hit is the
+    test's result wherever the node is shared, terms being immutable.
+    Holding the node keeps its id from being reused. A node with flat
+    admitted, two arguments or more (so an AC node: no other arity of an AC
+    operator's name takes two) and its parent's root is tested for flat
+    alone while flat is wanted: the parent needs flat, and that hit ends
+    the walk."""
+    entry = searched.get(id(t))
+    if entry is not None and not wanted & ~entry[1]:
+        return None
+    best = None
+    nodes, next_child, entries = [t], [0], [entry]
+    while nodes:
+        node, i = nodes[-1], next_child[-1]
+        if i < len(node.args):
+            next_child[-1] = i + 1
+            child = node.args[i]
+            if not child.args and not admits(child.root.name, 0) & wanted:
+                continue  # a leaf that admits no wanted kind
+            entry = searched.get(id(child))
+            if entry is None or wanted & ~entry[1]:
+                nodes.append(child)
+                next_child.append(0)
+                entries.append(entry)
+            continue
+        entry = entries.pop()
+        known, stored = (0, None) if entry is None else entry[1:]
+        cached = stored
+        here, settled = admits(node.root.name, 0), wanted
+        if here & wanted & FLAT and len(node.args) > 1 and len(nodes) > 1 and nodes[-2].root == node.root:
+            here, settled = FLAT, FLAT
+        here &= wanted & ~known
+        if here:
+            for k, test in enumerate(tests.values()):
+                if here >> k & 1:
+                    result = cached[1] if cached is not None and cached[0] == k else test(node)
+                    if result is not None:
+                        best = KINDS[k], Position(tuple(next_child[:-1])), result
+                        wanted &= (1 << k) - 1
+                        if not wanted:
+                            return best
+                        cached = k, result
+                        break
+        settled &= wanted
+        if settled & ~known or cached is not stored:
+            searched[id(node)] = node, known | settled, cached
+        nodes.pop()
+        next_child.pop()
+    return best
 
 
 def _candidates_at(node: Term, rules: list[Rule], sig: Signature):
@@ -323,7 +416,10 @@ def _candidates_at(node: Term, rules: list[Rule], sig: Signature):
     larger groups first, `combinations` order within a size). A rule whose
     left-hand side has another root symbol than the node is skipped: it
     cannot match there, and a flattened AC node keeps its binary symbol as
-    root. At an AC node only the groups `ac_groups` gives are matched. A
+    root. A left-hand side with no AC symbol is matched syntactically
+    (`match`): its one matcher, if any, with the node itself as the
+    regrouped subtree. Other left-hand sides go to `match_modulo_ac`, and
+    at an AC node only the groups `ac_groups` gives are matched. A
     spine subpattern that is not a variable takes exactly one argument,
     with its own root, so the node's roots must cover the spine's, and
     without a spine variable a group has exactly the spine's roots: every
@@ -338,6 +434,11 @@ def _candidates_at(node: Term, rules: list[Rule], sig: Signature):
     for rule in rules:
         root = rule.lhs.root
         if root != node.root:
+            continue
+        if rule.lhs_symbols.isdisjoint(sig.ac_symbols):
+            sub = match(rule.lhs, node)
+            if sub is not None:
+                yield rule, sub, node, ROOT
             continue
         for idxs in ac_groups(rule.lhs_spine, node.args) if sig.is_ac(root) else (range(n),):
             if len(idxs) == n:
@@ -381,23 +482,24 @@ def _drive(
     the first hit among flat, builtin and equation (`_Steps.simplify`);
     when none hits, the term is canonical, and the run stops if done(term,
     rule steps taken) holds, else takes a rule step. `finished` is False
-    when the run stopped earlier because no rule applies. Each step is
-    made by its replay, and so checked once (`_Steps.add`). Each scan kind
-    keeps the nodes it searched without a hit for the whole run
-    (`first_postorder`): a step shares every subtree off its path, so
-    later scans search only the contractum and its new ancestors. The
-    memos live for one run: the tests depend on its theory, and the nodes
-    they hold would otherwise outlive the trace."""
+    when the run stopped earlier because no rule applies. done is read
+    before each step's walk, which looks for a rule too unless it holds,
+    so its answer counts only on a canonical term, and a finished run
+    searches no rule. Each step takes one walk (`_Steps.first`) and is
+    made by its replay, and so checked once (`_Steps.add`). The run keeps
+    one memo of the kinds with no hit in each searched subtree: a step
+    shares every subtree off its path, so later walks search only the
+    contractum and its new ancestors. The memo lives for one run: the
+    tests depend on its theory, and the nodes it holds would otherwise
+    outlive the trace."""
     out = _Steps(th, DEFAULT_STEP_BUDGET if max_steps is None else max_steps)
     t, rule_steps = t0, 0
     while True:
-        hit = out.first(t, out.simplify)
-        if hit is None:  # t is canonical
-            finished = done(t, rule_steps)
-            hit = None if finished else out.first(t, out.rewrite)
-            if hit is None:
-                return InstrumentedTrace._checked(th, t0, out), finished
-            rule_steps += 1
+        finished = done(t, rule_steps)
+        hit = out.first(t, out.simplify if finished else out.simplify | out.rewrite)
+        if hit is None:  # t is canonical, and finished or stuck
+            return InstrumentedTrace._checked(th, t0, out), finished
+        rule_steps += hit[0] == "rule"
         t = out.take(t, *hit)
 
 
@@ -496,7 +598,7 @@ def _rewrite(step: TraceStep, th: RewriteTheory, node: Term) -> tuple[Substituti
     return EMPTY_SUBST, rebuild_spine(after, moved())
 
 
-def replay_step(step: TraceStep, th: RewriteTheory, *, searched: dict[int, Term] | None = None) -> tuple[Substitution, Term]:
+def replay_step(step: TraceStep, th: RewriteTheory, *, searched: dict[int, tuple] | None = None) -> tuple[Substitution, Term]:
     """The matcher and the after term the theory gives the step from its
     before term: the kind's preconditions hold, then `apply_step`'s rewrite
     at the step's position. A rule or equation step must record exactly
@@ -504,13 +606,14 @@ def replay_step(step: TraceStep, th: RewriteTheory, *, searched: dict[int, Term]
     nothing, and only a builtin step has a name, its operator's. Of the
     after term, only an unflat step's is read, for the spine it records.
     A flat step's precondition is `needs_flat` at its node; an unflat
-    step's, that its node is AC and canonical (a `first_postorder` walk,
-    which skips the nodes in `searched`) and its spine has the node's
-    root, differs from it, and has exactly the node's arguments as leaves
-    (a move map). The move map is computed here and kept (`TraceStep.moves`).
-    Only a run and the loader pass `searched`, the nodes known canonical: a
-    run's flat scan, which tests the same nodes, or the loader's memo for
-    one file. Raises MalformedStep when the step does not replay."""
+    step's, that its node is AC and canonical (a `_first_hit` walk for
+    flat, which reads and extends the flat bits of the memo `searched`)
+    and its spine has the node's root, differs from it, and has exactly
+    the node's arguments as leaves (a move map). The move map is computed
+    here and kept (`TraceStep.moves`). Only a run and the loader pass
+    `searched`: the run's memo, whose flat scan tests the same nodes, or
+    the loader's memo for one file. Raises MalformedStep when the step
+    does not replay."""
     q = step.position
     try:
         node = subterm_at(step.before, q)
@@ -522,7 +625,9 @@ def replay_step(step: TraceStep, th: RewriteTheory, *, searched: dict[int, Term]
             object.__setattr__(step, "moves", moves)  # kept: `TraceStep.moves`
             if after is not None and (
                 moves is None or not sig.is_ac(node.root) or after.root != node.root or term_eq(after, node)
-                or first_postorder(node, lambda n: needs_flat(n, sig) or None, {} if searched is None else searched)
+                or _first_hit(node, FLAT, {} if searched is None else searched,
+                              dict.fromkeys((s.name for s in sig.ac_symbols), FLAT).get,
+                              {"flat": lambda n: needs_flat(n, sig) or None})
             ):
                 raise MalformedStep(f"no regrouping at {q}")
             if step.rule_name is not None:

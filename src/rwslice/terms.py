@@ -282,7 +282,17 @@ class Substitution:
         return len(self._bindings)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Substitution) and self._bindings == other._bindings
+        """The same variables bound to equal terms (`term_eq`, no recursion)."""
+        if self is other:
+            return True
+        if not isinstance(other, Substitution) or len(self._bindings) != len(other._bindings):
+            return False
+        theirs = other._bindings
+        for v, t in self._bindings.items():
+            u = theirs.get(v)
+            if u is None or u is not t and not term_eq(t, u):
+                return False
+        return True
 
     def __hash__(self) -> int:
         return hash(frozenset(self._bindings.items()))
@@ -310,7 +320,7 @@ def match(pattern: Term, subject: Term) -> Substitution | None:
         root = p.root
         if isinstance(root, Variable):
             seen = bindings.setdefault(root, s)
-            if seen is not s and seen != s:
+            if seen is not s and not term_eq(seen, s):
                 return None
         elif root.kind != "bullet":
             if root != s.root or len(p.args) != len(s.args):
@@ -418,10 +428,12 @@ class OpDecl:
 
 
 class Signature:
-    """Operator declarations keyed by name and arity."""
+    """Operator declarations keyed by name and arity; `ac_symbols` holds the
+    symbols declared AC."""
 
     def __init__(self):
         self._ops: dict[tuple[str, int], OpDecl] = {}
+        self.ac_symbols: set[Symbol] = set()
 
     def declare(
         self,
@@ -452,6 +464,8 @@ class Signature:
             raise SignatureError(f"{name}: an AC {name}/2 cannot be declared beside an {name}/n with n > 2")
         sym = Symbol(name, arity, "builtin" if builtin else "constructor")
         self._ops[(name, arity)] = OpDecl(sym, assoc, comm, builtin, sort)
+        if assoc and comm:
+            self.ac_symbols.add(sym)
         return sym
 
     def lookup(self, name: str, arity: int) -> OpDecl | None:

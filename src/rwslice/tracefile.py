@@ -91,7 +91,7 @@ def parse_trace(text: str, theory: RewriteTheory) -> InstrumentedTrace:
         # is that print, as the parser only skips blanks and comments
         canon = prev_txt if len(prev_txt) == printed_length(prev, lengths) else pretty(prev)
         positions: dict[str, Position] = {}
-        searched: dict[int, Term] = {}  # the nodes known canonical (`replay_step`)
+        searched: dict[int, tuple] = {}  # the nodes known canonical (`replay_step`)
         steps: list[TraceStep] = []
         for lineno, line in lines[3:]:
             fields = line.split()

@@ -1,6 +1,9 @@
 import dataclasses
+import gc
 import hashlib
 import random
+import weakref
+from collections import Counter
 
 import pytest
 
@@ -34,6 +37,7 @@ from rwslice.terms import (
     Term,
     Variable,
     first_postorder,
+    match,
     positions,
     pretty,
     replace_at,
@@ -562,29 +566,131 @@ def test_pruned_walk_equals_full_scan_on_generated_traces(generated_traces):
     assert hits > 500
 
 
+def _count_node_tests(monkeypatch):
+    """Count each scan's node tests by kind, and the walks (`_first_hit`)."""
+    calls = Counter()
+    real = engine._first_hit
+
+    def counted(t, wanted, searched, admits, tests):
+        calls["walk"] += 1
+
+        def counting(kind, test):
+            def counted_test(node):
+                calls[kind] += 1
+                return test(node)
+            return counted_test
+
+        return real(t, wanted, searched, admits, {kind: counting(kind, test) for kind, test in tests.items()})
+
+    monkeypatch.setattr(engine, "_first_hit", counted)
+    return calls
+
+
 def test_scans_skip_searched_subtrees(monkeypatch):
+    """On the AC-free tree, a node is tested only for the kinds its root
+    admits, and only once per kind while it is shared: no flat test, a
+    builtin test at each new + node, a rule test at each new node."""
     th = parse_theory(WIDE_STATE)
     init = T(wide_tree(6, 0), th.signature)
     assert len(positions(init)) == 255
-    calls = {"_candidates_at": 0, "needs_flat": 0}
-
-    def count(module, name):
-        real = getattr(module, name)
-
-        def counted(*args):
-            calls[name] += 1
-            return real(*args)
-
-        monkeypatch.setattr(module, name, counted)
-
-    count(engine, "_candidates_at")
-    count(engine, "needs_flat")  # the name the flat scan's test calls
+    calls = _count_node_tests(monkeypatch)
     trace = run(init, th, 24)
     kinds = [s.kind for s in trace.steps]
     assert kinds.count("rule") == kinds.count("builtin") == 24
-    # a full rescan before every step takes 9,371 and 12,543 calls
-    assert 0 < calls["_candidates_at"] <= 1_500
-    assert 0 < calls["needs_flat"] <= 2_500
+    # a full rescan before every step makes 9,371 rule tests, and one
+    # scan per kind, each with its own memo, made 180
+    assert 0 < calls["rule"] <= 78
+    assert calls["builtin"] == 24 and calls["flat"] == calls["equation"] == 0
+
+
+def test_one_walk_per_elementary_step(monkeypatch):
+    """Each step takes one walk that tests every kind, and the run one more
+    walk to find it is done. One walk per scan kind made 122 walks for the
+    tree's 48 elementary steps."""
+    th = parse_theory(WIDE_STATE)
+    calls = _count_node_tests(monkeypatch)
+    trace = run(T(wide_tree(6, 0), th.signature), th, 24)
+    assert len(trace.steps) == 48
+    assert calls["walk"] <= len(trace.steps) + 1
+
+
+def test_one_walk_finds_the_first_kind_of_a_full_scan(generated_traces):
+    """On every term of the seeded traces, one walk for every kind
+    (`_Steps.first`) finds the first kind, in priority order, that a full
+    scan of its node test hits, at that scan's hit. The memo is carried
+    from term to term, as in a run."""
+    found = Counter()
+    for th, trace in generated_traces:
+        steps = engine._Steps(th, 0)
+        assert list(steps.tests) == list(engine.KINDS)
+        for t in trace.terms():
+            expected = None
+            for kind, test in steps.tests.items():
+                hit = postorder_scan(t, test)
+                if hit is not None:
+                    expected = (kind, *hit)
+                    break
+            assert steps.first(t, steps.simplify | steps.rewrite) == expected, (t, trace.steps)
+            found[expected and expected[0]] += 1
+    assert min(found[kind] for kind in ("flat", "builtin", "rule", None)) > 100 and found["equation"] > 0
+
+
+def test_ac_free_rules_match_syntactically(generated_traces):
+    """A left-hand side with no AC symbol has at most one matcher modulo AC,
+    and it is the syntactic one (`match`), with the node itself as the
+    regrouped subtree (`_candidates_at`)."""
+    matched = 0
+    for th, trace in generated_traces:
+        sig = th.signature
+        rules = [r for r in th.equations + th.rules if r.lhs_symbols.isdisjoint(sig.ac_symbols)]
+        seen = set()
+        for t in trace.terms():
+            for p in positions(t):
+                node = subterm_at(t, p)
+                if id(node) in seen:
+                    continue
+                seen.add(id(node))
+                for rule in rules:
+                    sub = match(rule.lhs, node)
+                    assert match_modulo_ac(rule.lhs, node, sig) == ([] if sub is None else [(sub, node)]), (rule, node)
+                    matched += sub is not None
+    assert matched > 200
+
+
+def test_matching_work_on_client_server_is_unchanged(monkeypatch):
+    """Every rule of client_server.rwt has the AC root net, so the scan
+    matches modulo AC as many times as it did before AC-free rules were
+    matched syntactically."""
+    th = parse_theory(bundled_example_path("client_server.rwt").read_text())
+    calls = _count_match_calls(monkeypatch, 16)
+    trace = run(T("net(srv(0),cli(1,3,none),cli(2,4,none))", th.signature), th, 6)
+    assert sum(1 for s in trace.steps if s.kind == "rule") == 6
+    assert calls[0] == 16
+
+
+def test_a_run_frees_its_steps_without_the_collector(monkeypatch):
+    """A run's `_Steps`, with its memo of every node it searched, is freed
+    by reference counting once `run` returns: nothing it holds refers back
+    to it."""
+    made = []
+
+    class Tracked(engine._Steps):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(engine, "_Steps", Tracked)
+    cases = [(WIDE_STATE, wide_tree(6, 0), 24)]
+    cases += [(bundled_example_path(theory).read_text(), init, rule_steps) for theory, init, rule_steps in BUNDLED_RUNS]
+    gc.disable()
+    try:
+        for text, init, rule_steps in cases:
+            th = parse_theory(text)
+            assert run(T(init, th.signature), th, rule_steps).steps
+            assert made[-1]() is None
+    finally:
+        gc.enable()
+    assert len(made) == len(cases)
 
 
 def test_scans_survive_deep_terms():

@@ -245,6 +245,29 @@ def test_cli_slices_deep_terms(tmp_path, capsys):
     assert reports[0] == reports[1] == reports[2] and "\nslice 3 h(s(s(•)))\n" in reports[0]
 
 
+def test_deep_bindings_save_load_and_match(tmp_path):
+    """A 500-step run of h(X) => h(s(X)) binds X to s^499(z): its trace
+    loads, as the loader compares each recorded matcher with the replay's
+    without recursion (`Substitution.__eq__`). A repeated variable bound
+    to two copies of s^10000(z) matches in the scan and in the replay
+    (`match` compares them with `term_eq`)."""
+    th = parse_theory("op h : 1 .\nop s : 1 .\nop z : 0 .\nrl [r] : h(X) => h(s(X)) .\n", name="grow")
+    trace = run(parse_term("h(z)", th.signature), th, 500)
+    save_trace(trace, tmp_path / "grow.rwtrace")
+    loaded = load_trace(tmp_path / "grow.rwtrace", th)
+    assert render_trace(loaded) == render_trace(trace) and len(loaded.steps) == 500
+    th = parse_theory("op k : 2 .\nop s : 1 .\nop z : 0 .\nop d : 0 .\nrl [r] : k(X,X) => d .\n")
+    sig = th.signature
+    copies = []
+    for _ in range(2):
+        t = parse_term("z", sig)
+        for _ in range(10_000):
+            t = Term(sig.lookup("s", 1).symbol, (t,))
+        copies.append(t)
+    trace = run(Term(sig.lookup("k", 2).symbol, tuple(copies)), th, 1)
+    assert [s.kind for s in trace.steps] == ["rule"] and pretty(trace.final()) == "d"
+
+
 def _nodes(t: Term) -> list[Term]:
     """Every node of t, by an iterative walk (`==` and `pretty` recurse)."""
     out, stack = [], [t]
