@@ -21,7 +21,6 @@ from .terms import (
     Symbol,
     Term,
     Variable,
-    first_postorder,
     pretty,
     replace_at,
     subterm_at,
@@ -66,21 +65,33 @@ def needs_flat(node: Term, sig: Signature) -> bool:
 
 
 def flatten(t: Term, sig: Signature) -> tuple[Term, list[FlatEvent]]:
-    """AC canonical form of t plus the innermost-first flattening events.
-    Each event's scan skips the subtrees that earlier scans found with
-    nothing to flatten (`first_postorder`)."""
-    searched: dict[int, Term] = {}
+    """AC canonical form of t plus the innermost-first flattening events,
+    from one postorder walk on an explicit stack. A node is rebuilt from
+    its visited arguments only when one changed, and flattened once
+    (`one_level_flat`) when it needs it: its merged children are canonical
+    already. Each event builds its position; the events are those of
+    flattening, again and again, the first node in postorder that needs it."""
     events: list[FlatEvent] = []
     current = t
-    while True:
-        hit = first_postorder(current, lambda node: node if needs_flat(node, sig) else None, searched)
-        if hit is None:
-            return current, events
-        pos, node = hit
-        new_node, _ = one_level_flat(node)
-        after = replace_at(current, pos, new_node)
-        events.append((pos, current, after))
-        current = after
+    nodes, built = [t], [[]]  # the open nodes, each with its visited arguments
+    while nodes:
+        node, args = nodes[-1], built[-1]
+        if len(args) < len(node.args):
+            nodes.append(node.args[len(args)])
+            built.append([])
+            continue
+        nodes.pop()
+        built.pop()
+        if any(a is not b for a, b in zip(args, node.args)):
+            node = Term(node.root, tuple(args))
+        if needs_flat(node, sig):
+            node = one_level_flat(node)[0]
+            pos = Position(tuple(len(b) + 1 for b in built))
+            events.append((pos, current, replace_at(current, pos, node)))
+            current = events[-1][2]
+        if built:
+            built[-1].append(node)
+    return current, events
 
 
 def flatten_term(t: Term, sig: Signature) -> Term:

@@ -17,7 +17,7 @@ import sys
 from .engine import DEFAULT_STEP_BUDGET, run, run_until
 from .report import SliceReport
 from .slicer import trace_slice
-from .terms import Position, RwsliceError, pretty, term_eq
+from .terms import Position, RwsliceError, pretty
 from .theoryfile import parse_term, parse_theory
 from .tracefile import parse_trace
 
@@ -71,7 +71,7 @@ def main(argv=None) -> int:
         budget = _budget(args)
         if args.trace is not None:
             trace = parse_trace(_read(args.trace), th)
-            if not term_eq(trace.initial, init):
+            if trace.initial != init:
                 raise CliError(f"--init {pretty(init)} does not match the trace's initial term {pretty(trace.initial)}")
         elif args.steps is not None:
             if args.steps < 0:

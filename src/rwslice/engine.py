@@ -43,7 +43,6 @@ from .terms import (
     pretty,
     replace_at,
     subterm_at,
-    term_eq,
 )
 
 DEFAULT_STEP_BUDGET = 10_000
@@ -244,11 +243,11 @@ class InstrumentedTrace:
 
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(self.steps))
-        prev = self.initial
+        prev, checked = self.initial, _Steps(self.theory, 0)
         for i, step in enumerate(self.steps):
-            if not term_eq(step.before, prev):
+            if step.before != prev:
                 raise MalformedStep("steps do not chain", i)
-            if not check_step(step, self.theory):
+            if not check_step(step, self.theory, steps=checked):
                 raise MalformedStep(f"{step.kind} step at {step.position} does not replay", i)
             prev = step.after
 
@@ -269,7 +268,7 @@ class InstrumentedTrace:
 
 
 # the scan kinds in the strategy's priority order; kind k is bit 1 << k of
-# a scan's masks (`_first_hit`)
+# a scan's masks (`_Steps.first`)
 KINDS = ("flat", "builtin", "equation", "rule")
 FLAT, BUILTIN, EQUATION, RULE = 1, 2, 4, 8
 
@@ -284,9 +283,10 @@ class _Steps(list):
     left-hand side of that kind has the root. A name declared at several
     arities admits the kinds of each, which the tests tell apart; a name
     not in it admits none, and its nodes are not tested. `searched` is the
-    run's one memo (`_first_hit`), read by the scan (`first`) and by the
-    replay's canonical check (`add`). `simplify` and `rewrite` are the
-    masks of the kinds some root admits."""
+    one memo of the walk (`first`), read by the scan and by the replay's
+    canonical check (`add`, `replay_step`). `simplify` and `rewrite` are
+    the masks of the kinds some root admits. A check or a load that makes
+    no step keeps one with `limit` 0 for its memo alone."""
 
     def __init__(self, th: RewriteTheory, limit: int):
         super().__init__()
@@ -310,10 +310,72 @@ class _Steps(list):
         self.searched: dict[int, tuple] = {}
 
     def first(self, t: Term, wanted: int):
-        """(kind, position, hit) of the first kind of the mask `wanted`, in
-        priority order, with a hit in t, at its leftmost-innermost hit, or
-        None: one walk (`_first_hit`)."""
-        return _first_hit(t, wanted, self.searched, self.roots.get, self.tests)
+        """(kind, position, result) of the first kind of the mask `wanted`,
+        in priority order, for which its test in `tests` is not None at some
+        node of t, at the kind's first such node in leftmost-innermost
+        (postorder) order; or None. One walk on an explicit stack, not
+        recursion, building a position only for a hit.
+
+        At each node it tests, in priority order, the wanted kinds that
+        `roots` admits there. A hit keeps only the kinds ranked above it
+        wanted, and the walk stops when none is. `searched` maps id(node)
+        to the node, the mask of the kinds with no hit in its subtree, and
+        the hit found at the node itself, (kind index, result), or None;
+        the walk skips a subtree whose mask covers the wanted kinds, tests
+        no kind its mask holds, and adds to it the kinds still wanted when
+        the subtree is done. A hit the walk passes over for a higher kind
+        found later is kept there, so the next walks read it instead of
+        testing again while the higher kind's steps go first. When each
+        test depends on nothing but its node's subtree, a skipped subtree
+        has no hit and a kept hit is the test's result wherever the node is
+        shared, terms being immutable. Holding the node keeps its id from
+        being reused. A node with flat admitted, two arguments or more (so
+        an AC node: no other arity of an AC operator's name takes two) and
+        its parent's root is tested for flat alone while flat is wanted:
+        the parent needs flat, and that hit ends the walk."""
+        searched, admits, tests = self.searched, self.roots.get, self.tests.values()
+        entry = searched.get(id(t))
+        if entry is not None and not wanted & ~entry[1]:
+            return None
+        best = None
+        nodes, next_child, entries = [t], [0], [entry]
+        while nodes:
+            node, i = nodes[-1], next_child[-1]
+            if i < len(node.args):
+                next_child[-1] = i + 1
+                child = node.args[i]
+                if not child.args and not admits(child.root.name, 0) & wanted:
+                    continue  # a leaf that admits no wanted kind
+                entry = searched.get(id(child))
+                if entry is None or wanted & ~entry[1]:
+                    nodes.append(child)
+                    next_child.append(0)
+                    entries.append(entry)
+                continue
+            entry = entries.pop()
+            known, stored = (0, None) if entry is None else entry[1:]
+            cached = stored
+            here, settled = admits(node.root.name, 0), wanted
+            if here & wanted & FLAT and len(node.args) > 1 and len(nodes) > 1 and nodes[-2].root == node.root:
+                here, settled = FLAT, FLAT
+            here &= wanted & ~known
+            if here:
+                for k, test in enumerate(tests):
+                    if here >> k & 1:
+                        result = cached[1] if cached is not None and cached[0] == k else test(node)
+                        if result is not None:
+                            best = KINDS[k], Position(tuple(next_child[:-1])), result
+                            wanted &= (1 << k) - 1
+                            if not wanted:
+                                return best
+                            cached = k, result
+                            break
+            settled &= wanted
+            if settled & ~known or cached is not stored:
+                searched[id(node)] = node, known | settled, cached
+            nodes.pop()
+            next_child.pop()
+        return best
 
     def take(self, t: Term, kind: str, q: Position, hit) -> Term:
         """Makes the step for `first`'s hit at q in t, a flat or builtin
@@ -335,78 +397,10 @@ class _Steps(list):
         after term."""
         if len(self) >= self.limit:
             raise StepBudgetExceeded(f"more than {self.limit} elementary steps")
-        after = replay_step(step, self.th, searched=self.searched)[1]
+        after = replay_step(step, self.th, steps=self)[1]
         object.__setattr__(step, "after", after)
         self.append(step)
         return after
-
-
-def _first_hit(t: Term, wanted: int, searched: dict[int, tuple], admits, tests: dict):
-    """(kind, position, result) of the first kind of the mask `wanted`, in
-    priority order, for which its test in `tests` (by `KINDS` name, in that
-    order) is not None at some node of t, at the kind's first such node in
-    leftmost-innermost (postorder) order; or None. One walk on an explicit
-    stack, not recursion, building a position only for a hit.
-
-    At each node it tests, in priority order, the wanted kinds that
-    admits(root name, 0) gives, a mask. A hit keeps only the kinds ranked
-    above it wanted, and the walk stops when none is. `searched` maps
-    id(node) to the node, the mask of the kinds with no hit in its subtree,
-    and the hit found at the node itself, (kind index, result), or None;
-    the walk skips a subtree whose mask covers the wanted kinds, tests no
-    kind its mask holds, and adds to it the kinds still wanted when the
-    subtree is done. A hit the walk passes over for a higher kind found later is kept
-    there, so the next walks read it instead of testing again while the
-    higher kind's steps go first. When each test depends on nothing but
-    its node's subtree, a skipped subtree has no hit and a kept hit is the
-    test's result wherever the node is shared, terms being immutable.
-    Holding the node keeps its id from being reused. A node with flat
-    admitted, two arguments or more (so an AC node: no other arity of an AC
-    operator's name takes two) and its parent's root is tested for flat
-    alone while flat is wanted: the parent needs flat, and that hit ends
-    the walk."""
-    entry = searched.get(id(t))
-    if entry is not None and not wanted & ~entry[1]:
-        return None
-    best = None
-    nodes, next_child, entries = [t], [0], [entry]
-    while nodes:
-        node, i = nodes[-1], next_child[-1]
-        if i < len(node.args):
-            next_child[-1] = i + 1
-            child = node.args[i]
-            if not child.args and not admits(child.root.name, 0) & wanted:
-                continue  # a leaf that admits no wanted kind
-            entry = searched.get(id(child))
-            if entry is None or wanted & ~entry[1]:
-                nodes.append(child)
-                next_child.append(0)
-                entries.append(entry)
-            continue
-        entry = entries.pop()
-        known, stored = (0, None) if entry is None else entry[1:]
-        cached = stored
-        here, settled = admits(node.root.name, 0), wanted
-        if here & wanted & FLAT and len(node.args) > 1 and len(nodes) > 1 and nodes[-2].root == node.root:
-            here, settled = FLAT, FLAT
-        here &= wanted & ~known
-        if here:
-            for k, test in enumerate(tests.values()):
-                if here >> k & 1:
-                    result = cached[1] if cached is not None and cached[0] == k else test(node)
-                    if result is not None:
-                        best = KINDS[k], Position(tuple(next_child[:-1])), result
-                        wanted &= (1 << k) - 1
-                        if not wanted:
-                            return best
-                        cached = k, result
-                        break
-        settled &= wanted
-        if settled & ~known or cached is not stored:
-            searched[id(node)] = node, known | settled, cached
-        nodes.pop()
-        next_child.pop()
-    return best
 
 
 def _candidates_at(node: Term, rules: list[Rule], sig: Signature):
@@ -538,7 +532,7 @@ def run_until(
     shows up at a rule-step boundary. Raises NoRuleApplicable when the run
     stops elsewhere, StepBudgetExceeded when the budget runs out first."""
     target = flatten_term(end, th.signature)
-    trace, finished = _drive(t0, th, max_steps, lambda t, _: term_eq(t, target))
+    trace, finished = _drive(t0, th, max_steps, lambda t, _: t == target)
     if not finished:
         raise NoRuleApplicable(
             f"end state {pretty(end)} not reached; the run stops at {pretty(trace.final())}"
@@ -598,7 +592,7 @@ def _rewrite(step: TraceStep, th: RewriteTheory, node: Term) -> tuple[Substituti
     return EMPTY_SUBST, rebuild_spine(after, moved())
 
 
-def replay_step(step: TraceStep, th: RewriteTheory, *, searched: dict[int, tuple] | None = None) -> tuple[Substitution, Term]:
+def replay_step(step: TraceStep, th: RewriteTheory, *, steps: _Steps | None = None) -> tuple[Substitution, Term]:
     """The matcher and the after term the theory gives the step from its
     before term: the kind's preconditions hold, then `apply_step`'s rewrite
     at the step's position. A rule or equation step must record exactly
@@ -606,13 +600,13 @@ def replay_step(step: TraceStep, th: RewriteTheory, *, searched: dict[int, tuple
     nothing, and only a builtin step has a name, its operator's. Of the
     after term, only an unflat step's is read, for the spine it records.
     A flat step's precondition is `needs_flat` at its node; an unflat
-    step's, that its node is AC and canonical (a `_first_hit` walk for
-    flat, which reads and extends the flat bits of the memo `searched`)
+    step's, that its node is AC and canonical (a flat walk, `first(node,
+    FLAT)`, of `steps`, which reads and extends the flat bits of its memo)
     and its spine has the node's root, differs from it, and has exactly
     the node's arguments as leaves (a move map). The move map is computed
-    here and kept (`TraceStep.moves`). Only a run and the loader pass
-    `searched`: the run's memo, whose flat scan tests the same nodes, or
-    the loader's memo for one file. Raises MalformedStep when the step
+    here and kept (`TraceStep.moves`). A run passes itself as `steps`, and
+    a check or a load of many steps one `_Steps` for them all; without
+    one, the walk uses a fresh one. Raises MalformedStep when the step
     does not replay."""
     q = step.position
     try:
@@ -624,10 +618,8 @@ def replay_step(step: TraceStep, th: RewriteTheory, *, searched: dict[int, tuple
             moves = regrouping_map(step.kind, node, after)
             object.__setattr__(step, "moves", moves)  # kept: `TraceStep.moves`
             if after is not None and (
-                moves is None or not sig.is_ac(node.root) or after.root != node.root or term_eq(after, node)
-                or _first_hit(node, FLAT, {} if searched is None else searched,
-                              dict.fromkeys((s.name for s in sig.ac_symbols), FLAT).get,
-                              {"flat": lambda n: needs_flat(n, sig) or None})
+                moves is None or not sig.is_ac(node.root) or after.root != node.root or after == node
+                or (_Steps(th, 0) if steps is None else steps).first(node, FLAT)
             ):
                 raise MalformedStep(f"no regrouping at {q}")
             if step.rule_name is not None:
@@ -640,10 +632,10 @@ def replay_step(step: TraceStep, th: RewriteTheory, *, searched: dict[int, tuple
         raise MalformedStep(str(exc)) from None
 
 
-def check_step(step: TraceStep, th: RewriteTheory) -> bool:
-    """Replay check: the step replays (`replay_step`) and its after term is
-    the replay's (`term_eq`)."""
+def check_step(step: TraceStep, th: RewriteTheory, *, steps: _Steps | None = None) -> bool:
+    """Replay check: the step replays (`replay_step`, with the memo of
+    `steps` when given) and its after term is the replay's."""
     try:
-        return term_eq(replay_step(step, th)[1], step.after)
+        return replay_step(step, th, steps=steps)[1] == step.after
     except MalformedStep:
         return False

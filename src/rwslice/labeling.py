@@ -215,14 +215,28 @@ def label_ac_segment(steps: list[TraceStep], supply: LabelSupply) -> list[Labele
 
 
 def render_labeled(t: Term, labeling: Labeling, pos: Position = ROOT) -> str:
-    """Debug rendering of a labeled term: singleton labels as sym^a,
-    composite ones as sym^{ab}."""
-    name = t.root.name
-    label = labeling.get(pos)
-    if label:
-        text = label_text(label)
-        name += "^" + (text if len(label) == 1 else "{" + text + "}")
-    if not t.args:
-        return name
-    inner = ",".join(render_labeled(a, labeling, pos.child(i)) for i, a in enumerate(t.args, 1))
-    return name + "(" + inner + ")"
+    """Debug rendering of a labeled term, t at position pos: singleton
+    labels as sym^a, composite ones as sym^{ab}. Printed as `pretty`
+    prints, from a stack of iterators over (node, position), not by
+    recursion; every node is followed by a comma, and a node's last comma
+    becomes its ")"."""
+    parts: list[str] = []
+    stack = [iter([(t, pos)])]
+    while stack:
+        for node, p in stack[-1]:
+            name, label = node.root.name, labeling.get(p)
+            if label:
+                text = label_text(label)
+                name += "^" + (text if len(label) == 1 else "{" + text + "}")
+            parts.append(name)
+            if node.args:
+                parts.append("(")
+                stack.append(iter([(a, p.child(i)) for i, a in enumerate(node.args, 1)]))
+                break
+            parts.append(",")
+        else:
+            stack.pop()
+            if stack:
+                parts[-1] = ")"
+                parts.append(",")
+    return "".join(parts[:-1])

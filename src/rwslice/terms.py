@@ -103,6 +103,20 @@ class Term:
                 f"{self.root.name} declared with arity {self.root.arity}, got {n} arguments"
             )
 
+    def __eq__(self, other) -> bool:
+        """The same tree, compared pair by pair from an explicit worklist,
+        not by recursion; a subterm the two share is not walked."""
+        if not isinstance(other, Term):
+            return NotImplemented
+        pairs = [(self, other)]
+        for x, y in pairs:  # the list grows as it is read
+            if x is not y:
+                if not (x.root is y.root or x.root == y.root) or len(x.args) != len(y.args):
+                    return False
+                if x.args:  # extending by an empty zip costs more than the test
+                    pairs += zip(x.args, y.args)
+        return True
+
     def __hash__(self) -> int:
         """The hash of the preorder sequence of (root, argument count), which
         equal terms share, made on an explicit stack, not by recursion."""
@@ -143,36 +157,6 @@ def positions(t: Term) -> list[Position]:
             out.append(pos)
         stack.extend((node.args[i - 1], pos.child(i)) for i in range(len(node.args), 0, -1))
     return out
-
-
-def first_postorder(t: Term, test, searched: dict[int, Term]):
-    """First node of t in leftmost-innermost (postorder) order for which
-    test(node) is not None, as (position, result), or None.
-
-    `searched` maps id(node) to node for the subtrees searched without a
-    hit; the walk skips them and adds each subtree it searches without a
-    hit. When test depends on nothing but its node's subtree, a skipped
-    subtree has no hit wherever it is shared, terms being immutable, so
-    the first hit is the one a full walk finds. Holding the node keeps its
-    id from being reused. The walk uses an explicit stack, not recursion,
-    and builds a position only for the hit.
-    """
-    nodes, next_child = ([], []) if id(t) in searched else ([t], [0])
-    while nodes:
-        node, i = nodes[-1], next_child[-1]
-        if i < len(node.args):
-            next_child[-1] = i + 1
-            if id(node.args[i]) not in searched:
-                nodes.append(node.args[i])
-                next_child.append(0)
-            continue
-        result = test(node)
-        if result is not None:
-            return Position(tuple(next_child[:-1])), result
-        searched[id(node)] = node
-        nodes.pop()
-        next_child.pop()
-    return None
 
 
 def subterm_at(t: Term, u: Position) -> Term:
@@ -219,35 +203,36 @@ def is_ground(t: Term) -> bool:
     return not vars_of(t)
 
 
-def term_eq(a: Term, b: Term) -> bool:
-    """a == b on an explicit stack; a subterm the two share is not walked."""
-    stack = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        if x is not y:
-            if x.root != y.root or len(x.args) != len(y.args):
-                return False
-            stack += zip(x.args, y.args)
-    return True
-
-
 def term_cmp(a: Term, b: Term) -> int:
     """Total order on the terms of one signature (`Signature.declare`),
     negative, zero or positive like a comparison: root name, then node
     class (variables first), then number of arguments, then arguments left
     to right. Decided at the first difference, so most comparisons look at
-    the roots only."""
-    if a is b:
-        return 0
-    ka = (a.root.name, isinstance(a.root, Symbol), len(a.args))
-    kb = (b.root.name, isinstance(b.root, Symbol), len(b.args))
-    if ka != kb:
-        return -1 if ka < kb else 1
-    for x, y in zip(a.args, b.args):
-        c = term_cmp(x, y)
-        if c:
-            return c
-    return 0
+    the roots only. The walk goes down each first argument at once and
+    keeps an iterator over the remaining argument pairs of each open node,
+    not recursion."""
+    rest = []
+    while True:
+        if a is not b:
+            ra, rb = a.root, b.root
+            if ra.name != rb.name:
+                return -1 if ra.name < rb.name else 1
+            ka, kb = (isinstance(ra, Symbol), len(a.args)), (isinstance(rb, Symbol), len(b.args))
+            if ka != kb:
+                return -1 if ka < kb else 1
+            if a.args:
+                pairs = zip(a.args, b.args)
+                a, b = next(pairs)
+                rest.append(pairs)
+                continue
+        while rest:
+            pair = next(rest[-1], None)
+            if pair is not None:
+                a, b = pair
+                break
+            rest.pop()
+        else:
+            return 0
 
 
 class Substitution:
@@ -282,17 +267,7 @@ class Substitution:
         return len(self._bindings)
 
     def __eq__(self, other) -> bool:
-        """The same variables bound to equal terms (`term_eq`, no recursion)."""
-        if self is other:
-            return True
-        if not isinstance(other, Substitution) or len(self._bindings) != len(other._bindings):
-            return False
-        theirs = other._bindings
-        for v, t in self._bindings.items():
-            u = theirs.get(v)
-            if u is None or u is not t and not term_eq(t, u):
-                return False
-        return True
+        return isinstance(other, Substitution) and self._bindings == other._bindings
 
     def __hash__(self) -> int:
         return hash(frozenset(self._bindings.items()))
@@ -320,7 +295,7 @@ def match(pattern: Term, subject: Term) -> Substitution | None:
         root = p.root
         if isinstance(root, Variable):
             seen = bindings.setdefault(root, s)
-            if seen is not s and not term_eq(seen, s):
+            if seen is not s and seen != s:
                 return None
         elif root.kind != "bullet":
             if root != s.root or len(p.args) != len(s.args):

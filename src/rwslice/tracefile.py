@@ -20,8 +20,7 @@ import re
 import warnings
 from pathlib import Path
 
-from .acmatch import flatten_term
-from .engine import InstrumentedTrace, MalformedStep, RewriteTheory, TraceStep, replay_step
+from .engine import FLAT, InstrumentedTrace, MalformedStep, RewriteTheory, TraceStep, _Steps, replay_step
 from .terms import EMPTY_SUBST, Position, Substitution, Term, Variable, pretty, printed_length, subterm_at
 from .theoryfile import TheorySyntaxError, _TermParser
 
@@ -91,7 +90,7 @@ def parse_trace(text: str, theory: RewriteTheory) -> InstrumentedTrace:
         # is that print, as the parser only skips blanks and comments
         canon = prev_txt if len(prev_txt) == printed_length(prev, lengths) else pretty(prev)
         positions: dict[str, Position] = {}
-        searched: dict[int, tuple] = {}  # the nodes known canonical (`replay_step`)
+        checked = _Steps(theory, 0)  # its memo: the nodes known canonical (`replay_step`)
         steps: list[TraceStep] = []
         for lineno, line in lines[3:]:
             fields = line.split()
@@ -107,7 +106,7 @@ def parse_trace(text: str, theory: RewriteTheory) -> InstrumentedTrace:
             spine = parser.term(after_txt) if kind == "unflat" else None
             step = TraceStep(kind, None if rule == "-" and kind != "builtin" else rule, position, matcher, prev, spine)
             try:
-                sub, after = replay_step(step, theory, searched=searched) if chained else (None, None)
+                sub, after = replay_step(step, theory, steps=checked) if chained else (None, None)
             except MalformedStep:
                 after = None
             if after is not None and _prints_as(after_txt, canon, step, after, lengths):
@@ -131,8 +130,7 @@ def parse_trace(text: str, theory: RewriteTheory) -> InstrumentedTrace:
     except ValueError as exc:  # a position or binding that does not read
         raise MalformedStep(f"line {lineno}: {exc}") from None
     trace = InstrumentedTrace._checked(theory, initial, steps)
-    final = trace.final()
-    if flatten_term(final, theory.signature) != final:
+    if checked.first(trace.final(), FLAT) is not None:
         warnings.warn("trace ends in a non-canonical term", stacklevel=2)
     return trace
 

@@ -10,7 +10,7 @@ import random
 import zlib
 from itertools import combinations, product
 
-from rwslice.acmatch import flatten_term, match_modulo_ac
+from rwslice.acmatch import flatten_term, match_modulo_ac, needs_flat, one_level_flat
 from rwslice.engine import RewriteTheory, Rule, run
 from rwslice.slicer import trace_slice
 from rwslice.terms import (
@@ -122,6 +122,20 @@ def postorder_scan(t: Term, test):
         if result is not None:
             return q, result
     return None
+
+
+def flatten_reference(t: Term, sig: Signature):
+    """`acmatch.flatten` by its definition: flatten the first node, in a
+    full postorder scan (`postorder_scan`), that needs it, until none does.
+    The canonical form and the events (position, term before, term after)."""
+    events = []
+    while True:
+        hit = postorder_scan(t, lambda node: needs_flat(node, sig) or None)
+        if hit is None:
+            return t, events
+        after = replace_at(t, hit[0], one_level_flat(subterm_at(t, hit[0]))[0])
+        events.append((hit[0], t, after))
+        t = after
 
 
 # ------------------------------------------------- random term machinery

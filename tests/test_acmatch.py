@@ -14,11 +14,11 @@ from rwslice.acmatch import (
     regrouping_map,
     spine_leaves,
 )
-from rwslice.engine import MalformedStep, RewriteTheory, TraceStep, replay_step
+from rwslice.engine import MalformedStep, RewriteTheory, TraceStep, _Steps, replay_step
 from rwslice.terms import EMPTY_SUBST, ROOT, Position, Signature, Substitution, Symbol, Term, Variable, pretty, replace_at, subterm_at, term_cmp
 from rwslice.theoryfile import parse_term
 
-from genutil import ac_variants, oracle_ac_matchers, random_soup
+from genutil import ac_variants, flatten_reference, oracle_ac_matchers, random_soup, seeded_traces
 
 
 @pytest.fixture
@@ -44,6 +44,37 @@ def test_flatten_nested(sig):
     assert [str(p) for p, _, _ in events] == ["2", "^"]
     for _, before, after in events:
         assert flatten_term(before, sig) == canon and flatten_term(after, sig) == canon
+
+
+def _nested(t, sig):
+    """t with every AC node's arguments regrouped into a right comb, in
+    reverse order, so that flattening it takes an event per comb node."""
+    args = [_nested(a, sig) for a in t.args]
+    if not sig.is_ac(t.root) or len(args) < 2:
+        return Term(t.root, tuple(args))
+    comb = args[0]
+    for a in args[1:]:
+        comb = Term(t.root, (a, comb))
+    return comb
+
+
+def test_flatten_equals_repeated_first_scan():
+    """`flatten`'s one walk gives the canonical form and the events of
+    flattening the first node of a full scan again and again
+    (`flatten_reference`), on every term of the seeded traces, on each
+    with its AC nodes nested, and on random soups."""
+    rng = random.Random(12)
+    soup_sig = _soup_sig()
+    cases = [(random_soup(rng, soup_sig), soup_sig) for _ in range(100)]
+    for th, trace in seeded_traces():
+        sig = th.signature
+        cases += [(t, sig) for t in trace.terms()] + [(_nested(t, sig), sig) for t in trace.terms()]
+    events = 0
+    for t, sig in cases:
+        expected = flatten_reference(t, sig)
+        assert flatten(t, sig) == expected, pretty(t)
+        events += len(expected[1])
+    assert events > 1_000
 
 
 def test_flatten_fixpoint(sig):
@@ -247,9 +278,9 @@ def test_replay_unflat_agrees_with_flatten_term():
             return False
         return Counter(leaf for _, leaf in spine_leaves(grouped)) == Counter(flat.args)
 
-    def replays(flat, grouped, searched=None):
+    def replays(flat, grouped, steps=None):
         try:
-            replay_step(TraceStep("unflat", None, ROOT, EMPTY_SUBST, flat, grouped), th, searched=searched)
+            replay_step(TraceStep("unflat", None, ROOT, EMPTY_SUBST, flat, grouped), th, steps=steps)
         except MalformedStep:
             return False
         return True
@@ -279,10 +310,10 @@ def test_replay_unflat_agrees_with_flatten_term():
     for grouped, flat in cases:
         assert replays(flat, grouped) == expected(flat, grouped), (pretty(flat), pretty(grouped))
     # again, with the nodes known canonical shared by every case, as a check pass shares them
-    searched = {}
+    steps = _Steps(th, 0)
     for grouped, flat in cases:
-        assert replays(flat, grouped, searched) == expected(flat, grouped), (pretty(flat), pretty(grouped))
-    assert searched
+        assert replays(flat, grouped, steps) == expected(flat, grouped), (pretty(flat), pretty(grouped))
+    assert steps.searched and not steps
 
 
 def _plan_unflat_reference(whole, at, target, sig):

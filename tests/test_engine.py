@@ -36,7 +36,6 @@ from rwslice.terms import (
     Symbol,
     Term,
     Variable,
-    first_postorder,
     match,
     positions,
     pretty,
@@ -408,7 +407,7 @@ def test_unflat_step_keeps_one_entry_per_leaf():
         comb = Term(cfg, (leaf, comb))
     th = RewriteTheory(sig)
     step = TraceStep("unflat", None, ROOT, EMPTY_SUBST, flat, comb)
-    # the check compares the comb with its replay without recursion (`term_eq`)
+    # the check compares the comb with its replay without recursion (`Term.__eq__`)
     trace = InstrumentedTrace(th, flat, [step])
     ts = trace_slice(trace, [Position((2,) * 10 + (1,))])
     assert ts.slices[0].args[10] == leaves[10] and ts.steps[0].index == 0
@@ -550,39 +549,27 @@ def test_candidates_only_at_nodes_with_the_rule_root(monkeypatch):
     assert sum(1 for s in trace.steps if s.kind == "rule") == 3
 
 
-def test_pruned_walk_equals_full_scan_on_generated_traces(generated_traces):
-    """The pruned walk finds the full scan's first hit for each node test
-    a run uses (`_Steps.tests`), on every term of the seeded traces."""
-    hits = 0
-    for th, trace in generated_traces:
-        tests = engine._Steps(th, 0).tests
-        assert list(tests) == ["flat", "builtin", "equation", "rule"]
-        searched = {kind: {} for kind in tests}
-        for t in trace.terms():
-            for kind, test in tests.items():
-                expected = postorder_scan(t, test)
-                assert first_postorder(t, test, searched[kind]) == expected, (t, trace.steps)
-                hits += expected is not None
-    assert hits > 500
-
-
 def _count_node_tests(monkeypatch):
-    """Count each scan's node tests by kind, and the walks (`_first_hit`)."""
+    """Count each scan's node tests by kind, and the walks (`_Steps.first`),
+    of every `_Steps` the engine makes."""
     calls = Counter()
-    real = engine._first_hit
 
-    def counted(t, wanted, searched, admits, tests):
-        calls["walk"] += 1
+    def counting(kind, test):
+        def counted_test(node):
+            calls[kind] += 1
+            return test(node)
+        return counted_test
 
-        def counting(kind, test):
-            def counted_test(node):
-                calls[kind] += 1
-                return test(node)
-            return counted_test
+    class Counted(engine._Steps):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.tests = {kind: counting(kind, test) for kind, test in self.tests.items()}
 
-        return real(t, wanted, searched, admits, {kind: counting(kind, test) for kind, test in tests.items()})
+        def first(self, t, wanted):
+            calls["walk"] += 1
+            return super().first(t, wanted)
 
-    monkeypatch.setattr(engine, "_first_hit", counted)
+    monkeypatch.setattr(engine, "_Steps", Counted)
     return calls
 
 

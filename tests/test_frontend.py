@@ -5,6 +5,7 @@ import os
 import re
 import sys
 import tracemalloc
+import warnings
 
 import pytest
 
@@ -231,8 +232,8 @@ def test_deep_terms_run_slice_report_save_and_load(tmp_path):
 
 
 def test_cli_slices_deep_terms(tmp_path, capsys):
-    """--steps, --end (`run_until` compares with `term_eq`) and --trace on
-    h(s^10000(z)) print one report."""
+    """--steps, --end (`run_until` compares with `Term.__eq__`) and --trace
+    on h(s^10000(z)) print one report."""
     theory = tmp_path / "deep.rwt"
     theory.write_text(_DEEP_THEORY, encoding="utf-8")
     th = parse_theory(_DEEP_THEORY, name="deep.rwt")
@@ -250,7 +251,7 @@ def test_deep_bindings_save_load_and_match(tmp_path):
     loads, as the loader compares each recorded matcher with the replay's
     without recursion (`Substitution.__eq__`). A repeated variable bound
     to two copies of s^10000(z) matches in the scan and in the replay
-    (`match` compares them with `term_eq`)."""
+    (`match` compares them with `Term.__eq__`)."""
     th = parse_theory("op h : 1 .\nop s : 1 .\nop z : 0 .\nrl [r] : h(X) => h(s(X)) .\n", name="grow")
     trace = run(parse_term("h(z)", th.signature), th, 500)
     save_trace(trace, tmp_path / "grow.rwtrace")
@@ -308,6 +309,62 @@ def test_loaded_trace_shares_subterms(theory, init, rule_steps, tmp_path):
     assert bindings > 0
 
 
+_REDEX_THEORY = "op s : 1 .\nop f : 1 .\nop a : 0 .\nop b : 0 .\nrl [r] : f(a) => f(b) .\n"
+
+
+def _deep_redex(d: int, leaf: str = "a") -> str:
+    return "s(" * d + f"f({leaf})" + ")" * d
+
+
+def test_deep_redex_slices_without_recursion(tmp_path, capsys):
+    """f(a) => f(b) under s^10000, with the criterion at the redex: the
+    slicer and `glued_terms` compare the two deep slices (`Term.__eq__`)
+    without recursion, and so does the CLI. The structured report lists
+    every prefix of the criterion in a pset, a text quadratic in the depth,
+    so it is made at depth 2000, still twice the interpreter's stack."""
+    theory = tmp_path / "redex.rwt"
+    theory.write_text(_REDEX_THEORY, encoding="utf-8")
+    th = parse_theory(_REDEX_THEORY, name="redex.rwt")
+    for d in (10_000, 2_000):
+        assert sys.getrecursionlimit() < d
+        trace = run(parse_term(_deep_redex(d), th.signature), th, 1)
+        ts = trace_slice(trace, [Position((1,) * d)])
+        assert [s.kind for s in trace.steps] == [s.kind for s in ts.steps] == ["rule"]
+        assert ts.texts == [_deep_redex(d), _deep_redex(d, "•")] and len(ts.glued_terms()) == 2
+    report = SliceReport(ts, theory_name="redex.rwt").render_structured()
+    assert f"\nslice 1 {_deep_redex(d, '•')}\n" in report and f"\nstep 0 rule r {Position((1,) * d)} " in report
+    d = 10_000
+    argv = ["--theory", str(theory), "--init", _deep_redex(d), "--steps", "1", "--criterion", str(Position((1,) * d))]
+    assert main(argv) == 0
+    assert f"  {_deep_redex(d)} --[r]--> {_deep_redex(d, '•')}\n" in capsys.readouterr().out
+
+
+def test_deep_tampered_record_is_malformed():
+    """A deep record whose after field is not the replay's is read and
+    compared with the replay's term without recursion: MalformedStep."""
+    th = parse_theory(_REDEX_THEORY, name="redex")
+    text = render_trace(run(parse_term(_deep_redex(10_000), th.signature), th, 1))
+    assert parse_trace(text, th).final() == parse_term(_deep_redex(10_000, "b"), th.signature)
+    tampered = text.replace(_deep_redex(10_000, "b"), _deep_redex(10_000, "a"))
+    assert tampered.count(_deep_redex(10_000, "a")) == 3
+    with pytest.raises(MalformedStep, match="line 4: rule step at .* does not replay"):
+        parse_trace(tampered, th)
+
+
+def test_deep_ac_arguments_run_and_slice_without_recursion():
+    """g(f(s^10000(b),s^10000(a))) with f AC: the flat step orders the two
+    deep arguments (`term_cmp`) and the rule g(X) => X drops g; the run and
+    a slice at the deepest a neither recurses."""
+    th = parse_theory("op g : 1 .\nop f : 2 [assoc comm] .\nop s : 1 .\nop a : 0 .\nop b : 0 .\nrl [r] : g(X) => X .\n")
+    d = 10_000
+    chain = lambda leaf: "s(" * d + leaf + ")" * d
+    trace = run(parse_term(f"g(f({chain('b')},{chain('a')}))", th.signature), th, 1)
+    assert [s.kind for s in trace.steps] == ["flat", "rule"]
+    assert pretty(trace.final()) == f"f({chain('a')},{chain('b')})"
+    ts = trace_slice(trace, [Position((1,) * (d + 1))])
+    assert ts.texts[-1] == f"f({chain('a')},•)" and len(ts.steps) == 2
+
+
 def test_deep_terms_parse_without_recursion():
     depth = 10_000
     assert sys.getrecursionlimit() < depth
@@ -318,6 +375,18 @@ def test_deep_terms_parse_without_recursion():
     for term, leaf in ((t, "z"), (rule.lhs, "X")):
         path = [node.root.name for node in _nodes(term)]
         assert path == ["h"] + ["s"] * depth + [leaf]
+
+
+def test_trace_load_warns_on_a_non_canonical_final_term():
+    """The loader checks the final term with its one flat walk
+    (`_Steps.first`): it warns when the term is not AC canonical, and only
+    then."""
+    th = parse_theory("op f : 2 [assoc comm] .\nop g : 1 .\nop a : 0 .\nop b : 0 .\n")
+    with pytest.warns(UserWarning, match="non-canonical"):
+        parse_trace("rwtrace 1\ntheory -\ninit g(f(b,a))\n", th)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert pretty(parse_trace("rwtrace 1\ntheory -\ninit g(f(a,b))\n", th).final()) == "g(f(a,b))"
 
 
 def test_trace_load_rejects_tampering(tmp_path):

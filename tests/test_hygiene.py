@@ -144,14 +144,56 @@ RECURSIVE = [
     "Substitution.apply",
     "_ac_args_match",
     "_seq_match",
-    "render_labeled",
-    "term_cmp",
 ]
 
 
 def test_recursive_functions_are_the_pinned_ones():
     found = sorted(f for p in sorted((ROOT / "src").rglob("*.py")) for f in self_calling_functions(p.read_text(encoding="utf-8")))
     assert found == sorted(RECURSIVE)
+
+
+def _is_dataclass(decorator: ast.expr) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
+
+
+def recursive_dataclass_equality(source: str) -> list[str]:
+    """The dataclasses whose field annotations name their own class, as a
+    name or inside a string, and whose body does not define both `__eq__`
+    and `__hash__`: the generated ones compare and hash such a field by
+    recursion, as deep as the value is."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef) or not any(map(_is_dataclass, node.decorator_list)):
+            continue
+        named = set()
+        for stmt in node.body:
+            for sub in ast.walk(stmt.annotation) if isinstance(stmt, ast.AnnAssign) else ():
+                if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                    named |= {n.id for n in ast.walk(ast.parse(sub.value, mode="eval")) if isinstance(n, ast.Name)}
+                elif isinstance(sub, ast.Name):
+                    named.add(sub.id)
+        defined = {stmt.name for stmt in node.body if isinstance(stmt, ast.FunctionDef)}
+        if node.name in named and not {"__eq__", "__hash__"} <= defined:
+            out.append(node.name)
+    return out
+
+
+def test_recursive_dataclass_equality_detected():
+    src = (
+        "@dataclass(frozen=True)\nclass T:\n    args: tuple['T', ...] = ()\n"
+        "@dataclasses.dataclass\nclass L:\n    next: L | None\n    def __hash__(self):\n        return 0\n"
+        "@dataclass\nclass N:\n    next: 'N'\n    def __eq__(self, other):\n        return False\n"
+        "    def __hash__(self):\n        return 0\n"
+        "@dataclass\nclass P:\n    path: tuple[int, ...]\n"
+        "class Q:\n    next: 'Q'\n"
+    )
+    assert recursive_dataclass_equality(src) == ["T", "L"]
+
+
+def test_no_recursive_dataclass_equality():
+    found = {p.name: recursive_dataclass_equality(p.read_text(encoding="utf-8")) for p in sorted((ROOT / "src").rglob("*.py"))}
+    assert {name: classes for name, classes in found.items() if classes} == {}
 
 
 # exception classes that do not report an input error; the list may only shrink

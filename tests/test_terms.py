@@ -19,7 +19,6 @@ from rwslice.terms import (
     replace_at,
     subterm_at,
     term_cmp,
-    term_eq,
 )
 from rwslice.theoryfile import parse_term
 
@@ -199,7 +198,15 @@ def test_term_cmp_is_the_key_order(sig):
             assert term_cmp(s, t) == (ks > kt) - (ks < kt), (pretty(s), pretty(t))
 
 
+def _same_tree(s, t):
+    """Structural equality by recursion: the same root and pairwise equal
+    arguments."""
+    return s.root == t.root and len(s.args) == len(t.args) and all(map(_same_tree, s.args, t.args))
+
+
 def test_term_eq_is_equality_without_recursion(sig):
+    """`Term.__eq__` is structural equality (`_same_tree`), decided on an
+    explicit stack; a non-term is left to its own comparison."""
     rng = random.Random(10)
     a, b = Term(Symbol("a", 0)), Term(Symbol("b", 0))
     f3 = Term(Symbol("f", 3), (a, b, a))
@@ -208,14 +215,18 @@ def test_term_eq_is_equality_without_recursion(sig):
     ]
     for s in terms:
         for t in terms:
-            assert term_eq(s, t) == (s == t), (pretty(s), pretty(t))
+            assert (s == t) == _same_tree(s, t) == (not s != t), (pretty(s), pretty(t))
+    assert a.__eq__("a") is NotImplemented and a != "a" and not a == None  # noqa: E711
     # chains of depth 10^4, built apart so that no subterm is shared
     chains = []
     for leaf in (a, a, b):
         for _ in range(10_000):
             leaf = Term(Symbol("s", 1), (leaf,))
         chains.append(leaf)
-    assert term_eq(chains[0], chains[1]) and not term_eq(chains[0], chains[2])
+    assert chains[0] == chains[1] and chains[0] != chains[2]
+    x = Variable("X")
+    assert Substitution({x: chains[0]}) == Substitution({x: chains[1]}) != Substitution({x: chains[2]})
+    assert Substitution({x: a}) != {x: a}
 
 
 def test_term_hash_agrees_with_equality_without_recursion(sig):
