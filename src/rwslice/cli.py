@@ -66,6 +66,7 @@ def _budget(args) -> int:
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
+        criterion = _parse_criterion(args.criterion)  # before any costly work
         th = parse_theory(_read(args.theory), name=os.path.basename(args.theory))
         init = parse_term(args.init, th.signature)
         budget = _budget(args)
@@ -80,7 +81,6 @@ def main(argv=None) -> int:
         else:
             end = parse_term(args.end, th.signature)
             trace = run_until(init, end, th, max_steps=budget)
-        criterion = _parse_criterion(args.criterion)
         ts = trace_slice(trace, criterion)
         report = SliceReport(ts, theory_name=th.name, seed=args.seed)
         if args.format == "structured":

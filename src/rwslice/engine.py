@@ -41,6 +41,7 @@ from .terms import (
     is_ground,
     match,
     pretty,
+    printed_length,
     replace_at,
     subterm_at,
 )
@@ -263,6 +264,23 @@ class InstrumentedTrace:
     def terms(self) -> list[Term]:
         return [self.initial] + [s.after for s in self.steps]
 
+    @cached_property
+    def printed_size(self) -> int:
+        """len(trace_string(self.terms())) (`slicer.trace_string`), which the
+        loader sums as it reads each term's print. Otherwise it is computed
+        when first read, without printing a term: consecutive terms differ
+        only at the step's position, so each term's length is the previous
+        one's, minus the printed length of the step's redex, plus that of
+        its contractum (`printed_length`, its memo kept for the call; the
+        trace keeps every node alive)."""
+        lengths: dict[int, int] = {}
+        size = total = printed_length(self.initial, lengths)
+        for step in self.steps:
+            q = step.position
+            size += printed_length(subterm_at(step.after, q), lengths) - printed_length(subterm_at(step.before, q), lengths)
+            total += 4 + size  # " -> " before each later term
+        return total
+
     def final(self) -> Term:
         return self.steps[-1].after if self.steps else self.initial
 
@@ -393,11 +411,13 @@ class _Steps(list):
     def add(self, step: TraceStep) -> Term:
         """Appends the step, given with no after term (an unflat step: with
         its spine), made by its replay (`replay_step`, whose canonical check
-        reads and extends the flat bits of the run's memo), and returns the
-        after term."""
+        reads and extends the flat bits of the run's memo) and binding the
+        replay's matcher, and returns the after term."""
         if len(self) >= self.limit:
             raise StepBudgetExceeded(f"more than {self.limit} elementary steps")
-        after = replay_step(step, self.th, steps=self)[1]
+        sub, after = replay_step(step, self.th, steps=self)
+        if sub != step.matcher:
+            raise MalformedStep(f"the matcher at {step.position} is {sub}, not {step.matcher}")
         object.__setattr__(step, "after", after)
         self.append(step)
         return after
@@ -595,10 +615,12 @@ def _rewrite(step: TraceStep, th: RewriteTheory, node: Term) -> tuple[Substituti
 def replay_step(step: TraceStep, th: RewriteTheory, *, steps: _Steps | None = None) -> tuple[Substitution, Term]:
     """The matcher and the after term the theory gives the step from its
     before term: the kind's preconditions hold, then `apply_step`'s rewrite
-    at the step's position. A rule or equation step must record exactly
-    the matcher of the rule's left-hand side there; the other kinds bind
-    nothing, and only a builtin step has a name, its operator's. Of the
-    after term, only an unflat step's is read, for the spine it records.
+    at the step's position. The matcher is the rule's left-hand side's
+    there for a rule or equation step and empty for the other kinds; the
+    step's own is not read, and each caller compares it in its own way
+    (`_Steps.add`, `check_step`, `parse_trace` by its print). Only a
+    builtin step has a name, its operator's. Of the after term, only an
+    unflat step's is read, for the spine it records.
     A flat step's precondition is `needs_flat` at its node; an unflat
     step's, that its node is AC and canonical (a flat walk, `first(node,
     FLAT)`, of `steps`, which reads and extends the flat bits of its memo)
@@ -625,8 +647,6 @@ def replay_step(step: TraceStep, th: RewriteTheory, *, steps: _Steps | None = No
             if step.rule_name is not None:
                 raise MalformedStep(f"a {step.kind} step has no name")
         sub, new_node = _rewrite(step, th, node)
-        if sub != step.matcher:
-            raise MalformedStep(f"the matcher at {q} is {sub}, not {step.matcher}")
         return sub, replace_at(step.before, q, new_node)
     except PositionOutOfRange as exc:
         raise MalformedStep(str(exc)) from None
@@ -634,8 +654,9 @@ def replay_step(step: TraceStep, th: RewriteTheory, *, steps: _Steps | None = No
 
 def check_step(step: TraceStep, th: RewriteTheory, *, steps: _Steps | None = None) -> bool:
     """Replay check: the step replays (`replay_step`, with the memo of
-    `steps` when given) and its after term is the replay's."""
+    `steps` when given), and its matcher and after term are the replay's."""
     try:
-        return replay_step(step, th, steps=steps)[1] == step.after
+        sub, after = replay_step(step, th, steps=steps)
+        return sub == step.matcher and after == step.after
     except MalformedStep:
         return False

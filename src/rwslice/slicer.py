@@ -17,11 +17,11 @@ origins under q that depend on the redex and the contractum only
 one builtin call position, so the backward pass records slices alone: each
 step rebuilds the slice at q alone, consecutive slices share everything
 else, and a step with nothing kept at or under q leaves the slice as it
-is. Steps whose sliced sides coincide are dropped from the trace slice and
-share the previous slice object. A term's relevant set is read off its
-slice, as the positions that slice keeps, only when a caller reads it
-(`RelevantSets`), and each distinct slice object is printed once
-(`TraceSlice.texts`).
+is. Steps whose sliced sides coincide at q, and so everywhere, are
+dropped from the trace slice and share the previous slice object. A term's
+relevant set is read off its slice, as the positions that slice keeps,
+only when a caller reads it (`RelevantSets`), and each distinct slice
+object is printed once (`TraceSlice.texts`).
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from .terms import (
     is_bullet,
     match,
     pretty,
-    printed_length,
     replace_at,
     subterm_at,
 )
@@ -309,40 +308,32 @@ def trace_string(terms: list[Term]) -> str:
     return " -> ".join(pretty(t) for t in terms)
 
 
-def _printed_length(trace: InstrumentedTrace) -> int:
-    """len(trace_string(trace.terms())) without printing a term: a built
-    trace's consecutive terms differ only at the step's position, so each
-    term's length is the previous one's, minus the printed length of the
-    step's redex, plus that of its contractum (`printed_length`, its memo
-    kept for the call; the trace keeps every node alive)."""
-    lengths: dict[int, int] = {}
-    size = total = printed_length(trace.initial, lengths)
-    for step in trace.steps:
-        q = step.position
-        size += printed_length(subterm_at(step.after, q), lengths) - printed_length(subterm_at(step.before, q), lengths)
-        total += 4 + size  # " -> " before each later term
-    return total
-
-
 def trace_slice(trace: InstrumentedTrace, criterion: Iterable[Position]) -> TraceSlice:
     """Backward slice of the whole trace with respect to the criterion.
 
-    The slices are computed step by step without labeling (`slice_back`);
-    two consecutive slices that are equal are one object. The relevant
-    sets are those of `relevant_positions`, read off the slices when read
-    (`RelevantSets`). Sizes are the lengths of the canonically printed
-    original and sliced traces."""
+    The slices are computed step by step without labeling (`slice_back`).
+    They agree off the step's position q, so a step is kept when the
+    origins rebuilt at q differ from what the later slice keeps there, and
+    only then is a slice rebuilt; otherwise the two slices are one object.
+    The relevant sets are those of `relevant_positions`, read off the
+    slices when read (`RelevantSets`). Sizes are the lengths of the
+    canonically printed original (`InstrumentedTrace.printed_size`) and
+    sliced traces."""
     crit = frozenset(criterion)
     _check_criterion(trace.final(), crit)
     after = slice_term(trace.final(), crit)
     slices, kept = [after], []
     for i in range(len(trace.steps) - 1, -1, -1):
         step = trace.steps[i]
-        before = slice_back(step, trace.theory, after)
-        if before == after:
+        q = step.position
+        # `slice_back`, whose slice is built only for a kept step
+        at_q = _kept_at(after, q.path)
+        local = at_q if is_bullet(at_q) else _local_origins(step, trace.theory, at_q)
+        if local == at_q:
             before = after
         else:
-            kept.append(SlicedStep(i, step.kind, step.rule_name, step.position, before, after))
+            before = replace_at(after, q, local)
+            kept.append(SlicedStep(i, step.kind, step.rule_name, q, before, after))
         slices.append(before)
         after = before
     slices.reverse()
@@ -353,7 +344,7 @@ def trace_slice(trace: InstrumentedTrace, criterion: Iterable[Position]) -> Trac
         relevant=RelevantSets(trace.steps, slices, crit),
         slices=slices,
         steps=kept,
-        original_size=_printed_length(trace),
+        original_size=trace.printed_size,
         sliced_size=0,
         reduction_percent=0.0,
     )

@@ -8,10 +8,14 @@
 Terms use the canonical printed syntax (no whitespace), so every field is
 whitespace-separated. Bindings are `X=term;Y=term` sorted by variable
 name. Loading replays each record on the previous term as it reads it,
-with the checks `InstrumentedTrace` makes, and accepts its `after` field
-when that is the replay's print. So consecutive terms share all subterms
-off the redex, and only the initial term, the bindings and the `after`
-field of an unflat record, which records a spine, are parsed.
+with the checks `InstrumentedTrace` makes, and accepts its bindings and
+`after` fields when they are the prints of the replay's matcher and after
+term; a field is parsed only when it is not, or to report its syntax
+error. So consecutive terms share all subterms off the redex, and of a
+file as `render_trace` writes it only the initial term and the `after`
+field of an unflat record, which records a spine, are parsed. The loaded
+trace carries its printed size (`InstrumentedTrace.printed_size`), summed
+from the texts it accepted.
 """
 
 from __future__ import annotations
@@ -89,6 +93,7 @@ def parse_trace(text: str, theory: RewriteTheory) -> InstrumentedTrace:
         # pretty(prev): a text that reads as a term and is as long as its print
         # is that print, as the parser only skips blanks and comments
         canon = prev_txt if len(prev_txt) == printed_length(prev, lengths) else pretty(prev)
+        size = len(canon)  # of the trace's print so far (`printed_size`)
         positions: dict[str, Position] = {}
         checked = _Steps(theory, 0)  # its memo: the nodes known canonical (`replay_step`)
         steps: list[TraceStep] = []
@@ -100,7 +105,9 @@ def parse_trace(text: str, theory: RewriteTheory) -> InstrumentedTrace:
             position = positions.get(pos)
             if position is None:
                 position = positions[pos] = Position.parse(pos)
-            matcher = _parse_bindings(bind, parser)
+            # the bindings are read first when another field is read, so that
+            # syntax errors come left to right; else they are checked by print
+            matcher = None if before_txt == prev_txt and kind != "unflat" else _parse_bindings(bind, parser)
             # a step's before usually repeats the last after: compare the texts
             chained = before_txt == prev_txt or parser.term(before_txt) == prev
             spine = parser.term(after_txt) if kind == "unflat" else None
@@ -108,17 +115,21 @@ def parse_trace(text: str, theory: RewriteTheory) -> InstrumentedTrace:
             try:
                 sub, after = replay_step(step, theory, steps=checked) if chained else (None, None)
             except MalformedStep:
-                after = None
-            if after is not None and _prints_as(after_txt, canon, step, after, lengths):
+                sub = after = None
+            if matcher is None and (after is None or bind != _render_bindings(sub)):
+                matcher = _parse_bindings(bind, parser)
+            bound = matcher is None or matcher == sub
+            if after is not None and bound and _prints_as(after_txt, canon, step, after, lengths):
                 canon = after_txt
             else:
                 # not the replay's print: read the field, whose syntax errors come first
                 read = spine if spine is not None else parser.term(after_txt)
                 if not chained:
                     raise MalformedStep(f"line {lineno}: steps do not chain")
-                if after is None or read != after:
+                if after is None or not bound or read != after:
                     raise MalformedStep(f"line {lineno}: {kind} step at {position} does not replay")
                 canon = pretty(after)
+            size += 4 + len(canon)  # " -> " before each later term
             # the step is the loader's own until the trace is built; the replay's
             # matcher and after term share the nodes of `before`
             object.__setattr__(step, "matcher", sub)
@@ -130,6 +141,7 @@ def parse_trace(text: str, theory: RewriteTheory) -> InstrumentedTrace:
     except ValueError as exc:  # a position or binding that does not read
         raise MalformedStep(f"line {lineno}: {exc}") from None
     trace = InstrumentedTrace._checked(theory, initial, steps)
+    object.__setattr__(trace, "printed_size", size)  # its cached property, known here
     if checked.first(trace.final(), FLAT) is not None:
         warnings.warn("trace ends in a non-canonical term", stacklevel=2)
     return trace

@@ -516,6 +516,19 @@ def test_cli_error_paths(theory_file, capsys):
     assert "more than 0 elementary steps" in capsys.readouterr().err
 
 
+def test_cli_reads_the_criterion_before_any_other_work(theory_file, monkeypatch, capsys):
+    """A malformed criterion is reported before the theory is parsed and
+    the trace is loaded or run."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("work done before the criterion was read")
+
+    for name in ("parse_theory", "parse_trace", "run", "run_until"):
+        monkeypatch.setattr(cli, name, refuse)
+    for source in (["--steps", "1500"], ["--end", "m(a)"], ["--trace", "missing.rwtrace"]):
+        assert main(["--theory", theory_file, "--init", "g(f(a))", "--criterion", "1..x", *source]) == 1
+        assert capsys.readouterr().err == "rwslice: malformed position '1..x'\n"
+
+
 def test_cli_reports_unreadable_files(theory_file, tmp_path, capsys):
     args = ["--theory", theory_file, "--init", "g(f(a))", "--criterion", "^", "--trace"]
     missing = tmp_path / "missing.rwtrace"
@@ -637,6 +650,36 @@ def test_trace_load_reports_the_first_bad_line():
         parse_trace("\n".join(lines) + "\n", _basic_theory())
 
 
+def test_trace_load_checks_bindings_by_their_print():
+    """A record's bindings are compared with the print of the replay's
+    matcher and read only when they differ: bindings in another order
+    load, a tampered value does not replay, and the bindings' syntax error
+    is reported before that of a later field, even one read before the
+    replay, as an unflat record's spine is."""
+    cs = parse_theory(bundled_example_path("client_server.rwt").read_text(), name="cs")
+    trace = run(parse_term("net(srv(0),cli(1,3,none),cli(2,4,none))", cs.signature), cs, 2)
+    lines = render_trace(trace).splitlines()
+    unflat, ask = lines[4], lines[5]  # lines 5 and 6 of the file
+    assert unflat.split()[1] == "unflat" and ask.split()[4] == "C=1;D=3;S=0"
+
+    def load(at, record):
+        return parse_trace("\n".join(lines[:at] + [record] + lines[at + 1 :]) + "\n", cs)
+
+    assert load(5, ask.replace("C=1;D=3;S=0", "S=0;C=1;D=3")).steps == trace.steps
+    with pytest.raises(MalformedStep, match=re.escape("line 6: rule step at 1 does not replay")):
+        load(5, ask.replace("S=0", "S=1"))
+    _, kind, name, pos, _, before, after = unflat.split()
+    for at, record in [
+        (4, " ".join(["step", kind, name, pos, "C=zz", before, after.replace("none", "qq", 1)])),
+        (4, " ".join(["step", kind, name, pos, "C=zz", before, after])),
+        (5, ask.replace("C=1", "C=zz").replace("none", "qq")),
+        (3, lines[3].replace(" - net", " C=zz net", 1)),
+    ]:
+        column = record.index("zz") + 1
+        with pytest.raises(MalformedStep, match=re.escape(f"line {at + 1}, column {column}: unknown operator zz")):
+            load(at, record)
+
+
 def _load_cases(pc_rule_steps, tree_depth, tree_rule_steps):
     """(theory, trace) pairs: producer_consumer, client_server and a
     wide_state tree."""
@@ -663,11 +706,12 @@ def test_loaded_steps_are_their_records():
             assert check_step(step, th), record
 
 
-def test_trace_load_parses_only_init_bindings_and_unflat_fields(monkeypatch):
-    """Loading hands the term parser the init term, each binding and the
-    after field of each unflat record. Of each record it prints the new
-    subterm at the step's position once, whatever the step's kind, and
-    nothing else: on a tree of 256 pairs that is under 5% of the file."""
+def test_trace_load_parses_only_init_and_unflat_fields(monkeypatch):
+    """Loading hands the term parser the init term and the after field of
+    each unflat record. Of each record it prints the new subterm at the
+    step's position once, whatever the step's kind, and the values the
+    replay's matcher binds, to compare with the bindings field, and nothing
+    else: on a tree of 256 pairs that is under 5% of the file."""
     read, printed = [], []
     real_term, real_pretty = theoryfile._TermParser.term, tracefile.pretty
 
@@ -689,18 +733,17 @@ def test_trace_load_parses_only_init_bindings_and_unflat_fields(monkeypatch):
     for th, trace in cases:
         text = render_trace(trace)
         expected = [text.splitlines()[2][len("init "):]]
-        for record in text.splitlines()[3:]:
-            _, kind, _, _, bind, _, after = record.split()
-            expected += [] if bind == "-" else [b.partition("=")[2] for b in bind.split(";")]
-            expected += [after] if kind == "unflat" else []
+        expected += [record.split()[6] for record in text.splitlines()[3:] if record.split()[1] == "unflat"]
         read.clear()
         printed.clear()
         assert parse_trace(text, th).steps == trace.steps
         assert read == expected
-        assert sum(printed) == sum(len(real_pretty(subterm_at(s.after, s.position))) for s in trace.steps)
-        totals.append(sum(printed))
-    assert totals == [29_255, 1_858, 1_701]
-    assert totals[-1] < 0.05 * len(text)
+        news = sum(len(real_pretty(subterm_at(s.after, s.position))) for s in trace.steps)
+        values = sum(len(real_pretty(v)) for s in trace.steps for _, v in s.matcher.items())
+        assert sum(printed) == news + values
+        totals.append((news, values))
+    assert totals == [(29_255, 1_094), (1_858, 28), (1_701, 240)]
+    assert sum(totals[-1]) < 0.05 * len(text)
 
 
 def _swap_clients(record: str) -> str:

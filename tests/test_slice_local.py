@@ -34,7 +34,7 @@ from rwslice.terms import (
     pretty,
 )
 from rwslice.theoryfile import parse_term, parse_theory
-from rwslice.tracefile import render_trace, save_trace
+from rwslice.tracefile import parse_trace, render_trace, save_trace
 
 from genutil import BUNDLED_RUNS, random_criterion, seeded_traces
 
@@ -95,6 +95,46 @@ def test_local_pass_equals_labeled_pass_on_generated_traces():
         kinds.update(s.kind for s in trace.steps)
         assert_local_equals_labeled(trace, rng)
     assert kinds == {"rule", "equation", "builtin", "flat", "unflat"}
+
+
+def whole_compare_slices(trace, crit):
+    """The backward loop with whole slices compared: each step's before
+    slice is `slice_back`'s, and it is one object with the after slice when
+    the two are equal. The slices and the indices of the kept steps."""
+    after = slice_term(trace.final(), crit)
+    slices, kept = [after], []
+    for i in range(len(trace.steps) - 1, -1, -1):
+        before = slice_back(trace.steps[i], trace.theory, after)
+        if before == after:
+            before = after
+        else:
+            kept.append(i)
+        slices.append(before)
+        after = before
+    return slices[::-1], kept[::-1]
+
+
+def test_compare_at_the_position_equals_whole_compare():
+    """trace_slice decides each step at its position alone, and keeps the
+    same steps and the same slice objects, shared alike, as the
+    whole-slice compare."""
+    rng = random.Random(21)
+    cases = [trace for _, trace in seeded_traces()]
+    for theory, init, rule_steps in BUNDLED_RUNS:
+        th = parse_theory(bundled_example_path(theory).read_text(), name=theory)
+        cases.append(run(parse_term(init, th.signature), th, rule_steps))
+    kept_any = dropped_any = 0
+    for trace in cases:
+        final = positions(trace.final())
+        for crit in ({Position()}, set(final), random_criterion(rng, trace.final())):
+            got = trace_slice(trace, crit)
+            slices, kept = whole_compare_slices(trace, crit)
+            assert [s.index for s in got.steps] == kept, (pretty(trace.initial), crit)
+            assert got.slices == slices
+            assert [a is b for a, b in zip(got.slices, got.slices[1:])] == [a is b for a, b in zip(slices, slices[1:])]
+            kept_any += len(kept)
+            dropped_any += len(trace.steps) - len(kept)
+    assert kept_any and dropped_any
 
 
 def test_local_pass_equals_labeled_pass_on_ac_segment():
@@ -298,14 +338,24 @@ def test_deep_terms_print_without_recursion():
 
 
 def test_printed_length_equals_printed_trace():
-    traces = [trace for _, trace in seeded_traces()]
+    """A trace's printed size, computed from its terms or summed by the
+    loader from the fields it accepts, is the length of the printed trace;
+    also when the loader reads fields that are not the canonical print."""
+    cases = list(seeded_traces())
     for theory, init, rule_steps in BUNDLED_RUNS:
         th = parse_theory(bundled_example_path(theory).read_text(), name=theory)
-        traces.append(run(parse_term(init, th.signature), th, rule_steps))
+        cases.append((th, run(parse_term(init, th.signature), th, rule_steps)))
     th, step = _deep_step(10_000)
-    traces.append(InstrumentedTrace(th, step.before, [step]))
-    for trace in traces:
-        assert slicer._printed_length(trace) == len(trace_string(trace.terms())), pretty(trace.initial)
+    cases.append((th, InstrumentedTrace(th, step.before, [step])))
+    for th, trace in cases:
+        size = len(trace_string(trace.terms()))
+        assert trace.printed_size == size, pretty(trace.initial)
+        header, theory, init, *records = render_trace(trace).splitlines()
+        # every other after field with a comment, which the next before field lacks
+        odd = [r + "---x" if i % 2 else r for i, r in enumerate(records)]
+        for lines in ([init, *records], [init.replace("(", "( ", 1), *odd]):
+            loaded = parse_trace("\n".join([header, theory, *lines]), th)
+            assert "printed_size" in vars(loaded) and loaded.printed_size == size, lines[0]
 
 
 def _chain(s, n: int, leaf: Term) -> Term:
