@@ -598,18 +598,17 @@ def _rewrite(step: TraceStep, th: RewriteTheory, node: Term) -> tuple[Substituti
         raise MalformedStep(f"no regrouping at {step.position}")
     # positional, independent of the order node's arguments would sort into
     before = subterm_at(step.before, step.position)
-    after = subterm_at(step.after, step.position) if step.kind == "unflat" else None
-    def moved():  # each moved subterm of node with its path in the after node, one at a time
-        for dst, src in regrouping_paths(step.kind, step.moves, before, after):
-            sub, ref = node, before
-            for i in src:
-                if sub is not ref and (sub.root != ref.root or len(sub.args) != len(ref.args)):
-                    raise MalformedStep(f"{pretty(node)} is not shaped like {pretty(before)}")
-                sub, ref = sub.args[i - 1], ref.args[i - 1]
-            yield dst, sub
-    if after is None:  # flat: one level, the moved arguments in order
-        return EMPTY_SUBST, Term(node.root, tuple(sub for _, sub in moved()))
-    return EMPTY_SUBST, rebuild_spine(after, moved())
+    def at(src):  # the subterm of node at a source path, node shaped like before on the way
+        sub, ref = node, before
+        for i in src:
+            if sub is not ref and (sub.root != ref.root or len(sub.args) != len(ref.args)):
+                raise MalformedStep(f"{pretty(node)} is not shaped like {pretty(before)}")
+            sub, ref = sub.args[i - 1], ref.args[i - 1]
+        return sub
+    if step.kind == "flat":  # one level: the moved arguments in order, from the map
+        return EMPTY_SUBST, Term(node.root, tuple(map(at, step.moves)))
+    after = subterm_at(step.after, step.position)
+    return EMPTY_SUBST, rebuild_spine(after, ((d, at(s)) for d, s in regrouping_paths("unflat", step.moves, before, after)))
 
 
 def replay_step(step: TraceStep, th: RewriteTheory, *, steps: _Steps | None = None) -> tuple[Substitution, Term]:
@@ -621,23 +620,23 @@ def replay_step(step: TraceStep, th: RewriteTheory, *, steps: _Steps | None = No
     (`_Steps.add`, `check_step`, `parse_trace` by its print). Only a
     builtin step has a name, its operator's. Of the after term, only an
     unflat step's is read, for the spine it records.
-    A flat step's precondition is `needs_flat` at its node; an unflat
-    step's, that its node is AC and canonical (a flat walk, `first(node,
-    FLAT)`, of `steps`, which reads and extends the flat bits of its memo)
-    and its spine has the node's root, differs from it, and has exactly
-    the node's arguments as leaves (a move map). The move map is computed
-    here and kept (`TraceStep.moves`). A run passes itself as `steps`, and
-    a check or a load of many steps one `_Steps` for them all; without
-    one, the walk uses a fresh one. Raises MalformedStep when the step
-    does not replay."""
+    A flat step's precondition is an AC node whose move map is not the
+    identity (`needs_flat`); an unflat step's, that its node is AC and
+    canonical (a flat walk, `first(node, FLAT)`, of `steps`, which reads
+    and extends the flat bits of its memo) and its spine has the node's
+    root, differs from it, and has exactly the node's arguments as leaves
+    (a move map). The move map is computed here, kept (`TraceStep.moves`)
+    and read by `_rewrite`. A run passes itself as `steps`, and a check or
+    a load of many steps one `_Steps` for them all; without one, the walk
+    uses a fresh one. Raises MalformedStep when the step does not replay."""
     q = step.position
     try:
         node = subterm_at(step.before, q)
         if step.kind in ("flat", "unflat"):
             sig, after = th.signature, subterm_at(step.after, q) if step.kind == "unflat" else None
-            if after is None and not needs_flat(node, sig):
+            moves = regrouping_map(step.kind, node, after) if after is not None or sig.is_ac(node.root) else None
+            if after is None and (moves is None or moves == tuple(zip(range(1, len(node.args) + 1)))):
                 raise MalformedStep(f"nothing to flatten at {q}")
-            moves = regrouping_map(step.kind, node, after)
             object.__setattr__(step, "moves", moves)  # kept: `TraceStep.moves`
             if after is not None and (
                 moves is None or not sig.is_ac(node.root) or after.root != node.root or after == node

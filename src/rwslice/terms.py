@@ -7,7 +7,7 @@ positions are 1-based access paths and the empty path addresses the root.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 
 class RwsliceError(Exception):
@@ -78,30 +78,33 @@ HOLE = Symbol("□", 0, "hole")
 BULLET = Symbol("•", 0, "bullet")
 
 
-@dataclass(frozen=True)
 class Term:
-    """Ordered tree of symbols and variables.
+    """Ordered tree of symbols and variables, immutable: a slotted class
+    whose attributes cannot be assigned or deleted once built.
 
     Arity is enforced loosely: a binary operator may carry more than two
     arguments (the flattened form used for assoc-comm operators); the
     signature check is the authoritative validation.
     """
 
-    root: Symbol | Variable
-    args: tuple["Term", ...] = ()
+    __slots__ = ("root", "args")
 
-    def __post_init__(self):
-        if isinstance(self.root, Variable):
-            if self.args:
+    def __init__(self, root: Symbol | Variable, args: tuple["Term", ...] = ()):
+        if isinstance(root, Variable):
+            if args:
                 raise ValueError("variables take no arguments")
-            return
-        if self.root.kind in ("hole", "bullet") and self.args:
-            raise ValueError(f"{self.root.name} is a leaf symbol")
-        n = len(self.args)
-        if n != self.root.arity and not (self.root.arity == 2 and n > 2):
-            raise ValueError(
-                f"{self.root.name} declared with arity {self.root.arity}, got {n} arguments"
-            )
+        elif root.kind in ("hole", "bullet") and args:
+            raise ValueError(f"{root.name} is a leaf symbol")
+        elif len(args) != root.arity and not (root.arity == 2 and len(args) > 2):
+            raise ValueError(f"{root.name} declared with arity {root.arity}, got {len(args)} arguments")
+        _set_root(self, root)
+        _set_args(self, args)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __eq__(self, other) -> bool:
         """The same tree, compared pair by pair from an explicit worklist,
@@ -129,6 +132,10 @@ class Term:
 
     def __repr__(self) -> str:
         return f"Term<{pretty(self)}>"
+
+
+# the slots' own setters, which `Term.__init__` calls past its refusing `__setattr__`
+_set_root, _set_args = Term.root.__set__, Term.args.__set__
 
 
 HOLE_TERM = Term(HOLE)

@@ -10,12 +10,12 @@ whitespace-separated. Bindings are `X=term;Y=term` sorted by variable
 name. Loading replays each record on the previous term as it reads it,
 with the checks `InstrumentedTrace` makes, and accepts its bindings and
 `after` fields when they are the prints of the replay's matcher and after
-term; a field is parsed only when it is not, or to report its syntax
-error. So consecutive terms share all subterms off the redex, and of a
-file as `render_trace` writes it only the initial term and the `after`
-field of an unflat record, which records a spine, are parsed. The loaded
-trace carries its printed size (`InstrumentedTrace.printed_size`), summed
-from the texts it accepted.
+term. An unflat record's spine is read by print too, over the prints of
+the arguments it regroups. A field is parsed only when it does not read
+so, or to report its syntax error. So consecutive terms share all
+subterms off the redex, and of a file as `render_trace` writes it only
+the initial term is parsed. The loaded trace carries its printed size
+(`InstrumentedTrace.printed_size`), summed from the texts it accepted.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import warnings
 from pathlib import Path
 
 from .engine import FLAT, InstrumentedTrace, MalformedStep, RewriteTheory, TraceStep, _Steps, replay_step
-from .terms import EMPTY_SUBST, Position, Substitution, Term, Variable, pretty, printed_length, subterm_at
+from .terms import EMPTY_SUBST, Position, Substitution, Term, Variable, pretty, printed_length, replace_at, subterm_at
 from .theoryfile import TheorySyntaxError, _TermParser
 
 _HEADER = "rwtrace 1"
@@ -105,12 +105,16 @@ def parse_trace(text: str, theory: RewriteTheory) -> InstrumentedTrace:
             position = positions.get(pos)
             if position is None:
                 position = positions[pos] = Position.parse(pos)
+            # a step's before usually repeats the last after: compare the texts,
+            # and read an unflat record's spine by print (`_read_spine`)
+            chained = before_txt == prev_txt
+            spine = _read_spine(after_txt, canon, prev, position, lengths) if chained and kind == "unflat" else None
             # the bindings are read first when another field is read, so that
             # syntax errors come left to right; else they are checked by print
-            matcher = None if before_txt == prev_txt and kind != "unflat" else _parse_bindings(bind, parser)
-            # a step's before usually repeats the last after: compare the texts
-            chained = before_txt == prev_txt or parser.term(before_txt) == prev
-            spine = parser.term(after_txt) if kind == "unflat" else None
+            parsed = not chained or kind == "unflat" and spine is None
+            matcher = _parse_bindings(bind, parser) if parsed else None
+            chained = chained or parser.term(before_txt) == prev
+            spine = parser.term(after_txt) if parsed and kind == "unflat" else spine
             step = TraceStep(kind, None if rule == "-" and kind != "builtin" else rule, position, matcher, prev, spine)
             try:
                 sub, after = replay_step(step, theory, steps=checked) if chained else (None, None)
@@ -119,7 +123,9 @@ def parse_trace(text: str, theory: RewriteTheory) -> InstrumentedTrace:
             if matcher is None and (after is None or bind != _render_bindings(sub)):
                 matcher = _parse_bindings(bind, parser)
             bound = matcher is None or matcher == sub
-            if after is not None and bound and _prints_as(after_txt, canon, step, after, lengths):
+            # a spine read by print replays as itself, so after_txt is the print
+            printed = kind == "unflat" and not parsed
+            if after is not None and bound and (printed or _prints_as(after_txt, canon, step, after, lengths)):
                 canon = after_txt
             else:
                 # not the replay's print: read the field, whose syntax errors come first
@@ -159,17 +165,26 @@ def _located(exc: TheorySyntaxError, lineno: int, line: str) -> MalformedStep:
     return MalformedStep(f"line {lineno}, column {start + exc.col}: {exc.message}")
 
 
+def _span(before: Term, q: Position, lengths: dict[int, int]) -> tuple[int, Term] | None:
+    """Where the node at q of before starts in before's print, and the node,
+    found by printed lengths; None when q addresses no node."""
+    start, node = 0, before
+    for i in q.path:
+        if not 1 <= i <= len(node.args):
+            return None
+        # the node's name, "(", and each earlier argument with its comma
+        start += len(node.root.name) + i + sum(printed_length(a, lengths) for a in node.args[: i - 1])
+        node = node.args[i - 1]
+    return start, node
+
+
 def _prints_as(text: str, canon: str, step: TraceStep, after: Term, lengths: dict[int, int]) -> bool:
     """Whether text is pretty(after), where after is the step's before term,
     printed as canon, with the subterm at the step's position replaced:
     canon's text around that subterm is compared as it stands, and only the
     new subterm is printed, whatever the step's kind. If so, the printed
     lengths of after and of that subterm go to lengths."""
-    start, node = 0, step.before
-    for i in step.position.path:
-        # the node's name, "(", and each earlier argument with its comma
-        start += len(node.root.name) + i + sum(printed_length(a, lengths) for a in node.args[: i - 1])
-        node = node.args[i - 1]
+    start, node = _span(step.before, step.position, lengths)
     end = start + printed_length(node, lengths)
     new_node = subterm_at(after, step.position)
     middle = pretty(new_node)
@@ -182,6 +197,45 @@ def _prints_as(text: str, canon: str, step: TraceStep, after: Term, lengths: dic
         return False
     lengths[id(after)], lengths[id(new_node)] = len(text), len(middle)
     return True
+
+
+def _read_spine(text: str, canon: str, before: Term, q: Position, lengths: dict[int, int]) -> Term | None:
+    """The term an unflat record's after field, text, reads as, if it is
+    canon (before's print) with the node at q printed as a spine: nested
+    op(…) nodes of two arguments or more, op the node's root name, whose
+    leaves are its argument objects, each the leftmost unused one whose print,
+    sliced from canon, is there before a "," or ")", as the parser reads
+    and `acmatch._pair` pairs it. Else None: the caller parses the field."""
+    span = _span(before, q, lengths)
+    if span is None or not text.startswith(canon[: span[0]]):
+        return None
+    (start, node), prints = span, []
+    op, at = node.root.name + "(", start + len(node.root.name) + 1  # at each argument's print, then at the end
+    for a in node.args:
+        prints.append(canon[at : at + printed_length(a, lengths)])
+        at += len(prints[-1]) + 1
+    ends = [(s + ",", s + ")") for s in prints]
+    free, built, p = list(range(len(prints))), [], start  # the unused arguments; the open nodes' arguments
+    while True:
+        for k, i in enumerate(free if built else ()):
+            if text.startswith(ends[i], p):
+                built[-1].append(node.args[free.pop(k)])
+                p += len(prints[i])
+                break
+        else:  # no argument's print here: a spine node, or no spine
+            if not text.startswith(op, p):
+                return None
+            built.append([])
+            p += len(op)
+            continue
+        while text.startswith(")", p) and len(built[-1]) > 1:  # close the spine nodes that end here
+            spine, p = Term(node.root, tuple(built.pop())), p + 1
+            if not built:
+                return replace_at(before, q, spine) if text[p:] == canon[at:] else None
+            built[-1].append(spine)
+        if not text.startswith(",", p):
+            return None
+        p += 1
 
 
 def load_trace(path: str | Path, theory: RewriteTheory) -> InstrumentedTrace:

@@ -387,6 +387,25 @@ def test_flat_precondition_is_needs_flat(generated_traces):
     assert flat > 50
 
 
+def test_flat_replay_builds_the_one_level_flat_node(generated_traces):
+    """A flat step's replay builds its node from the move map alone: on
+    every flat step of the seeded traces, the node at its position is
+    `one_level_flat`'s of the before node, from a replay of a copy that
+    keeps no map, and from `apply_step` on the step's own before term."""
+    flats = 0
+    for th, trace in generated_traces:
+        for step in trace.steps:
+            if step.kind != "flat":
+                continue
+            q = step.position
+            expected = acmatch.one_level_flat(subterm_at(step.before, q))[0]
+            sub, after = engine.replay_step(dataclasses.replace(step), th)
+            assert sub == EMPTY_SUBST and subterm_at(after, q) == expected and after == step.after
+            assert subterm_at(apply_step(step, th, step.before), q) == expected
+            flats += 1
+    assert flats > 100
+
+
 def _soup_signature():
     s = Signature()
     s.declare("cfg", 2, assoc=True, comm=True)

@@ -13,7 +13,7 @@ from rwslice import acmatch, bundled_example_path, cli, engine, theoryfile, trac
 from rwslice.cli import main
 from rwslice.engine import InstrumentedTrace, MalformedStep, Rule, check_step, run
 from rwslice.report import SliceReport
-from rwslice.terms import Position, Signature, Term, Variable, pretty, subterm_at
+from rwslice.terms import Position, Signature, Term, Variable, pretty, replace_at, subterm_at
 from rwslice.theoryfile import (
     ArityMismatchError,
     TheorySyntaxError,
@@ -680,6 +680,102 @@ def test_trace_load_checks_bindings_by_their_print():
             load(at, record)
 
 
+# an AC cfg beside a unary cfg, whose nodes print as "cfg(" too
+SPINES = """
+op cfg : 2 [assoc comm] .
+op cfg : 1 .
+op item : 1 .
+op box : 1 .
+"""
+
+
+_CFG3 = "cfg(item(0),item(1),item(2))"
+
+
+def _spine_file(init, pos, after, bind="-"):
+    """A trace of an unflat record at pos from init to after, then the flat
+    record back to init."""
+    return "\n".join([
+        "rwtrace 1", "theory spines", f"init {init}",
+        f"step unflat - {pos} {bind} {init} {after}", f"step flat - {pos} - {after} {init}",
+    ]) + "\n"
+
+
+@pytest.mark.parametrize("init, pos, after, moves", [
+    # equal arguments: each leaf is the leftmost unused one, as `_pair` takes it
+    ("cfg(item(0),item(0),item(1))", "^", "cfg(cfg(item(0),item(1)),item(0))", (0, 2, 1)),
+    ("cfg(item(0),item(0),item(0))", "^", "cfg(item(0),cfg(item(0),item(0)))", (0, 1, 2)),
+    # a nested spine below the root
+    ("box(cfg(item(0),item(1),item(2)))", "1", "box(cfg(item(2),cfg(item(1),item(0))))", (2, 1, 0)),
+    # reordered leaves, one of them a unary cfg node, and a print that starts another
+    ("cfg(cfg(item(2)),item(0),item(1))", "^", "cfg(item(1),cfg(cfg(item(2)),item(0)))", (2, 0, 1)),
+    ("cfg(1,10,2)", "^", "cfg(cfg(10,1),2)", (1, 0, 2)),
+])
+def test_trace_load_reads_unflat_spines_by_print(monkeypatch, init, pos, after, moves):
+    """An unflat record's spine is read by print, not parsed: its leaves are
+    the before node's own argument objects, paired as `acmatch._pair` pairs
+    them, and it is the term the parser reads."""
+    th = parse_theory(SPINES, name="spines")
+    q, before = Position.parse(pos), parse_term(init, th.signature)
+    # equal arguments as distinct objects, which the parser would share
+    node = subterm_at(before, q)
+    node = Term(node.root, tuple(Term(a.root, a.args) for a in node.args))
+    spine = tracefile._read_spine(after, init, replace_at(before, q, node), q, {})
+    assert spine == parse_term(after, th.signature)
+    leaves = [leaf for _, leaf in acmatch.spine_leaves(subterm_at(spine, q))]
+    assert all(leaf is node.args[i] for leaf, i in zip(leaves, moves, strict=True))
+    read = []
+    real_term = theoryfile._TermParser.term
+    monkeypatch.setattr(theoryfile._TermParser, "term", lambda parser, text: read.append(text) or real_term(parser, text))
+    loaded = parse_trace(_spine_file(init, pos, after), th)
+    assert read == [init] and loaded.steps[0].moves == moves
+    assert pretty(loaded.steps[0].after) == after and loaded.final() == loaded.initial
+
+
+@pytest.mark.parametrize("init, pos, after, message", [
+    # a leaf that is not an argument, an argument used twice, or one left out
+    (_CFG3, "^", "cfg(cfg(item(0),item(3)),item(1))", "line 4: unflat step at ^ does not replay"),
+    (_CFG3, "^", "cfg(cfg(item(0),item(0)),item(1))", "line 4: unflat step at ^ does not replay"),
+    (_CFG3, "^", "cfg(cfg(item(0),item(1)),cfg(item(0),item(2)))", "line 4: unflat step at ^ does not replay"),
+    (_CFG3, "^", "cfg(item(0),item(1))", "line 4: unflat step at ^ does not replay"),
+    # a spine node of one argument, and the node itself
+    (_CFG3, "^", "cfg(cfg(item(0)),item(1),item(2))", "line 4: unflat step at ^ does not replay"),
+    (_CFG3, "^", "cfg(item(0),item(1),item(2))", "line 4: unflat step at ^ does not replay"),
+    # a valid spine below another root than before's, which the parser reads
+    (f"box({_CFG3})", "1", "cfg(cfg(cfg(item(0),item(1)),item(2)))", "line 4: unflat step at 1 does not replay"),
+    # syntax errors, each at its column in the file
+    (_CFG3, "^", "cfg(cfg(item(0),zz),item(1))", "line 4, column 64: unknown operator zz"),
+    (_CFG3, "^", "cfg(cfg(item(0),item(1)),item(2))x", "line 4, column 81: trailing input 'x'"),
+    (_CFG3, "^", "cfg(cfg(item(0),item(1)),item(2)", "line 4, column 79: unexpected end of input"),
+])
+def test_trace_load_rejects_bad_spines_as_the_parser_does(init, pos, after, message):
+    """Each message, line and column is the one parsing the field gives,
+    with or without the flat record after it."""
+    th = parse_theory(SPINES, name="spines")
+    for lines in (5, 4):
+        with warnings.catch_warnings(), pytest.raises(MalformedStep, match=re.escape(message)):
+            warnings.simplefilter("ignore")
+            parse_trace("\n".join(_spine_file(init, pos, after).splitlines()[:lines]) + "\n", th)
+
+
+def test_trace_load_parses_spines_it_cannot_read_by_print():
+    """A spine that does not read by print is parsed: with a comment (a
+    field holds no blanks) it loads, and the bindings field's syntax error
+    comes first, whether the spine reads by print or does not parse."""
+    th = parse_theory(SPINES, name="spines")
+    init, after = "cfg(item(0),item(1),item(2))", "cfg(cfg(item(0),item(1)),item(2))"
+    loaded = parse_trace(_spine_file(init, "^", after + "---x"), th)
+    assert pretty(loaded.steps[0].after) == after
+    assert loaded.steps == parse_trace(_spine_file(init, "^", after), th).steps
+    for spine in (after, after.replace("item(2)", "zz(2)"), after + "x"):
+        text = _spine_file(init, "^", spine, bind="X=qq")
+        column = text.splitlines()[3].index("qq") + 1
+        with pytest.raises(MalformedStep, match=re.escape(f"line 4, column {column}: unknown operator qq")):
+            parse_trace(text, th)
+    with pytest.raises(MalformedStep, match=re.escape("line 4: unflat step at ^ does not replay")):
+        parse_trace(_spine_file(init, "^", after, bind="X=item(0)"), th)
+
+
 def _load_cases(pc_rule_steps, tree_depth, tree_rule_steps):
     """(theory, trace) pairs: producer_consumer, client_server and a
     wide_state tree."""
@@ -706,12 +802,14 @@ def test_loaded_steps_are_their_records():
             assert check_step(step, th), record
 
 
-def test_trace_load_parses_only_init_and_unflat_fields(monkeypatch):
-    """Loading hands the term parser the init term and the after field of
-    each unflat record. Of each record it prints the new subterm at the
-    step's position once, whatever the step's kind, and the values the
-    replay's matcher binds, to compare with the bindings field, and nothing
-    else: on a tree of 256 pairs that is under 5% of the file."""
+def test_trace_load_parses_only_the_init_term(monkeypatch):
+    """Loading a file as `render_trace` writes it hands the term parser the
+    init term alone: an unflat record's spine is read over the prints of
+    the arguments it regroups. Of every other record it prints the new
+    subterm at the step's position once, whatever the step's kind, and of
+    each the values the replay's matcher binds, to compare with the
+    bindings field, and nothing else: on a tree of 256 pairs that is under
+    5% of the file."""
     read, printed = [], []
     real_term, real_pretty = theoryfile._TermParser.term, tracefile.pretty
 
@@ -732,17 +830,15 @@ def test_trace_load_parses_only_init_and_unflat_fields(monkeypatch):
     totals = []
     for th, trace in cases:
         text = render_trace(trace)
-        expected = [text.splitlines()[2][len("init "):]]
-        expected += [record.split()[6] for record in text.splitlines()[3:] if record.split()[1] == "unflat"]
         read.clear()
         printed.clear()
         assert parse_trace(text, th).steps == trace.steps
-        assert read == expected
-        news = sum(len(real_pretty(subterm_at(s.after, s.position))) for s in trace.steps)
+        assert read == [text.splitlines()[2][len("init "):]]
+        news = sum(len(real_pretty(subterm_at(s.after, s.position))) for s in trace.steps if s.kind != "unflat")
         values = sum(len(real_pretty(v)) for s in trace.steps for _, v in s.matcher.items())
         assert sum(printed) == news + values
         totals.append((news, values))
-    assert totals == [(29_255, 1_094), (1_858, 28), (1_701, 240)]
+    assert totals == [(21_735, 1_094), (1_108, 28), (1_701, 240)]
     assert sum(totals[-1]) < 0.05 * len(text)
 
 

@@ -1,9 +1,12 @@
+import dataclasses
 import random
 import sys
 
 import pytest
 
 from rwslice.terms import (
+    BULLET,
+    HOLE,
     HOLE_TERM,
     Position,
     PositionOutOfRange,
@@ -169,6 +172,44 @@ def test_arity_validation():
     Term(Symbol("f", 2), tuple(Term(Symbol("a", 0)) for _ in range(3)))
     with pytest.raises(ValueError):
         Term(Variable("x"), (Term(Symbol("a", 0)),))
+
+
+def test_term_constructor_errors_read_as_before():
+    """The slotted constructor makes the checks, in the order and with the
+    messages, of the dataclass it replaced."""
+    a = Term(Symbol("a", 0))
+    with pytest.raises(ValueError, match=r"^f declared with arity 2, got 1 arguments$"):
+        Term(Symbol("f", 2), (a,))
+    with pytest.raises(ValueError, match=r"^h declared with arity 1, got 2 arguments$"):
+        Term(Symbol("h", 1), (a, a))
+    with pytest.raises(ValueError, match=r"^a declared with arity 0, got 1 arguments$"):
+        Term(Symbol("a", 0), (a,))
+    Term(Symbol("f", 2), tuple(a for _ in range(3)))  # a flattened AC node
+    with pytest.raises(ValueError, match=r"^variables take no arguments$"):
+        Term(Variable("x"), (a,))
+    for leaf in (HOLE, BULLET):
+        with pytest.raises(ValueError, match=rf"^{leaf.name} is a leaf symbol$"):
+            Term(leaf, (a,))
+    # a leaf symbol's check comes before the arity's, keyword arguments read as before
+    with pytest.raises(ValueError, match=r"is a leaf symbol$"):
+        Term(Symbol("•", 2, "bullet"), (a, a))
+    assert Term(root=Symbol("h", 1), args=(a,)) == Term(Symbol("h", 1), (a,))
+    assert Term(Variable("x")).args == () and Term(HOLE) == HOLE_TERM
+
+
+def test_terms_are_slotted_and_immutable(sig):
+    """A term has no `__dict__`, and its two fields cannot be assigned or
+    deleted, nor can other attributes be added."""
+    t = parse_term("f(a,h(b))", sig)
+    root, args = t.root, t.args
+    assert not hasattr(t, "__dict__") and Term.__slots__ == ("root", "args")
+    for name in ("root", "args", "other"):
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+            setattr(t, name, root)
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot delete field '{name}'"):
+            delattr(t, name)
+    assert t.root is root and t.args is args and pretty(t) == "f(a,h(b))"
+    assert repr(t) == "Term<f(a,h(b))>" and hash(t) == hash(parse_term("f(a,h(b))", sig))
 
 
 def test_pretty_is_canonical(sig):
