@@ -191,17 +191,19 @@ def plan_unflat(whole: Term, at: Position, target: Term, sig: Signature) -> tupl
     """Stepwise regrouping of the canonical subtree at `at` into `target`:
     one event per step of `regroupings`."""
     events: list[FlatEvent] = []
-    for pos, new_node in regroupings(subterm_at(whole, at), target, sig):
+    for pos, new_node, _ in regroupings(subterm_at(whole, at), target, sig):
         events.append((at.concat(pos), whole, replace_at(whole, at.concat(pos), new_node)))
         whole = events[-1][2]
     return whole, events
 
 
-def regroupings(node: Term, target: Term, sig: Signature) -> Iterator[tuple[Position, Term]]:
+def regroupings(node: Term, target: Term, sig: Signature) -> Iterator[tuple[Position, Term, tuple]]:
     """The steps that regroup the canonical `node` into `target`, which must
-    flatten back to it, made one at a time: each step's position below node
-    and the same-operator spine the target prescribes there, built over the
-    flattened node's argument objects. Deeper differences come in later
+    flatten back to it, made one at a time: each step's position below node,
+    the same-operator spine the target prescribes there, built over the
+    flattened node's argument objects, and the step's move map, the
+    `regrouping_map` of that node and spine, as the pairing found it (the
+    engine keeps it as `TraceStep.moves`). Deeper differences come in later
     steps, in preorder, from a stack of (position, node, target); the target's
     spine leaves are flattened only when one does not pair with an argument."""
     todo = [(Position(), node, target)]
@@ -218,7 +220,7 @@ def regroupings(node: Term, target: Term, sig: Signature) -> Iterator[tuple[Posi
             paths = regrouping_paths("unflat", taken, node, shape)  # raises unless the leaves pair
             new_node = rebuild_spine(tgt, ((dst, node.args[i - 1]) for dst, (i,) in paths))
             if new_node != node:
-                yield pos, new_node
+                yield pos, new_node, taken
             if shape is not tgt:  # regroup the leaves that are not their arguments
                 pairs = list(zip(spine_leaves(tgt), spine_leaves(new_node)))
                 todo += [(pos.concat(Position(path)), arg, sub) for (path, sub), (_, arg) in reversed(pairs) if arg != sub]

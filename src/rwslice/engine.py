@@ -20,6 +20,7 @@ from .acmatch import (
     flatten_term,
     match_modulo_ac,
     needs_flat,
+    one_level_flat,
     rebuild_spine,
     regrouping_map,
     regrouping_paths,
@@ -221,10 +222,11 @@ class TraceStep:
     @cached_property
     def moves(self) -> tuple | None:
         """The move map a flat or unflat step keeps, its `regrouping_map`:
-        one entry per moved argument, never a path per spine leaf. The check
-        (`replay_step`) computes it and keeps it here; a step never checked
-        computes it when first read. The replay, the slicer and the labeling
-        read it and walk its paths (`regrouping_paths`)."""
+        one entry per moved argument, never a path per spine leaf. It is kept
+        where it is first known: by a flat step's replay (`one_level_flat`),
+        by the run and the loader for an unflat step (`regroupings`,
+        `_read_spine`); any other step computes it when first read. The
+        replay, the slicer and the labeling read it (`regrouping_paths`)."""
         q = self.position
         after = subterm_at(self.after, q) if self.kind == "unflat" else None
         return regrouping_map(self.kind, subterm_at(self.before, q), after)
@@ -398,21 +400,24 @@ class _Steps(list):
     def take(self, t: Term, kind: str, q: Position, hit) -> Term:
         """Makes the step for `first`'s hit at q in t, a flat or builtin
         step, or the regroupings an equation or rule candidate needs and
-        then its step, and returns the term it leads to."""
+        then its step (an unflat one with the move map `regroupings` found),
+        and returns the term it leads to."""
         if kind in ("flat", "builtin"):
             name = hit[0] if kind == "builtin" else None
             return self.add(TraceStep(kind, name, q, EMPTY_SUBST, t, None))
         rule, sub, target, rel = hit  # relative to the node at q (`_candidates_at`)
-        for pos, spine in regroupings(subterm_at(t, q), target, self.th.signature):
+        for pos, spine, moves in regroupings(subterm_at(t, q), target, self.th.signature):
             pos = q.concat(pos)
-            t = self.add(TraceStep("unflat", None, pos, EMPTY_SUBST, t, replace_at(t, pos, spine)))
+            step = TraceStep("unflat", None, pos, EMPTY_SUBST, t, replace_at(t, pos, spine))
+            object.__setattr__(step, "moves", moves)  # kept: `TraceStep.moves`
+            t = self.add(step)
         return self.add(TraceStep(kind, rule.name, q.concat(rel), sub, t, None))
 
     def add(self, step: TraceStep) -> Term:
         """Appends the step, given with no after term (an unflat step: with
-        its spine), made by its replay (`replay_step`, whose canonical check
-        reads and extends the flat bits of the run's memo) and binding the
-        replay's matcher, and returns the after term."""
+        its spine and move map), made by its replay (`replay_step`, whose
+        canonical check reads and extends the flat bits of the run's memo)
+        and binding the replay's matcher, and returns the after term."""
         if len(self) >= self.limit:
             raise StepBudgetExceeded(f"more than {self.limit} elementary steps")
         sub, after = replay_step(step, self.th, steps=self)
@@ -613,40 +618,43 @@ def _rewrite(step: TraceStep, th: RewriteTheory, node: Term) -> tuple[Substituti
 
 def replay_step(step: TraceStep, th: RewriteTheory, *, steps: _Steps | None = None) -> tuple[Substitution, Term]:
     """The matcher and the after term the theory gives the step from its
-    before term: the kind's preconditions hold, then `apply_step`'s rewrite
-    at the step's position. The matcher is the rule's left-hand side's
-    there for a rule or equation step and empty for the other kinds; the
-    step's own is not read, and each caller compares it in its own way
-    (`_Steps.add`, `check_step`, `parse_trace` by its print). Only a
-    builtin step has a name, its operator's. Of the after term, only an
-    unflat step's is read, for the spine it records.
+    before term: the kind's preconditions hold, then its rewrite at the
+    step's position. The matcher is the rule's left-hand side's there for a
+    rule or equation step and empty for the other kinds; the step's own is
+    not read, and each caller compares it in its own way (`_Steps.add`,
+    `check_step`, `parse_trace` by its print). Only a builtin step has a
+    name, its operator's. Of the after term, only an unflat step's is read,
+    for the spine it records.
     A flat step's precondition is an AC node whose move map is not the
-    identity (`needs_flat`); an unflat step's, that its node is AC and
-    canonical (a flat walk, `first(node, FLAT)`, of `steps`, which reads
-    and extends the flat bits of its memo) and its spine has the node's
-    root, differs from it, and has exactly the node's arguments as leaves
-    (a move map). The move map is computed here, kept (`TraceStep.moves`)
-    and read by `_rewrite`. A run passes itself as `steps`, and a check or
-    a load of many steps one `_Steps` for them all; without one, the walk
-    uses a fresh one. Raises MalformedStep when the step does not replay."""
-    q = step.position
+    identity (`needs_flat`); it takes the node and map `one_level_flat`
+    makes, and keeps the map (`TraceStep.moves`). An unflat step's, that
+    its node is AC and canonical (a flat walk, `first(node, FLAT)`, of
+    `steps`, which reads and extends the flat bits of its memo) and its
+    spine has the node's root, differs from it, and has exactly the node's
+    arguments as leaves (`moves`, as its producer kept it, else computed):
+    its new node is that spine. Other kinds rewrite as `apply_step` does.
+    A run passes itself as `steps`, a check or a load one `_Steps` for all
+    its steps, else the walk uses a fresh one. Raises MalformedStep when
+    the step does not replay."""
+    q, sig = step.position, th.signature
     try:
         node = subterm_at(step.before, q)
-        if step.kind in ("flat", "unflat"):
-            sig, after = th.signature, subterm_at(step.after, q) if step.kind == "unflat" else None
-            moves = regrouping_map(step.kind, node, after) if after is not None or sig.is_ac(node.root) else None
-            if after is None and (moves is None or moves == tuple(zip(range(1, len(node.args) + 1)))):
+        if step.kind not in ("flat", "unflat"):
+            sub, new_node = _rewrite(step, th, node)
+            return sub, replace_at(step.before, q, new_node)
+        if step.kind == "flat":
+            new_node, moves = one_level_flat(node) if sig.is_ac(node.root) else (node, None)
+            if moves is None or moves == tuple(zip(range(1, len(node.args) + 1))):
                 raise MalformedStep(f"nothing to flatten at {q}")
             object.__setattr__(step, "moves", moves)  # kept: `TraceStep.moves`
-            if after is not None and (
-                moves is None or not sig.is_ac(node.root) or after.root != node.root or after == node
-                or (_Steps(th, 0) if steps is None else steps).first(node, FLAT)
-            ):
+        else:
+            new_node = subterm_at(step.after, q)
+            regroups = step.moves is not None and sig.is_ac(node.root) and new_node.root == node.root and new_node != node
+            if not regroups or (_Steps(th, 0) if steps is None else steps).first(node, FLAT):
                 raise MalformedStep(f"no regrouping at {q}")
-            if step.rule_name is not None:
-                raise MalformedStep(f"a {step.kind} step has no name")
-        sub, new_node = _rewrite(step, th, node)
-        return sub, replace_at(step.before, q, new_node)
+        if step.rule_name is not None:
+            raise MalformedStep(f"a {step.kind} step has no name")
+        return EMPTY_SUBST, replace_at(step.before, q, new_node)
     except PositionOutOfRange as exc:
         raise MalformedStep(str(exc)) from None
 

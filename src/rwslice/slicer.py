@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .acmatch import rebuild_spine, regrouping_paths
+from .acmatch import regrouping_paths
 from .engine import InstrumentedTrace, MalformedStep, RewriteTheory, TraceStep, apply_step
 from .labeling import LabeledStep
 from .terms import (
@@ -222,10 +222,14 @@ def _local_origins(step: TraceStep, th: RewriteTheory, kept: Term) -> Term:
         return Substitution(image).apply(rule.lhs)
     if step.kind == "builtin":
         return node if node.args else BULLET_TERM
-    # flat, unflat: each moved subterm's slice goes back to its source, and
-    # the spine the step takes apart keeps its symbols
-    moves = regrouping_paths(step.kind, step.moves, node, subterm_at(step.after, step.position))
-    return rebuild_spine(node, sorted((src, _kept_at(kept, dst)) for dst, src in moves))
+    # flat, unflat: each moved subterm's slice goes back to its source path,
+    # and the node and the merged children of a flat step keep their symbols
+    paths = regrouping_paths(step.kind, step.moves, node, subterm_at(step.after, step.position))
+    back = {src: _kept_at(kept, dst) for dst, src in paths}
+    return Term(node.root, tuple(
+        back[i,] if (i,) in back else Term(a.root, tuple(back[i, j] for j in range(1, len(a.args) + 1)))
+        for i, a in enumerate(node.args, 1)
+    ))
 
 
 def concretizes(ts: Term, t: Term) -> bool:

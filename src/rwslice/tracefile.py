@@ -108,7 +108,7 @@ def parse_trace(text: str, theory: RewriteTheory) -> InstrumentedTrace:
             # a step's before usually repeats the last after: compare the texts,
             # and read an unflat record's spine by print (`_read_spine`)
             chained = before_txt == prev_txt
-            spine = _read_spine(after_txt, canon, prev, position, lengths) if chained and kind == "unflat" else None
+            spine, moves = _read_spine(after_txt, canon, prev, position, lengths) if chained and kind == "unflat" else (None, None)
             # the bindings are read first when another field is read, so that
             # syntax errors come left to right; else they are checked by print
             parsed = not chained or kind == "unflat" and spine is None
@@ -116,6 +116,8 @@ def parse_trace(text: str, theory: RewriteTheory) -> InstrumentedTrace:
             chained = chained or parser.term(before_txt) == prev
             spine = parser.term(after_txt) if parsed and kind == "unflat" else spine
             step = TraceStep(kind, None if rule == "-" and kind != "builtin" else rule, position, matcher, prev, spine)
+            if moves is not None:  # kept: `TraceStep.moves`
+                object.__setattr__(step, "moves", moves)
             try:
                 sub, after = replay_step(step, theory, steps=checked) if chained else (None, None)
             except MalformedStep:
@@ -199,42 +201,45 @@ def _prints_as(text: str, canon: str, step: TraceStep, after: Term, lengths: dic
     return True
 
 
-def _read_spine(text: str, canon: str, before: Term, q: Position, lengths: dict[int, int]) -> Term | None:
+def _read_spine(text: str, canon: str, before: Term, q: Position, lengths: dict[int, int]) -> tuple:
     """The term an unflat record's after field, text, reads as, if it is
     canon (before's print) with the node at q printed as a spine: nested
     op(…) nodes of two arguments or more, op the node's root name, whose
     leaves are its argument objects, each the leftmost unused one whose print,
     sliced from canon, is there before a "," or ")", as the parser reads
-    and `acmatch._pair` pairs it. Else None: the caller parses the field."""
+    and `acmatch._pair` pairs it; and the step's move map, each leaf's
+    argument index in path order (`TraceStep.moves`), when every argument
+    is a leaf, else None. Else (None, None): the caller parses the field."""
     span = _span(before, q, lengths)
     if span is None or not text.startswith(canon[: span[0]]):
-        return None
+        return None, None
     (start, node), prints = span, []
     op, at = node.root.name + "(", start + len(node.root.name) + 1  # at each argument's print, then at the end
     for a in node.args:
         prints.append(canon[at : at + printed_length(a, lengths)])
         at += len(prints[-1]) + 1
     ends = [(s + ",", s + ")") for s in prints]
-    free, built, p = list(range(len(prints))), [], start  # the unused arguments; the open nodes' arguments
+    free, built, moves, p = list(range(len(prints))), [], [], start  # the unused arguments; the open nodes' arguments
     while True:
         for k, i in enumerate(free if built else ()):
             if text.startswith(ends[i], p):
-                built[-1].append(node.args[free.pop(k)])
+                moves.append(free.pop(k))
+                built[-1].append(node.args[i])
                 p += len(prints[i])
                 break
         else:  # no argument's print here: a spine node, or no spine
             if not text.startswith(op, p):
-                return None
+                return None, None
             built.append([])
             p += len(op)
             continue
         while text.startswith(")", p) and len(built[-1]) > 1:  # close the spine nodes that end here
             spine, p = Term(node.root, tuple(built.pop())), p + 1
             if not built:
-                return replace_at(before, q, spine) if text[p:] == canon[at:] else None
+                return (replace_at(before, q, spine), None if free else tuple(moves)) if text[p:] == canon[at:] else (None, None)
             built[-1].append(spine)
         if not text.startswith(",", p):
-            return None
+            return None, None
         p += 1
 
 

@@ -9,7 +9,7 @@ import warnings
 
 import pytest
 
-from rwslice import acmatch, bundled_example_path, cli, engine, theoryfile, tracefile
+from rwslice import acmatch, bundled_example_path, cli, engine, slicer, theoryfile, tracefile
 from rwslice.cli import main
 from rwslice.engine import InstrumentedTrace, MalformedStep, Rule, check_step, run
 from rwslice.report import SliceReport
@@ -25,7 +25,7 @@ from rwslice.theoryfile import (
 from rwslice.slicer import trace_slice
 from rwslice.tracefile import load_trace, parse_trace, render_trace, save_trace
 
-from genutil import WIDE_STATE, seeded_traces, wide_tree
+from genutil import BUNDLED_RUNS, WIDE_STATE, seeded_traces, wide_tree
 
 
 def test_parse_rule_example():
@@ -701,7 +701,8 @@ def _spine_file(init, pos, after, bind="-"):
     ]) + "\n"
 
 
-@pytest.mark.parametrize("init, pos, after, moves", [
+# (init, position, after, move map) of unflat records whose spines read by print
+_SPINE_CASES = [
     # equal arguments: each leaf is the leftmost unused one, as `_pair` takes it
     ("cfg(item(0),item(0),item(1))", "^", "cfg(cfg(item(0),item(1)),item(0))", (0, 2, 1)),
     ("cfg(item(0),item(0),item(0))", "^", "cfg(item(0),cfg(item(0),item(0)))", (0, 1, 2)),
@@ -710,18 +711,23 @@ def _spine_file(init, pos, after, bind="-"):
     # reordered leaves, one of them a unary cfg node, and a print that starts another
     ("cfg(cfg(item(2)),item(0),item(1))", "^", "cfg(item(1),cfg(cfg(item(2)),item(0)))", (2, 0, 1)),
     ("cfg(1,10,2)", "^", "cfg(cfg(10,1),2)", (1, 0, 2)),
-])
+]
+
+
+@pytest.mark.parametrize("init, pos, after, moves", _SPINE_CASES)
 def test_trace_load_reads_unflat_spines_by_print(monkeypatch, init, pos, after, moves):
     """An unflat record's spine is read by print, not parsed: its leaves are
     the before node's own argument objects, paired as `acmatch._pair` pairs
-    them, and it is the term the parser reads."""
+    them, it is the term the parser reads, and the move map read with it is
+    `regrouping_map`'s, which the loaded step keeps."""
     th = parse_theory(SPINES, name="spines")
     q, before = Position.parse(pos), parse_term(init, th.signature)
     # equal arguments as distinct objects, which the parser would share
     node = subterm_at(before, q)
     node = Term(node.root, tuple(Term(a.root, a.args) for a in node.args))
-    spine = tracefile._read_spine(after, init, replace_at(before, q, node), q, {})
+    spine, read_moves = tracefile._read_spine(after, init, replace_at(before, q, node), q, {})
     assert spine == parse_term(after, th.signature)
+    assert read_moves == moves == acmatch.regrouping_map("unflat", node, subterm_at(spine, q))
     leaves = [leaf for _, leaf in acmatch.spine_leaves(subterm_at(spine, q))]
     assert all(leaf is node.args[i] for leaf, i in zip(leaves, moves, strict=True))
     read = []
@@ -875,46 +881,96 @@ def test_trace_load_rejects_tampered_regroupings():
     assert tampered == 16
 
 
+def _count_calls(monkeypatch, names):
+    """A Counter of the calls of each function in names, by (module, name),
+    made through each module's own name for it."""
+    calls = Counter()
+    for module in (acmatch, engine, slicer, tracefile):
+        for name in names:
+            real = getattr(module, name, None)
+            if real is None:
+                continue
+
+            def counted(*args, _key=(module.__name__.rpartition(".")[2], name), _real=real, **kwargs):
+                calls[_key] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def test_regrouping_maps_are_computed_once_by_the_check(monkeypatch):
-    """The check computes each flat or unflat step's move map, with one
-    `one_level_flat` per flat step and no flattening of a leaf that pairs;
-    slicing reads the kept maps and computes none."""
-    calls = dict.fromkeys(("regrouping_map", "one_level_flat", "_pair", "flatten_term"), 0)
-
-    def count(module, name):
-        real = getattr(module, name)
-
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, counted)
-
-    # a step's map comes through engine's name, the rest through acmatch's
-    count(engine, "regrouping_map")
-    for name in ("one_level_flat", "_pair", "flatten_term"):
-        count(acmatch, name)
+    """Each flat or unflat step's move map is made once, where it is first
+    known, and kept: a flat step's by its replay's `one_level_flat`
+    (engine's name), an unflat step's by the run's `regroupings` (one
+    `regrouping_map`, `_pair` and `rebuild_spine` in acmatch per step) or
+    by the loader's `_read_spine`, which calls none of them. So one load of
+    the 200-rule-step producer_consumer trace makes 401 `one_level_flat`
+    calls and no other. No replay pairs or rebuilds a spine or flattens a
+    leaf, slicing computes no map, and a step copied without its map
+    computes it when read (`TraceStep.moves`, engine's `regrouping_map`)."""
+    calls = _count_calls(monkeypatch, ("regrouping_map", "one_level_flat", "_pair", "rebuild_spine", "flatten_term"))
     cs = parse_theory(bundled_example_path("client_server.rwt").read_text(), name="cs")
     clients = ",".join(f"cli({i},{i + 2},none)" for i in range(1, 6))
     pc = parse_theory(bundled_example_path("producer_consumer.rwt").read_text(), name="pc")
     text = render_trace(run(parse_term("cfg(tok,prod(0),cons(0,0))", pc.signature), pc, 200))
-    # a run and a load each make every step by its replay, the check
-    for build in (
-        lambda: run(parse_term(f"net(srv(0),{clients})", cs.signature), cs, 15),
-        lambda: parse_trace(text, pc),
+    # (trace, its flat and unflat step counts, the acmatch calls that make its unflat maps)
+    for build, counts, unflat_sources in (
+        (lambda: run(parse_term(f"net(srv(0),{clients})", cs.signature), cs, 15), (25, 15),
+         ("regrouping_map", "_pair", "rebuild_spine")),
+        (lambda: parse_trace(text, pc), (401, 200), ()),
     ):
-        calls.update(dict.fromkeys(calls, 0))
+        calls.clear()
         trace = build()
         kinds = Counter(s.kind for s in trace.steps)
-        assert kinds["unflat"] > 0 and calls["regrouping_map"] == kinds["flat"] + kinds["unflat"]
-        assert calls["one_level_flat"] == kinds["flat"] and calls["flatten_term"] == 0
-        calls.update(dict.fromkeys(calls, 0))
+        flat, unflat = counts
+        assert (kinds["flat"], kinds["unflat"]) == counts
+        assert calls == Counter({("engine", "one_level_flat"): flat, **{("acmatch", name): unflat for name in unflat_sources}})
+        calls.clear()
         for criterion in ([Position()], [Position((1,))], [Position((len(trace.final().args),))]):
             trace_slice(trace, criterion)
-        assert calls == dict.fromkeys(calls, 0)
+        assert not calls
         # the constructor's check, on copies of the steps, which keep no map yet
         InstrumentedTrace(trace.theory, trace.initial, [dataclasses.replace(s) for s in trace.steps])
-        assert calls["one_level_flat"] == kinds["flat"] and calls["flatten_term"] == 0
+        lazy = {("engine", "one_level_flat"): flat, ("engine", "regrouping_map"): unflat, ("acmatch", "_pair"): unflat}
+        assert calls == Counter(lazy)
+
+
+def _check_kept_moves(th, trace):
+    """Each flat or unflat step of trace keeps a move map, which is
+    `regrouping_map` recomputed from its before and after nodes, and the
+    node its replay made is the one `_rewrite` makes from the map on the
+    step's own before node. The number of such steps, by kind."""
+    n = Counter()
+    for step in trace.steps:
+        if step.kind in ("flat", "unflat"):
+            q = step.position
+            before, after = subterm_at(step.before, q), subterm_at(step.after, q)
+            assert "moves" in vars(step), step  # set where it was made, not computed when read
+            assert step.moves == acmatch.regrouping_map(step.kind, before, after if step.kind == "unflat" else None)
+            assert engine._rewrite(step, th, before)[1] == after
+            n[step.kind] += 1
+    return n
+
+
+def test_kept_move_maps_are_the_recomputed_ones():
+    """Every move map a producer keeps (the run's unflat steps, the
+    loader's spines read by print, the replay's flat steps) is the one
+    `regrouping_map` computes, on seeded traces, the bundled runs, a load
+    of each one's `render_trace`, and spines over equal arguments."""
+    cases = seeded_traces()
+    for theory, init, rule_steps in BUNDLED_RUNS:
+        th = parse_theory(bundled_example_path(theory).read_text(), name=theory)
+        cases.append((th, run(parse_term(init, th.signature), th, rule_steps)))
+    made, loaded = Counter(), Counter()
+    for th, trace in cases:
+        made += _check_kept_moves(th, trace)
+        loaded += _check_kept_moves(th, parse_trace(render_trace(trace), th))
+    assert made == loaded == Counter(flat=157, unflat=57)
+    spines = parse_theory(SPINES, name="spines")
+    for init, pos, after, moves in _SPINE_CASES:
+        trace = parse_trace(_spine_file(init, pos, after), spines)
+        assert trace.steps[0].moves == moves and _check_kept_moves(spines, trace) == Counter(flat=1, unflat=1)
 
 
 def test_each_step_is_checked_once(tmp_path, monkeypatch, capsys):
