@@ -289,7 +289,7 @@ def spine_roots(pattern: Term) -> tuple[int, Counter, bool, bool]:
     return len(spine), roots, bool(named), any(k == 1 and v not in nested for v, k in named.items())
 
 
-def ac_groups(spine: tuple[int, Counter, bool], args: tuple[Term, ...]):
+def ac_groups(spine: tuple[int, Counter, bool, bool], args: tuple[Term, ...]):
     """The argument index groups of a flattened AC node that a pattern with
     these `spine_roots` may match, largest first, in `combinations` order
     within a size; the whole node is the group of all indices. A spine

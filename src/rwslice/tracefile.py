@@ -8,13 +8,15 @@
 Terms use the canonical printed syntax (no whitespace), so every field is
 whitespace-separated. Bindings are `X=term;Y=term` sorted by variable
 name. Loading replays each record on the previous term as it reads it,
-with the checks `InstrumentedTrace` makes, and accepts its bindings and
-`after` fields when they are the prints of the replay's matcher and after
-term. An unflat record's spine is read by print too, over the prints of
-the arguments it regroups. A field is parsed only when it does not read
-so, or to report its syntax error. So consecutive terms share all
-subterms off the redex, and of a file as `render_trace` writes it only
-the initial term is parsed. The loaded trace carries its printed size
+with the checks `InstrumentedTrace` makes, by one of two readers. The
+print path parses nothing: it accepts a record whose before field is the
+previous text and whose bindings and after fields are the prints of the
+replay's matcher and after term; an unflat record's spine is read by
+print, over the prints of the arguments it regroups. Any other record
+takes the parse path: it is parsed whole, field by field from the left,
+then checked. So consecutive terms share all subterms off the redex, and
+of a file as `render_trace` writes it only the initial term is parsed.
+The loaded trace carries its printed size
 (`InstrumentedTrace.printed_size`), summed from the texts it accepted.
 """
 
@@ -37,16 +39,8 @@ def render_trace(trace: InstrumentedTrace, theory_ref: str = "") -> str:
     texts = [pretty(t) for t in trace.terms()]
     lines.append(f"init {texts[0]}")
     for i, step in enumerate(trace.steps):
-        lines.append(
-            "step {kind} {rule} {pos} {bind} {before} {after}".format(
-                kind=step.kind,
-                rule=step.rule_name or "-",
-                pos=step.position,
-                bind=_render_bindings(step.matcher),
-                before=texts[i],
-                after=texts[i + 1],
-            )
-        )
+        rule, bind = step.rule_name or "-", _render_bindings(step.matcher)
+        lines.append(f"step {step.kind} {rule} {step.position} {bind} {texts[i]} {texts[i + 1]}")
     return "\n".join(lines) + "\n"
 
 
@@ -105,45 +99,32 @@ def parse_trace(text: str, theory: RewriteTheory) -> InstrumentedTrace:
             position = positions.get(pos)
             if position is None:
                 position = positions[pos] = Position.parse(pos)
-            # a step's before usually repeats the last after: compare the texts,
-            # and read an unflat record's spine by print (`_read_spine`)
-            chained = before_txt == prev_txt
-            spine, moves = _read_spine(after_txt, canon, prev, position, lengths) if chained and kind == "unflat" else (None, None)
-            # the bindings are read first when another field is read, so that
-            # syntax errors come left to right; else they are checked by print
-            parsed = not chained or kind == "unflat" and spine is None
-            matcher = _parse_bindings(bind, parser) if parsed else None
-            chained = chained or parser.term(before_txt) == prev
-            spine = parser.term(after_txt) if parsed and kind == "unflat" else spine
-            step = TraceStep(kind, None if rule == "-" and kind != "builtin" else rule, position, matcher, prev, spine)
-            if moves is not None:  # kept: `TraceStep.moves`
-                object.__setattr__(step, "moves", moves)
-            try:
-                sub, after = replay_step(step, theory, steps=checked) if chained else (None, None)
-            except MalformedStep:
-                sub = after = None
-            if matcher is None and (after is None or bind != _render_bindings(sub)):
-                matcher = _parse_bindings(bind, parser)
-            bound = matcher is None or matcher == sub
-            # a spine read by print replays as itself, so after_txt is the print
-            printed = kind == "unflat" and not parsed
-            if after is not None and bound and (printed or _prints_as(after_txt, canon, step, after, lengths)):
+            name = None if rule == "-" and kind != "builtin" else rule
+            # the print path: the record reads as `render_trace` writes it, and no
+            # field is parsed; an unflat record's spine is read by print (`_read_spine`)
+            step = None
+            if before_txt == prev_txt:
+                spine, moves = _read_spine(after_txt, canon, prev, position, lengths) if kind == "unflat" else (None, None)
+                if kind != "unflat" or spine is not None:
+                    step = _replayed(TraceStep(kind, name, position, None, prev, spine), moves, theory, checked)
+            # a spine read by print replays as itself, so after_txt is its print
+            if step is not None and bind == _render_bindings(step.matcher) and (
+                kind == "unflat" or _prints_as(after_txt, canon, step, step.after, lengths)
+            ):
                 canon = after_txt
             else:
-                # not the replay's print: read the field, whose syntax errors come first
-                read = spine if spine is not None else parser.term(after_txt)
-                if not chained:
+                # the parse path: every field is parsed, from the left, so that the
+                # leftmost syntax error comes first; then the chain and the replay
+                matcher, before, read = _parse_bindings(bind, parser), parser.term(before_txt), parser.term(after_txt)
+                if before != prev:
                     raise MalformedStep(f"line {lineno}: steps do not chain")
-                if after is None or not bound or read != after:
+                step = _replayed(TraceStep(kind, name, position, matcher, prev, read if kind == "unflat" else None), None, theory, checked)
+                if step is None or step.matcher != matcher or step.after != read:
                     raise MalformedStep(f"line {lineno}: {kind} step at {position} does not replay")
-                canon = pretty(after)
+                canon = pretty(step.after)
             size += 4 + len(canon)  # " -> " before each later term
-            # the step is the loader's own until the trace is built; the replay's
-            # matcher and after term share the nodes of `before`
-            object.__setattr__(step, "matcher", sub)
-            object.__setattr__(step, "after", after)
             steps.append(step)
-            prev, prev_txt = after, after_txt
+            prev, prev_txt = step.after, after_txt
     except TheorySyntaxError as exc:
         raise _located(exc, lineno, line) from None
     except ValueError as exc:  # a position or binding that does not read
@@ -153,6 +134,20 @@ def parse_trace(text: str, theory: RewriteTheory) -> InstrumentedTrace:
     if checked.first(trace.final(), FLAT) is not None:
         warnings.warn("trace ends in a non-canonical term", stacklevel=2)
     return trace
+
+
+def _replayed(step: TraceStep, moves: tuple | None, theory: RewriteTheory, checked: _Steps) -> TraceStep | None:
+    """step (the loader's own until the trace is built) with moves, when read with its spine, and
+    its replay's matcher and after term, which share its before term's nodes; None if it does not replay."""
+    if moves is not None:
+        object.__setattr__(step, "moves", moves)
+    try:
+        sub, after = replay_step(step, theory, steps=checked)
+    except MalformedStep:
+        return None
+    object.__setattr__(step, "matcher", sub)
+    object.__setattr__(step, "after", after)
+    return step
 
 
 def _located(exc: TheorySyntaxError, lineno: int, line: str) -> MalformedStep:

@@ -973,6 +973,36 @@ def test_kept_move_maps_are_the_recomputed_ones():
         assert trace.steps[0].moves == moves and _check_kept_moves(spines, trace) == Counter(flat=1, unflat=1)
 
 
+def test_parse_path_loads_what_the_print_path_loads(monkeypatch):
+    """A record that does not read by print takes the parse path, which
+    loads what the print path loads: with `---x` after every step record's
+    after field no record reads by print, and each field of every loaded
+    step (a flat or unflat step's move map too) and the printed size are
+    the plain file's. The commented copy parses at least the init term and
+    each record's before and after fields."""
+    cases = seeded_traces()
+    for theory, init, rule_steps in BUNDLED_RUNS:
+        th = parse_theory(bundled_example_path(theory).read_text(), name=theory)
+        cases.append((th, run(parse_term(init, th.signature), th, rule_steps)))
+    read = []
+    real_term = theoryfile._TermParser.term
+    monkeypatch.setattr(theoryfile._TermParser, "term", lambda parser, text: read.append(text) or real_term(parser, text))
+    fields = ("kind", "rule_name", "position", "matcher", "before", "after")
+    for th, trace in cases:
+        text = render_trace(trace)
+        commented = "".join(line + ("---x\n" if line.startswith("step ") else "\n") for line in text.splitlines())
+        printed = parse_trace(text, th)
+        read.clear()
+        parsed = parse_trace(commented, th)
+        assert len(read) >= 1 + 2 * len(trace.steps)
+        assert len(parsed.steps) == len(printed.steps) == len(trace.steps)
+        for a, b in zip(printed.steps, parsed.steps):
+            assert [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields], a
+            if a.kind in ("flat", "unflat"):  # the kinds with a move map
+                assert a.moves == b.moves, a
+        assert parsed.printed_size == printed.printed_size
+
+
 def test_each_step_is_checked_once(tmp_path, monkeypatch, capsys):
     th_path = bundled_example_path("producer_consumer.rwt")
     th = parse_theory(th_path.read_text(encoding="utf-8"), name="pc")
