@@ -621,9 +621,8 @@ def replay_step(step: TraceStep, th: RewriteTheory, *, steps: _Steps | None = No
     before term: the kind's preconditions hold, then its rewrite at the
     step's position. The matcher is the rule's left-hand side's there for a
     rule or equation step and empty for the other kinds; the step's own is
-    not read, and each caller compares it in its own way: `_Steps.add` and
-    `check_step` with the step's, `parse_trace` with the record's bindings
-    field by its print, or, on its parse path, with the parsed bindings.
+    not read, and each caller compares it in its own way (`_Steps.add`,
+    `check_step`, `parse_trace` by its print, or parsed on its parse path).
     Only a builtin step has a name, its operator's. Of the after term, only
     an unflat step's is read, for the spine it records.
     A flat step's precondition is an AC node whose move map is not the

@@ -8,15 +8,13 @@
 Terms use the canonical printed syntax (no whitespace), so every field is
 whitespace-separated. Bindings are `X=term;Y=term` sorted by variable
 name. Loading replays each record on the previous term as it reads it,
-with the checks `InstrumentedTrace` makes, by one of two readers. The
-print path parses nothing: it accepts a record whose before field is the
-previous text and whose bindings and after fields are the prints of the
-replay's matcher and after term; an unflat record's spine is read by
-print, over the prints of the arguments it regroups. Any other record
-takes the parse path: it is parsed whole, field by field from the left,
-then checked. So consecutive terms share all subterms off the redex, and
-of a file as `render_trace` writes it only the initial term is parsed.
-The loaded trace carries its printed size
+with the checks `InstrumentedTrace` makes, by one of two paths. The print
+path takes a record whose before field is the previous text and whose
+bindings and after fields are the prints of the replay's matcher and after
+term (an unflat spine is read by print); it parses nothing. The parse path
+takes any other, field by field from the left. So consecutive terms share
+all subterms off the redex, and of a file as `render_trace` writes it only
+the initial term is parsed. The loaded trace carries its printed size
 (`InstrumentedTrace.printed_size`), summed from the texts it accepted.
 """
 
@@ -39,8 +37,16 @@ def render_trace(trace: InstrumentedTrace, theory_ref: str = "") -> str:
     texts = [pretty(t) for t in trace.terms()]
     lines.append(f"init {texts[0]}")
     for i, step in enumerate(trace.steps):
-        rule, bind = step.rule_name or "-", _render_bindings(step.matcher)
-        lines.append(f"step {step.kind} {rule} {step.position} {bind} {texts[i]} {texts[i + 1]}")
+        lines.append(
+            "step {kind} {rule} {pos} {bind} {before} {after}".format(
+                kind=step.kind,
+                rule=step.rule_name or "-",
+                pos=step.position,
+                bind=_render_bindings(step.matcher),
+                before=texts[i],
+                after=texts[i + 1],
+            )
+        )
     return "\n".join(lines) + "\n"
 
 
@@ -106,7 +112,7 @@ def parse_trace(text: str, theory: RewriteTheory) -> InstrumentedTrace:
             if before_txt == prev_txt:
                 spine, moves = _read_spine(after_txt, canon, prev, position, lengths) if kind == "unflat" else (None, None)
                 if kind != "unflat" or spine is not None:
-                    step = _replayed(TraceStep(kind, name, position, None, prev, spine), moves, theory, checked)
+                    step = _replayed(TraceStep(kind, name, position, None, prev, spine), theory, checked, moves)
             # a spine read by print replays as itself, so after_txt is its print
             if step is not None and bind == _render_bindings(step.matcher) and (
                 kind == "unflat" or _prints_as(after_txt, canon, step, step.after, lengths)
@@ -114,11 +120,15 @@ def parse_trace(text: str, theory: RewriteTheory) -> InstrumentedTrace:
                 canon = after_txt
             else:
                 # the parse path: every field is parsed, from the left, so that the
-                # leftmost syntax error comes first; then the chain and the replay
-                matcher, before, read = _parse_bindings(bind, parser), parser.term(before_txt), parser.term(after_txt)
+                # leftmost syntax error comes first; then the chain, and the replay unless
+                # the print path made it: that read no field but an unflat spine, read as parsed
+                matcher = _parse_bindings(bind, parser)
+                before = parser.term(before_txt)
+                read = parser.term(after_txt)
                 if before != prev:
                     raise MalformedStep(f"line {lineno}: steps do not chain")
-                step = _replayed(TraceStep(kind, name, position, matcher, prev, read if kind == "unflat" else None), None, theory, checked)
+                if step is None:
+                    step = _replayed(TraceStep(kind, name, position, None, prev, read), theory, checked)
                 if step is None or step.matcher != matcher or step.after != read:
                     raise MalformedStep(f"line {lineno}: {kind} step at {position} does not replay")
                 canon = pretty(step.after)
@@ -136,7 +146,7 @@ def parse_trace(text: str, theory: RewriteTheory) -> InstrumentedTrace:
     return trace
 
 
-def _replayed(step: TraceStep, moves: tuple | None, theory: RewriteTheory, checked: _Steps) -> TraceStep | None:
+def _replayed(step: TraceStep, theory: RewriteTheory, checked: _Steps, moves: tuple | None = None) -> TraceStep | None:
     """step (the loader's own until the trace is built) with moves, when read with its spine, and
     its replay's matcher and after term, which share its before term's nodes; None if it does not replay."""
     if moves is not None:
