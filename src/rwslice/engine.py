@@ -41,6 +41,7 @@ from .terms import (
     Variable,
     is_ground,
     match,
+    preorder,
     pretty,
     printed_length,
     replace_at,
@@ -123,10 +124,7 @@ class Rule:
     def lhs_symbols(self) -> frozenset[Symbol]:
         """The operator symbols of the left-hand side; `_candidates_at`
         matches it syntactically when none is AC."""
-        nodes = [self.lhs]
-        for node in nodes:  # the list grows as it is read
-            nodes += node.args
-        return frozenset(node.root for node in nodes if isinstance(node.root, Symbol))
+        return frozenset(node.root for _, node in preorder(self.lhs) if isinstance(node.root, Symbol))
 
     def redex_pattern(self) -> Term:
         return _to_pattern(self.lhs)
@@ -139,22 +137,17 @@ def _occurrences(t: Term) -> dict[Variable, list[tuple[int, ...]]]:
     """The argument paths of each variable's occurrences in t, in preorder,
     so the variables come in order of first occurrence."""
     out: dict[Variable, list[tuple[int, ...]]] = {}
-    stack: list[tuple[tuple[int, ...], Term]] = [((), t)]
-    while stack:
-        path, node = stack.pop()
+    for path, node in preorder(t):
         if isinstance(node.root, Variable):
             out.setdefault(node.root, []).append(path)
-        stack.extend((path + (i,), node.args[i - 1]) for i in range(len(node.args), 0, -1))
     return out
 
 
 def _to_pattern(t: Term) -> Term:
-    """t with a hole for each variable, built bottom-up over its nodes in
-    breadth-first order, without recursion."""
-    nodes, built = [t], {}
-    for node in nodes:  # the list grows as it is read
-        nodes += node.args
-    for node in reversed(nodes):
+    """t with a hole for each variable, built bottom-up over its preorder
+    walk reversed (`terms.preorder`), children before parents."""
+    built = {}
+    for _, node in reversed(list(preorder(t))):
         built[id(node)] = HOLE_TERM if isinstance(node.root, Variable) else Term(node.root, tuple(built[id(a)] for a in node.args))
     return built[id(t)]
 

@@ -8,17 +8,17 @@ labeled steps, and `slice_term` keeps the root paths of a set of
 positions and replaces everything else by the opaque symbol `•`; together
 they are the reference semantics.
 
-`trace_slice` computes the same relation locally around each step's
+`slice_back` computes the same relation for one step, locally around its
 position q, without labeling. The context labels of a step are fresh
 singletons, equal on both sides, so a target off q has exactly its own
 prefixes as origins, and a target at or below q has the prefixes of q plus
-origins under q that depend on the redex and the contractum only
-(`slice_back`). Every relevant set but the criterion is prefix-closed up to
-one builtin call position, so the backward pass records slices alone: each
-step rebuilds the slice at q alone, consecutive slices share everything
-else, and a step with nothing kept at or under q leaves the slice as it
-is. Steps whose sliced sides coincide at q, and so everywhere, are
-dropped from the trace slice and share the previous slice object. A term's
+origins under q that depend on the redex and the contractum only. Every
+relevant set but the criterion is prefix-closed up to one builtin call
+position, so the backward pass records slices alone: `trace_slice`
+applies `slice_back` step by step, each step rebuilds the slice at q
+alone, and consecutive slices share everything else. A step whose origins
+at q are what the later slice keeps there returns that slice itself; its
+sliced sides coincide, so it is dropped from the trace slice. A term's
 relevant set is read off its slice, as the positions that slice keeps,
 only when a caller reads it (`RelevantSets`), and each distinct slice
 object is printed once (`TraceSlice.texts`).
@@ -43,6 +43,7 @@ from .terms import (
     Term,
     is_bullet,
     match,
+    preorder,
     pretty,
     replace_at,
     subterm_at,
@@ -178,14 +179,7 @@ def _kept_at(s: Term, path: tuple[int, ...]) -> Term:
 
 def _kept_positions(s: Term) -> frozenset[Position]:
     """The positions of the symbols slice s keeps, a prefix-closed set."""
-    out = []
-    stack = [((), s)]
-    while stack:
-        path, node = stack.pop()
-        if not is_bullet(node):
-            out.append(Position(path))
-            stack.extend((path + (i,), a) for i, a in enumerate(node.args, 1))
-    return frozenset(out)
+    return frozenset(Position(path) for path, node in preorder(s) if not is_bullet(node))
 
 
 def slice_back(step: TraceStep, th: RewriteTheory, after: Term) -> Term:
@@ -193,12 +187,12 @@ def slice_back(step: TraceStep, th: RewriteTheory, after: Term) -> Term:
     `after`, a slice of its target term, keeps (prefix-closed). The origins
     of the kept positions off the step's position q are their prefixes, so
     only the subtree at q is rebuilt, and `after` itself is returned when
-    it keeps nothing at or under q."""
+    the origins at q are what it keeps there, nothing included: then the
+    two slices are equal everywhere."""
     q = step.position
     kept = _kept_at(after, q.path)
-    if is_bullet(kept):
-        return after
-    return replace_at(after, q, _local_origins(step, th, kept))
+    local = kept if is_bullet(kept) else _local_origins(step, th, kept)
+    return after if local == kept else replace_at(after, q, local)
 
 
 def _local_origins(step: TraceStep, th: RewriteTheory, kept: Term) -> Term:
@@ -315,11 +309,9 @@ def trace_string(terms: list[Term]) -> str:
 def trace_slice(trace: InstrumentedTrace, criterion: Iterable[Position]) -> TraceSlice:
     """Backward slice of the whole trace with respect to the criterion.
 
-    The slices are computed step by step without labeling (`slice_back`).
-    They agree off the step's position q, so a step is kept when the
-    origins rebuilt at q differ from what the later slice keeps there, and
-    only then is a slice rebuilt; otherwise the two slices are one object.
-    The relevant sets are those of `relevant_positions`, read off the
+    Each slice is `slice_back` of the next one, without labeling, and a
+    step is kept when that is a new object, its sides differing at its
+    position; otherwise the two slices are one object. The relevant sets are those of `relevant_positions`, read off the
     slices when read (`RelevantSets`). Sizes are the lengths of the
     canonically printed original (`InstrumentedTrace.printed_size`) and
     sliced traces."""
@@ -329,15 +321,9 @@ def trace_slice(trace: InstrumentedTrace, criterion: Iterable[Position]) -> Trac
     slices, kept = [after], []
     for i in range(len(trace.steps) - 1, -1, -1):
         step = trace.steps[i]
-        q = step.position
-        # `slice_back`, whose slice is built only for a kept step
-        at_q = _kept_at(after, q.path)
-        local = at_q if is_bullet(at_q) else _local_origins(step, trace.theory, at_q)
-        if local == at_q:
-            before = after
-        else:
-            before = replace_at(after, q, local)
-            kept.append(SlicedStep(i, step.kind, step.rule_name, q, before, after))
+        before = slice_back(step, trace.theory, after)
+        if before is not after:
+            kept.append(SlicedStep(i, step.kind, step.rule_name, step.position, before, after))
         slices.append(before)
         after = before
     slices.reverse()

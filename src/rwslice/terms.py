@@ -156,14 +156,17 @@ def positions(t: Term) -> list[Position]:
     Hole positions are excluded, so for a context this is exactly the set
     of positions carrying a real symbol or variable.
     """
-    out: list[Position] = []
-    stack = [(t, ROOT)]
+    return [Position(path) for path, node in preorder(t) if not is_hole(node)]
+
+
+def preorder(t: Term):
+    """Each node of t with its argument path, as (path, node) pairs in
+    preorder, from an explicit stack, not recursion."""
+    stack = [((), t)]
     while stack:
-        node, pos = stack.pop()
-        if not is_hole(node):
-            out.append(pos)
-        stack.extend((node.args[i - 1], pos.child(i)) for i in range(len(node.args), 0, -1))
-    return out
+        path, node = stack.pop()
+        yield path, node
+        stack.extend((path + (i,), node.args[i - 1]) for i in range(len(node.args), 0, -1))
 
 
 def subterm_at(t: Term, u: Position) -> Term:
