@@ -191,7 +191,9 @@ def slice_back(step: TraceStep, th: RewriteTheory, after: Term) -> Term:
     two slices are equal everywhere."""
     q = step.position
     kept = _kept_at(after, q.path)
-    local = kept if is_bullet(kept) else _local_origins(step, th, kept)
+    if is_bullet(kept):
+        return after
+    local = _local_origins(step, th, kept)
     return after if local == kept else replace_at(after, q, local)
 
 

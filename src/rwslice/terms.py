@@ -166,7 +166,8 @@ def preorder(t: Term):
     while stack:
         path, node = stack.pop()
         yield path, node
-        stack.extend((path + (i,), node.args[i - 1]) for i in range(len(node.args), 0, -1))
+        if node.args:
+            stack.extend((path + (i,), node.args[i - 1]) for i in range(len(node.args), 0, -1))
 
 
 def subterm_at(t: Term, u: Position) -> Term:

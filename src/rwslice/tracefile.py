@@ -9,12 +9,13 @@ Terms use the canonical printed syntax (no whitespace), so every field is
 whitespace-separated. Bindings are `X=term;Y=term` sorted by variable
 name. Loading replays each record on the previous term as it reads it,
 with the checks `InstrumentedTrace` makes, by one of two paths. The print
-path takes a record whose before field is the previous text and whose
-bindings and after fields are the prints of the replay's matcher and after
-term (an unflat spine is read by print); it parses nothing. The parse path
-takes any other, field by field from the left. So consecutive terms share
-all subterms off the redex, and of a file as `render_trace` writes it only
-the initial term is parsed. The loaded trace carries its printed size
+path takes a record whose before field is the previous term's print, whose
+bindings field is the print of the replay's matcher, its bindings in any
+order, and whose after field is the print of the replay's after term (an
+unflat spine is read by print); it parses nothing. The parse path takes
+any other, field by field from the left. So consecutive terms share all
+subterms off the redex, and of a file as `render_trace` writes it only the
+initial term is parsed. The loaded trace carries its printed size
 (`InstrumentedTrace.printed_size`), summed from the texts it accepted.
 """
 
@@ -55,10 +56,12 @@ def save_trace(trace: InstrumentedTrace, path: str | Path, theory_ref: str = "")
 
 
 def _render_bindings(sub: Substitution) -> str:
-    if not len(sub):
-        return "-"
-    parts = [f"{v.name}={pretty(t)}" for v, t in sorted(sub.items(), key=lambda kv: kv[0].name)]
-    return ";".join(parts)
+    return ";".join(_binding_texts(sub)) if len(sub) else "-"
+
+
+def _binding_texts(sub: Substitution) -> list[str]:
+    """The `X=value` print of each binding of sub, sorted by variable name."""
+    return [f"{v.name}={pretty(t)}" for v, t in sorted(sub.items(), key=lambda kv: kv[0].name)]
 
 
 def _parse_bindings(text: str, parser: _TermParser) -> Substitution:
@@ -86,13 +89,13 @@ def parse_trace(text: str, theory: RewriteTheory) -> InstrumentedTrace:
     # one parser for the whole file, so that all its terms share subterms
     parser = _TermParser(theory.signature, set(), allow_bullet=False)
     lineno, line = lines[2]
-    prev_txt = line[len("init ") :]
+    canon = line[len("init ") :]
     try:
-        initial = prev = parser.term(prev_txt)
+        initial = prev = parser.term(canon)
         lengths: dict[int, int] = {}  # `printed_length` of the nodes read so far
         # pretty(prev): a text that reads as a term and is as long as its print
         # is that print, as the parser only skips blanks and comments
-        canon = prev_txt if len(prev_txt) == printed_length(prev, lengths) else pretty(prev)
+        canon = canon if len(canon) == printed_length(prev, lengths) else pretty(prev)
         size = len(canon)  # of the trace's print so far (`printed_size`)
         positions: dict[str, Position] = {}
         checked = _Steps(theory, 0)  # its memo: the nodes known canonical (`replay_step`)
@@ -106,17 +109,17 @@ def parse_trace(text: str, theory: RewriteTheory) -> InstrumentedTrace:
             if position is None:
                 position = positions[pos] = Position.parse(pos)
             name = None if rule == "-" and kind != "builtin" else rule
-            # the print path: the record reads as `render_trace` writes it, and no
-            # field is parsed; an unflat record's spine is read by print (`_read_spine`)
+            # the print path: the record reads as `render_trace` writes it, its bindings in any
+            # order, and no field is parsed; an unflat record's spine is read by print (`_read_spine`)
             step = None
-            if before_txt == prev_txt:
+            if before_txt == canon:
                 spine, moves = _read_spine(after_txt, canon, prev, position, lengths) if kind == "unflat" else (None, None)
                 if kind != "unflat" or spine is not None:
                     step = _replayed(TraceStep(kind, name, position, None, prev, spine), theory, checked, moves)
             # a spine read by print replays as itself, so after_txt is its print
-            if step is not None and bind == _render_bindings(step.matcher) and (
-                kind == "unflat" or _prints_as(after_txt, canon, step, step.after, lengths)
-            ):
+            if step is not None and (
+                bind == _render_bindings(step.matcher) or sorted(bind.split(";")) == sorted(_binding_texts(step.matcher))
+            ) and (kind == "unflat" or _prints_as(after_txt, canon, step, step.after, lengths)):
                 canon = after_txt
             else:
                 # the parse path: every field is parsed, from the left, so that the
@@ -134,7 +137,7 @@ def parse_trace(text: str, theory: RewriteTheory) -> InstrumentedTrace:
                 canon = pretty(step.after)
             size += 4 + len(canon)  # " -> " before each later term
             steps.append(step)
-            prev, prev_txt = step.after, after_txt
+            prev = step.after
     except TheorySyntaxError as exc:
         raise _located(exc, lineno, line) from None
     except ValueError as exc:  # a position or binding that does not read

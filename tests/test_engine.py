@@ -104,6 +104,25 @@ def test_theory_validation():
         RewriteTheory(sig, rules=[Rule("r", g, g), Rule("r", g, g)])
 
 
+def test_rule_and_theory_refuse_a_kind_out_of_place():
+    sig = Signature()
+    sig.declare("g", 1)
+    g = T("g(x)", sig, {"x"})
+    with pytest.raises(TheoryError, match="^ax: bad kind axiom$"):
+        Rule("ax", g, g, kind="axiom")
+    with pytest.raises(TheoryError, match="^r: equations list holds kind rule$"):
+        RewriteTheory(sig, equations=[Rule("r", g, g)])
+    with pytest.raises(TheoryError, match="^e: rules list holds kind equation$"):
+        RewriteTheory(sig, rules=[Rule("e", g, g, kind="equation")])
+
+
+def test_trace_constructor_refuses_steps_off_the_initial_term(basic_theory):
+    sig = basic_theory.signature
+    trace = run(T("g(f(a))", sig), basic_theory, 10)
+    with pytest.raises(MalformedStep, match="^step 0: steps do not chain$"):
+        InstrumentedTrace(basic_theory, T("g(f(b))", sig), trace.steps)
+
+
 def test_normalize_fixpoint(basic_theory):
     t = T("m(a)", basic_theory.signature)
     result, steps = normalize(t, basic_theory)

@@ -11,9 +11,9 @@ import pytest
 
 from rwslice import acmatch, bundled_example_path, cli, engine, slicer, theoryfile, tracefile
 from rwslice.cli import main
-from rwslice.engine import InstrumentedTrace, MalformedStep, Rule, check_step, run
+from rwslice.engine import InstrumentedTrace, MalformedStep, Rule, TheoryError, check_step, run
 from rwslice.report import SliceReport
-from rwslice.terms import Position, Signature, Term, Variable, pretty, replace_at, subterm_at
+from rwslice.terms import Position, Signature, SignatureError, Term, Variable, pretty, replace_at, subterm_at
 from rwslice.theoryfile import (
     ArityMismatchError,
     TheorySyntaxError,
@@ -170,6 +170,31 @@ def test_syntax_error_table(text, cls, message, line, col):
     assert type(err.value) is cls
     assert str(err.value) == f"line {line}, column {col}: {message}"
     assert (err.value.line, err.value.col) == (line, col)
+
+
+@pytest.mark.parametrize("text, message, line, col", [
+    ("op • : 0 .", "• is reserved", 1, 4),
+    ("op a : 0 .\nop □ : 1 .", "□ is reserved", 2, 4),
+    ("op 7 : 0 .", "7 is an implicit constant", 1, 4),
+    ("op true : 0 .", "true is an implicit constant", 1, 4),
+    ("op a : 0 .\nop a : 0 .", "duplicate declaration of a/0", 2, 4),
+    ("op f : 2 [assoc] .", "f: assoc and comm are only supported together", 1, 4),
+    ("op + : 2 [assoc comm builtin] .", "+: builtin operators cannot be AC", 1, 4),
+])
+def test_declaration_errors_carry_their_location(text, message, line, col):
+    """A declaration `Signature.declare` refuses is reported at its
+    operator's name."""
+    with pytest.raises(TheorySyntaxError) as err:
+        parse_theory(text)
+    assert str(err.value) == f"line {line}, column {col}: {message}"
+
+
+def test_declarations_no_theory_file_can_locate():
+    # a token is never empty, and a builtin's arity is checked once the theory is read
+    with pytest.raises(SignatureError, match="^operator name must be nonempty$"):
+        Signature().declare("", 0)
+    with pytest.raises(TheoryError, match="^\\+: builtin arity 2, declared 3$"):
+        parse_theory("op + : 3 [builtin] .")
 
 
 def _basic_theory():
@@ -516,6 +541,31 @@ def test_cli_error_paths(theory_file, capsys):
     assert "more than 0 elementary steps" in capsys.readouterr().err
 
 
+def test_cli_refuses_an_init_off_the_trace_a_negative_step_count_and_an_empty_criterion(theory_file, tmp_path, capsys):
+    th = _basic_theory()
+    tr_path = tmp_path / "t.rwtrace"
+    save_trace(run(parse_term("g(f(a))", th.signature), th, 10), tr_path)
+    for args, message in [
+        (["--init", "g(f(b))", "--trace", str(tr_path), "--criterion", "^"],
+         "--init g(f(b)) does not match the trace's initial term g(f(a))"),
+        (["--init", "g(f(a))", "--steps", "-1", "--criterion", "^"], "--steps must be nonnegative"),
+        (["--init", "g(f(a))", "--steps", "1", "--criterion", ","], "empty criterion"),
+    ]:
+        assert main(["--theory", theory_file, *args]) == 1
+        assert capsys.readouterr().err == f"rwslice: {message}\n"
+
+
+def test_pretty_report_without_a_kept_rule_step_prints_the_sliced_trace(tmp_path, capsys):
+    """When the slice keeps no rule step, the pretty report prints the
+    first slice in place of the sliced steps."""
+    path = tmp_path / "pair.rwt"
+    path.write_text("op p : 2 .\nop f : 1 .\nop a : 0 .\nop b : 0 .\nrl [r] : f(X) => b .\n", encoding="utf-8")
+    assert main(["--theory", str(path), "--init", "p(f(a),a)", "--steps", "1", "--criterion", "2"]) == 0
+    assert capsys.readouterr().out == (
+        "criterion: 2\nsliced trace: p(•,a)\noriginal size: 19\nsliced size: 6\nreduction: 68.42%\n"
+    )
+
+
 def test_cli_reads_the_criterion_before_any_other_work(theory_file, monkeypatch, capsys):
     """A malformed criterion is reported before the theory is parsed and
     the trace is loaded or run."""
@@ -641,6 +691,12 @@ def test_trace_load_reads_fields_as_the_parser_does(lines):
     th = _basic_theory()
     loaded = parse_trace("\n".join(["rwtrace 1", "theory basic", *lines]) + "\n", th)
     assert loaded.steps == run(parse_term("g(f(a))", th.signature), th, 10).steps
+
+
+def test_trace_load_requires_the_header():
+    for text in ("", "theory basic\ninit g(f(a))\n", "rwtrace 2\ntheory basic\ninit g(f(a))\n"):
+        with pytest.raises(MalformedStep, match="^expected header 'rwtrace 1'$"):
+            parse_trace(text, _basic_theory())
 
 
 def test_trace_load_reports_the_first_bad_line():
@@ -846,6 +902,29 @@ def test_trace_load_parses_only_the_init_term(monkeypatch):
         totals.append((news, values))
     assert totals == [(21_735, 1_094), (1_108, 28), (1_701, 240)]
     assert sum(totals[-1]) < 0.05 * len(text)
+
+
+def test_trace_load_reads_bindings_in_any_order_by_print(monkeypatch):
+    """A bindings field is read by print in any order of its bindings: with
+    the bindings of each multi-binding record of the 200-rule-step
+    producer_consumer trace reversed, the file loads to the same steps and
+    hands the term parser the init term alone."""
+    pc = parse_theory(bundled_example_path("producer_consumer.rwt").read_text(), name="pc")
+    trace = run(parse_term("cfg(tok,prod(0),cons(0,0))", pc.signature), pc, 200)
+    lines = render_trace(trace).splitlines()
+    reordered = 0
+    for i, record in enumerate(lines[3:], start=3):
+        fields = record.split()
+        if ";" in fields[4]:
+            fields[4] = ";".join(reversed(fields[4].split(";")))
+            lines[i], reordered = " ".join(fields), reordered + 1
+    assert len(trace.steps) == 1201 and reordered == 100
+    read = []
+    real_term = theoryfile._TermParser.term
+    monkeypatch.setattr(theoryfile._TermParser, "term", lambda parser, text: read.append(text) or real_term(parser, text))
+    loaded = parse_trace("\n".join(lines) + "\n", pc)
+    assert loaded.steps == trace.steps and loaded.printed_size == trace.printed_size
+    assert read == [lines[2][len("init "):]]
 
 
 def _swap_clients(record: str) -> str:
