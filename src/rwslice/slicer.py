@@ -186,9 +186,9 @@ def slice_back(step: TraceStep, th: RewriteTheory, after: Term) -> Term:
     """The slice of the step's source term that keeps the origins of what
     `after`, a slice of its target term, keeps (prefix-closed). The origins
     of the kept positions off the step's position q are their prefixes, so
-    only the subtree at q is rebuilt, and `after` itself is returned when
-    the origins at q are what it keeps there, nothing included: then the
-    two slices are equal everywhere."""
+    only the subtree at q is rebuilt. `after` itself is returned when it
+    keeps nothing at or under q, or when the origins at q are what it keeps
+    there: the two slices are then equal everywhere."""
     q = step.position
     kept = _kept_at(after, q.path)
     if is_bullet(kept):
@@ -313,10 +313,10 @@ def trace_slice(trace: InstrumentedTrace, criterion: Iterable[Position]) -> Trac
 
     Each slice is `slice_back` of the next one, without labeling, and a
     step is kept when that is a new object, its sides differing at its
-    position; otherwise the two slices are one object. The relevant sets are those of `relevant_positions`, read off the
-    slices when read (`RelevantSets`). Sizes are the lengths of the
-    canonically printed original (`InstrumentedTrace.printed_size`) and
-    sliced traces."""
+    position; otherwise the two slices are one object. The relevant sets
+    are those of `relevant_positions`, read off the slices when read
+    (`RelevantSets`). Sizes are the lengths of the canonically printed
+    original (`InstrumentedTrace.printed_size`) and sliced traces."""
     crit = frozenset(criterion)
     _check_criterion(trace.final(), crit)
     after = slice_term(trace.final(), crit)

@@ -6,8 +6,8 @@
     step <kind> <rule-name|-> <position> <bindings|-> <before> <after>
 
 Terms use the canonical printed syntax (no whitespace), so every field is
-whitespace-separated. Bindings are `X=term;Y=term` sorted by variable
-name. Loading replays each record on the previous term as it reads it,
+whitespace-separated. Bindings are written `X=term;Y=term` sorted by
+variable name. Loading replays each record on the previous term as it reads it,
 with the checks `InstrumentedTrace` makes, by one of two paths. The print
 path takes a record whose before field is the previous term's print, whose
 bindings field is the print of the replay's matcher, its bindings in any
