@@ -217,8 +217,8 @@ class TraceStep:
         """The move map a flat or unflat step keeps, its `regrouping_map`:
         one entry per moved argument, never a path per spine leaf. It is kept
         where it is first known: by a flat step's replay (`one_level_flat`),
-        by the run and the loader for an unflat step (`regroupings`,
-        `_read_spine`); any other step computes it when first read. The
+        by `_Steps.add` for an unflat one (the run's `regroupings`, the
+        loader's `_read_spine`); another step computes it when first read. The
         replay, the slicer and the labeling read it (`regrouping_paths`)."""
         q = self.position
         after = subterm_at(self.after, q) if self.kind == "unflat" else None
@@ -229,16 +229,20 @@ class TraceStep:
 class InstrumentedTrace:
     """A trace of `theory` from `initial`. Every trace is checked once, when
     it is built: its steps chain and each one replays (`check_step`), or
-    MalformedStep names the first that does not. The engine and the loader
-    make each step by its replay instead (`_checked`). The trace is
-    immutable (`steps` is stored as a tuple), so the check stays true."""
+    MalformedStep names the first that does not. Steps given as a `_Steps`
+    of the theory are not checked again: `_Steps.add` made each by its
+    replay, and the run and the loader chain them from `initial`. The trace
+    is immutable (`steps` is stored as a tuple), so the check stays true."""
 
     theory: RewriteTheory
     initial: Term
     steps: tuple[TraceStep, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(self.steps))
+        steps = self.steps
+        object.__setattr__(self, "steps", tuple(steps))
+        if isinstance(steps, _Steps) and steps.th is self.theory:
+            return  # made by `_Steps.add`
         prev, checked = self.initial, _Steps(self.theory, 0)
         for i, step in enumerate(self.steps):
             if step.before != prev:
@@ -246,15 +250,6 @@ class InstrumentedTrace:
             if not check_step(step, self.theory, steps=checked):
                 raise MalformedStep(f"{step.kind} step at {step.position} does not replay", i)
             prev = step.after
-
-    @classmethod
-    def _checked(cls, theory: RewriteTheory, initial: Term, steps: list[TraceStep]) -> "InstrumentedTrace":
-        """The trace of steps that its caller has checked as the constructor
-        does, built without checking them again (`_drive`, `parse_trace`)."""
-        trace = object.__new__(cls)
-        for name, value in (("theory", theory), ("initial", initial), ("steps", tuple(steps))):
-            object.__setattr__(trace, name, value)
-        return trace
 
     def terms(self) -> list[Term]:
         return [self.initial] + [s.after for s in self.steps]
@@ -392,33 +387,37 @@ class _Steps(list):
 
     def take(self, t: Term, kind: str, q: Position, hit) -> Term:
         """Makes the step for `first`'s hit at q in t, a flat or builtin
-        step, or the regroupings an equation or rule candidate needs and
-        then its step (an unflat one with the move map `regroupings` found),
-        and returns the term it leads to."""
+        step, or the unflat steps an equation or rule candidate needs (with
+        the move maps `regroupings` found) and then its step, which must
+        bind the candidate's matcher; returns the term it leads to."""
         if kind in ("flat", "builtin"):
-            name = hit[0] if kind == "builtin" else None
-            return self.add(TraceStep(kind, name, q, EMPTY_SUBST, t, None))
+            return self.add(kind, hit[0] if kind == "builtin" else None, q, t).after
         rule, sub, target, rel = hit  # relative to the node at q (`_candidates_at`)
         for pos, spine, moves in regroupings(subterm_at(t, q), target, self.th.signature):
             pos = q.concat(pos)
-            step = TraceStep("unflat", None, pos, EMPTY_SUBST, t, replace_at(t, pos, spine))
-            object.__setattr__(step, "moves", moves)  # kept: `TraceStep.moves`
-            t = self.add(step)
-        return self.add(TraceStep(kind, rule.name, q.concat(rel), sub, t, None))
+            t = self.add("unflat", None, pos, t, replace_at(t, pos, spine), moves).after
+        step = self.add(kind, rule.name, q.concat(rel), t)
+        if step.matcher != sub:
+            raise MalformedStep(f"the matcher at {step.position} is {step.matcher}, not {sub}")
+        return step.after
 
-    def add(self, step: TraceStep) -> Term:
-        """Appends the step, given with no after term (an unflat step: with
-        its spine and move map), made by its replay (`replay_step`, whose
-        canonical check reads and extends the flat bits of the run's memo)
-        and binding the replay's matcher, and returns the after term."""
+    def add(self, kind: str, name: str | None, q: Position, before: Term, spine=None, moves=None) -> TraceStep:
+        """The one maker of the steps of a run and of a load: makes the step
+        of `kind` named `name` at q from before by its replay (`replay_step`,
+        whose canonical check reads and extends the flat bits of this memo),
+        with the replay's matcher and after term, appends it within `limit`
+        and returns it. Only an unflat step reads spine, the before term with
+        the spine at q, and moves, its move map when known."""
         if len(self) >= self.limit:
             raise StepBudgetExceeded(f"more than {self.limit} elementary steps")
+        step = TraceStep(kind, name, q, EMPTY_SUBST, before, spine)
+        if moves is not None:
+            object.__setattr__(step, "moves", moves)  # kept: `TraceStep.moves`
         sub, after = replay_step(step, self.th, steps=self)
-        if sub != step.matcher:
-            raise MalformedStep(f"the matcher at {step.position} is {sub}, not {step.matcher}")
+        object.__setattr__(step, "matcher", sub)
         object.__setattr__(step, "after", after)
         self.append(step)
-        return after
+        return step
 
 
 def _candidates_at(node: Term, rules: list[Rule], sig: Signature):
@@ -491,26 +490,25 @@ def _drive(
     done: Callable[[Term, int], bool],
 ) -> tuple[InstrumentedTrace, bool]:
     """The deterministic strategy from t0, one elementary step at a time:
-    the first hit among flat, builtin and equation (`_Steps.simplify`);
-    when none hits, the term is canonical, and the run stops if done(term,
-    rule steps taken) holds, else takes a rule step. `finished` is False
-    when the run stopped earlier because no rule applies. done is read
-    before each step's walk, which looks for a rule too unless it holds,
-    so its answer counts only on a canonical term, and a finished run
-    searches no rule. Each step takes one walk (`_Steps.first`) and is
-    made by its replay, and so checked once (`_Steps.add`). The run keeps
-    one memo of the kinds with no hit in each searched subtree: a step
-    shares every subtree off its path, so later walks search only the
-    contractum and its new ancestors. The memo lives for one run: the
-    tests depend on its theory, and the nodes it holds would otherwise
-    outlive the trace."""
+    the first hit among flat, builtin and equation (`_Steps.simplify`); when
+    none hits, the term is canonical, and the run stops if done(term, rule
+    steps taken) holds, else takes a rule step. `finished` is False when the
+    run stopped earlier because no rule applies. done is read before each
+    step's walk, which looks for a rule too unless it holds, so its answer
+    counts only on a canonical term, and a finished run searches no rule.
+    Each step takes one walk (`_Steps.first`) and is made by its replay
+    (`_Steps.add`), so checked once. The run keeps one memo of the kinds
+    with no hit in each searched subtree: a step shares every subtree off
+    its path, so later walks search only the contractum and its new
+    ancestors. The memo lives for one run: the tests depend on its theory,
+    and the nodes it holds would otherwise outlive the trace."""
     out = _Steps(th, DEFAULT_STEP_BUDGET if max_steps is None else max_steps)
     t, rule_steps = t0, 0
     while True:
         finished = done(t, rule_steps)
         hit = out.first(t, out.simplify if finished else out.simplify | out.rewrite)
         if hit is None:  # t is canonical, and finished or stuck
-            return InstrumentedTrace._checked(th, t0, out), finished
+            return InstrumentedTrace(th, t0, out), finished
         rule_steps += hit[0] == "rule"
         t = out.take(t, *hit)
 
@@ -614,10 +612,10 @@ def replay_step(step: TraceStep, th: RewriteTheory, *, steps: _Steps | None = No
     before term: the kind's preconditions hold, then its rewrite at the
     step's position. The matcher is the rule's left-hand side's there for a
     rule or equation step and empty for the other kinds; the step's own is
-    not read, and each caller compares it in its own way (`_Steps.add`,
-    `check_step`, `parse_trace` by its print, or parsed on its parse path).
-    Only a builtin step has a name, its operator's. Of the after term, only
-    an unflat step's is read, for the spine it records.
+    not read: `take` compares the replay's with its candidate's
+    (`_Steps.add`), `parse_trace` with its record's, `check_step` with the
+    step's own. Only a builtin step has a name, its operator's. Of the after
+    term, only an unflat step's is read, for the spine it records.
     A flat step's precondition is an AC node whose move map is not the
     identity (`needs_flat`); it takes the node and map `one_level_flat`
     makes, and keeps the map (`TraceStep.moves`). An unflat step's, that
@@ -626,9 +624,9 @@ def replay_step(step: TraceStep, th: RewriteTheory, *, steps: _Steps | None = No
     spine has the node's root, differs from it, and has exactly the node's
     arguments as leaves (`moves`, as its producer kept it, else computed):
     its new node is that spine. Other kinds rewrite as `apply_step` does.
-    A run passes itself as `steps`, a check or a load one `_Steps` for all
-    its steps, else the walk uses a fresh one. Raises MalformedStep when
-    the step does not replay."""
+    `_Steps.add` passes its own `_Steps` as `steps`, a check one for all its
+    steps, else the walk uses a fresh one. Raises MalformedStep when the
+    step does not replay."""
     q, sig = step.position, th.signature
     try:
         node = subterm_at(step.before, q)

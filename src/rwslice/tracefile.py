@@ -7,8 +7,9 @@
 
 Terms use the canonical printed syntax (no whitespace), so every field is
 whitespace-separated. Bindings are written `X=term;Y=term` sorted by
-variable name. Loading replays each record on the previous term as it reads it,
-with the checks `InstrumentedTrace` makes, by one of two paths. The print
+variable name. Loading makes each record's step by its replay on the
+previous term as it reads it (`_Steps.add`), with the checks
+`InstrumentedTrace` makes, by one of two paths. The print
 path takes a record whose before field is the previous term's print, whose
 bindings field is the print of the replay's matcher, its bindings in any
 order, and whose after field is the print of the replay's after term (an
@@ -25,7 +26,7 @@ import re
 import warnings
 from pathlib import Path
 
-from .engine import FLAT, InstrumentedTrace, MalformedStep, RewriteTheory, TraceStep, _Steps, replay_step
+from .engine import FLAT, InstrumentedTrace, MalformedStep, RewriteTheory, TraceStep, _Steps
 from .terms import EMPTY_SUBST, Position, Substitution, Term, Variable, pretty, printed_length, replace_at, subterm_at
 from .theoryfile import TheorySyntaxError, _TermParser
 
@@ -98,8 +99,7 @@ def parse_trace(text: str, theory: RewriteTheory) -> InstrumentedTrace:
         canon = canon if len(canon) == printed_length(prev, lengths) else pretty(prev)
         size = len(canon)  # of the trace's print so far (`printed_size`)
         positions: dict[str, Position] = {}
-        checked = _Steps(theory, 0)  # its memo: the nodes known canonical (`replay_step`)
-        steps: list[TraceStep] = []
+        steps = _Steps(theory, len(lines) - 3)  # one per file: its memo holds the nodes known canonical
         for lineno, line in lines[3:]:
             fields = line.split()
             if len(fields) != 7 or fields[0] != "step":
@@ -115,11 +115,14 @@ def parse_trace(text: str, theory: RewriteTheory) -> InstrumentedTrace:
             if before_txt == canon:
                 spine, moves = _read_spine(after_txt, canon, prev, position, lengths) if kind == "unflat" else (None, None)
                 if kind != "unflat" or spine is not None:
-                    step = _replayed(TraceStep(kind, name, position, None, prev, spine), theory, checked, moves)
+                    try:
+                        step = steps.add(kind, name, position, prev, spine, moves)
+                    except MalformedStep:  # the parse path reports it
+                        pass
             # a spine read by print replays as itself, so after_txt is its print
             if step is not None and (
                 bind == _render_bindings(step.matcher) or sorted(bind.split(";")) == sorted(_binding_texts(step.matcher))
-            ) and (kind == "unflat" or _prints_as(after_txt, canon, step, step.after, lengths)):
+            ) and (kind == "unflat" or _prints_as(after_txt, canon, step, lengths)):
                 canon = after_txt
             else:
                 # the parse path: every field is parsed, from the left, so that the
@@ -131,36 +134,24 @@ def parse_trace(text: str, theory: RewriteTheory) -> InstrumentedTrace:
                 if before != prev:
                     raise MalformedStep(f"line {lineno}: steps do not chain")
                 if step is None:
-                    step = _replayed(TraceStep(kind, name, position, None, prev, read), theory, checked)
+                    try:
+                        step = steps.add(kind, name, position, prev, read)
+                    except MalformedStep:
+                        pass
                 if step is None or step.matcher != matcher or step.after != read:
                     raise MalformedStep(f"line {lineno}: {kind} step at {position} does not replay")
                 canon = pretty(step.after)
             size += 4 + len(canon)  # " -> " before each later term
-            steps.append(step)
             prev = step.after
     except TheorySyntaxError as exc:
         raise _located(exc, lineno, line) from None
     except ValueError as exc:  # a position or binding that does not read
         raise MalformedStep(f"line {lineno}: {exc}") from None
-    trace = InstrumentedTrace._checked(theory, initial, steps)
+    trace = InstrumentedTrace(theory, initial, steps)
     object.__setattr__(trace, "printed_size", size)  # its cached property, known here
-    if checked.first(trace.final(), FLAT) is not None:
+    if steps.first(trace.final(), FLAT) is not None:
         warnings.warn("trace ends in a non-canonical term", stacklevel=2)
     return trace
-
-
-def _replayed(step: TraceStep, theory: RewriteTheory, checked: _Steps, moves: tuple | None = None) -> TraceStep | None:
-    """step (the loader's own until the trace is built) with moves, when read with its spine, and
-    its replay's matcher and after term, which share its before term's nodes; None if it does not replay."""
-    if moves is not None:
-        object.__setattr__(step, "moves", moves)
-    try:
-        sub, after = replay_step(step, theory, steps=checked)
-    except MalformedStep:
-        return None
-    object.__setattr__(step, "matcher", sub)
-    object.__setattr__(step, "after", after)
-    return step
 
 
 def _located(exc: TheorySyntaxError, lineno: int, line: str) -> MalformedStep:
@@ -188,15 +179,15 @@ def _span(before: Term, q: Position, lengths: dict[int, int]) -> tuple[int, Term
     return start, node
 
 
-def _prints_as(text: str, canon: str, step: TraceStep, after: Term, lengths: dict[int, int]) -> bool:
-    """Whether text is pretty(after), where after is the step's before term,
-    printed as canon, with the subterm at the step's position replaced:
+def _prints_as(text: str, canon: str, step: TraceStep, lengths: dict[int, int]) -> bool:
+    """Whether text is pretty(step.after), the step's before term, printed
+    as canon, with the subterm at the step's position replaced:
     canon's text around that subterm is compared as it stands, and only the
     new subterm is printed, whatever the step's kind. If so, the printed
-    lengths of after and of that subterm go to lengths."""
+    lengths of step.after and of that subterm go to lengths."""
     start, node = _span(step.before, step.position, lengths)
     end = start + printed_length(node, lengths)
-    new_node = subterm_at(after, step.position)
+    new_node = subterm_at(step.after, step.position)
     middle = pretty(new_node)
     if not (
         len(text) == len(canon) - (end - start) + len(middle)
@@ -205,7 +196,7 @@ def _prints_as(text: str, canon: str, step: TraceStep, after: Term, lengths: dic
         and text.endswith(canon[end:])
     ):
         return False
-    lengths[id(after)], lengths[id(new_node)] = len(text), len(middle)
+    lengths[id(step.after)], lengths[id(new_node)] = len(text), len(middle)
     return True
 
 

@@ -232,6 +232,14 @@ def test_plan_unflat_rejects_non_equivalent(sig):
         plan_unflat(T("f(a,g(a),g(b))", sig), Position(), T("f(g(a),f(a,g(a)))", sig), sig)
 
 
+def test_plan_unflat_and_rebuild_spine_refuse_a_shape_they_cannot_fill(sig):
+    with pytest.raises(ValueError, match="differs structurally"):
+        plan_unflat(T("h(a,b)", sig), Position(), T("h(a,g(b))", sig), sig)
+    # the leaves fill f(a,b) but not the root node above it
+    with pytest.raises(ValueError, match="the leaves do not fill"):
+        rebuild_spine(T("f(f(a,b),c)", sig), [((1, 1), T("a", sig)), ((1, 2), T("b", sig))])
+
+
 def test_plan_unflat_tells_apart_terms_equal_in_the_term_order():
     """A flattened AC node of f/2 over three arguments and an f/3 node over
     the same arguments are unequal, but neither precedes the other in the

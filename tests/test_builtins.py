@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from rwslice.builtin_ops import REGISTRY, eval_builtin
+from rwslice.builtin_ops import REGISTRY, BuiltinOp, eval_builtin, register
 from rwslice.terms import FALSE, TRUE, Symbol, Term, Variable, bool_term, int_term, pretty
 
 
@@ -27,6 +27,16 @@ def test_if_then_else_against_truth_table():
         assert eval_builtin(ite, [cond, a, b]) == expected
     assert eval_builtin(ite, [a, a, b]) is None  # condition not boolean
     assert eval_builtin(ite, [TRUE, Term(Variable("X")), b]) is None  # not ground
+
+
+def test_registry_refuses_a_name_twice_and_calls_off_their_domain_stay():
+    plus = REGISTRY["+"]
+    with pytest.raises(ValueError, match="builtin \\+ already registered"):
+        register(BuiltinOp("+", 2, plus.func))
+    assert REGISTRY["+"] is plus
+    assert eval_builtin(REGISTRY["and"], [num(1), TRUE]) is None
+    assert eval_builtin(REGISTRY["<"], [TRUE, num(1)]) is None
+    assert eval_builtin(REGISTRY["and"], [TRUE, TRUE]) == TRUE
 
 
 def test_arithmetic_matches_python_semantics():

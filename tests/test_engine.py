@@ -348,6 +348,32 @@ def test_runs_make_steps_without_check_step(monkeypatch):
         assert run_until(trace.initial, trace.final(), th).steps == trace.steps
 
 
+def test_a_run_refuses_a_candidate_matcher_other_than_the_replays(monkeypatch, basic_theory):
+    """`_Steps.take` compares a rule or equation candidate's matcher with
+    the one its step's replay binds (`_Steps.add`): a candidate search that
+    yields another matcher stops the run at the step's position."""
+    sig = basic_theory.signature
+    real = engine._candidates_at
+
+    def off(node, rules, sig):
+        for rule, sub, target, rel in real(node, rules, sig):
+            yield rule, Substitution({Variable("x"): T("b", sig)}), target, rel
+
+    init = T("g(f(a))", sig)
+    assert run(init, basic_theory, 1).steps[0].position == Position((1,))
+    monkeypatch.setattr(engine, "_candidates_at", off)
+    with pytest.raises(MalformedStep, match="the matcher at 1 is "):
+        run(init, basic_theory, 1)
+
+
+def test_apply_step_refuses_a_term_without_the_step_position(basic_theory):
+    sig = basic_theory.signature
+    step = run(T("g(f(a))", sig), basic_theory, 1).steps[0]
+    assert step.position == Position((1,))
+    with pytest.raises(MalformedStep, match="no position 1 in a"):
+        apply_step(step, basic_theory, T("a", sig))
+
+
 def test_check_step_rejects_identity_unflat():
     th = parse_theory(bundled_example_path("client_server.rwt").read_text())
     t = flatten_term(T("net(srv(0),cli(1,3,none),cli(2,4,none))", th.signature), th.signature)

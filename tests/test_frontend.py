@@ -1097,9 +1097,8 @@ def test_each_step_is_checked_once(tmp_path, monkeypatch, capsys):
         calls.append(step)
         return real(step, theory, **kwargs)
 
-    # the constructor checks through engine's name, the loader through its own
+    # the constructor, the run and the loader all replay through engine's name
     monkeypatch.setattr(engine, "replay_step", counted)
-    monkeypatch.setattr(tracefile, "replay_step", counted)
     base = ["--theory", str(th_path), "--init", init, "--criterion", "1"]
     for source in (["--trace", str(tr_path)], ["--steps", "5"], ["--end", pretty(trace.final())]):
         calls.clear()

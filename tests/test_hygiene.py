@@ -240,3 +240,33 @@ def test_blanket_handlers_detected():
 def test_no_blanket_handlers():
     found = {str(p.relative_to(ROOT)): blanket_handlers(p.read_text(encoding="utf-8")) for p in sorted((ROOT / "src").rglob("*.py"))}
     assert {path: lines for path, lines in found.items() if lines} == {}
+
+
+def step_makers(source: str) -> list[str]:
+    """The calls of `TraceStep(...)` and the references to `replay_step`,
+    as a name, an attribute or an imported name."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "TraceStep":
+            out.append(f"line {node.lineno}: TraceStep(...)")
+        elif getattr(node, "id", getattr(node, "attr", None)) == "replay_step" or (
+            isinstance(node, ast.ImportFrom) and any(alias.name == "replay_step" for alias in node.names)
+        ):
+            out.append(f"line {node.lineno}: replay_step")
+    return out
+
+
+def test_step_makers_detected():
+    src = (
+        "from .engine import TraceStep, replay_step\n"
+        "step = engine.TraceStep('flat', None, q, s, t, None)\n"
+        "def load(step: TraceStep):\n    return engine.replay_step(step, th)\n"
+    )
+    assert step_makers(src) == ["line 1: replay_step", "line 2: TraceStep(...)", "line 4: replay_step"]
+
+
+def test_only_the_engine_makes_steps():
+    """`engine._Steps.add` makes every step of a run and of a load: no other
+    module builds a `TraceStep` or replays one."""
+    found = {p.name: step_makers(p.read_text(encoding="utf-8")) for p in sorted((ROOT / "src").rglob("*.py")) if p.name != "engine.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}

@@ -275,6 +275,19 @@ def test_label_ac_segment_empty(ac_sig):
     assert label_ac_segment([], LabelSupply()) == []
 
 
+def test_labeling_refuses_an_unknown_kind_and_a_segment_of_other_steps(step_theory, ac_sig):
+    sig = step_theory.signature
+    a = T("a", sig)
+    with pytest.raises(MalformedStep, match="unknown step kind swap"):
+        label_step(TraceStep("swap", None, Position(), EMPTY_SUBST, a, a), step_theory, LabelSupply())
+    rule_step = run(T("f(g(a,b),a)", sig), step_theory, 1).steps[0]
+    with pytest.raises(MalformedStep, match="segment step has kind rule"):
+        label_ac_segment([rule_step], LabelSupply())
+    steps = ac_segment_steps(ac_sig)
+    with pytest.raises(MalformedStep, match="segment steps are not chained"):
+        label_ac_segment([steps[-1], steps[0]], LabelSupply())
+
+
 def test_label_step_rejects_malformed(step_theory):
     sig = step_theory.signature
     bogus = TraceStep(

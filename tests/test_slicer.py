@@ -197,6 +197,12 @@ def test_relevant_positions_invalid_criterion(labeled_step):
         relevant_positions(trace, [ls], frozenset({P("9.9")}))
 
 
+def test_relevant_positions_refuses_labeled_steps_short_of_the_trace(labeled_step):
+    trace, _ = labeled_step
+    with pytest.raises(InvalidCriterion, match="labeled steps do not cover the trace"):
+        relevant_positions(trace, [], {P("1.2")})
+
+
 def test_slice_golden(step_theory):
     t = T("d(f(g(a,h(b)),a),a)", step_theory.signature)
     got = slice_term(t, {P("1.1.2"), P("1.2")})
@@ -346,6 +352,19 @@ def test_check_soundness_rejects_non_concretization(step_theory, labeled_step):
     ts = trace_slice(trace, {P("1.2")})
     with pytest.raises(ValueError):
         check_soundness(ts, step_theory, T("a", step_theory.signature))
+
+
+def test_check_soundness_names_a_replay_that_escapes_its_slices(step_theory, labeled_step):
+    """A slice whose kept step has a before or an after slice that the
+    replayed term does not concretize fails at that step."""
+    trace, _ = labeled_step
+    ts = trace_slice(trace, {P("1.2")})
+    conc = T("d(f(g(c,h(c)),a),j(b))", step_theory.signature)
+    b = T("b", step_theory.signature)
+    for side in ("before", "after"):
+        tampered = dataclasses.replace(ts, steps=[dataclasses.replace(ts.steps[0], **{f"{side}_slice": b})])
+        with pytest.raises(ReplayFailure, match=f"sliced step 0: replayed term escaped the {side} slice"):
+            check_soundness(tampered, step_theory, conc)
 
 
 def test_producer_consumer_twenty_steps_sliceable():
