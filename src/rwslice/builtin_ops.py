@@ -7,17 +7,16 @@ of the expected shape, otherwise the call is left intact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from collections.abc import Callable
 
-from .terms import Term, bool_term, int_term, is_ground, term_bool, term_int
+from .terms import Term, _Record, bool_term, int_term, is_ground, term_bool, term_int
 
 
-@dataclass(frozen=True)
-class BuiltinOp:
-    name: str
-    arity: int
-    func: Callable[[tuple[Term, ...]], Optional[Term]]
+class BuiltinOp(_Record):
+    _fields = ("name", "arity", "func")
+
+    def __init__(self, name: str, arity: int, func: Callable[[tuple[Term, ...]], Term | None]):
+        super().__init__(name, arity, func)
 
 
 def eval_builtin(op: BuiltinOp, args: list[Term] | tuple[Term, ...]) -> Term | None:

@@ -39,6 +39,7 @@ from .terms import (
     Symbol,
     Term,
     Variable,
+    _Record,
     is_ground,
     match,
     preorder,
@@ -72,17 +73,14 @@ class TheoryError(RwsliceError):
     pass
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(_Record):
     """Oriented rewrite rule or equation; the left-hand side is not a
     variable and binds every variable of the right-hand side."""
 
-    name: str
-    lhs: Term
-    rhs: Term
-    kind: str = "rule"  # rule | equation
+    _fields = ("name", "lhs", "rhs", "kind")
 
-    def __post_init__(self):
+    def __init__(self, name: str, lhs: Term, rhs: Term, kind: str = "rule"):  # kind: rule | equation
+        super().__init__(name, lhs, rhs, kind)
         if isinstance(self.lhs.root, Variable):
             raise TheoryError(f"{self.name}: left-hand side must not be a variable")
         missing = [v for v in self.rhs_occurrences if v not in self.lhs_occurrences]
@@ -186,18 +184,14 @@ class RewriteTheory:
         for r in self.equations + self.rules:
             root = r.lhs.root
             if isinstance(root, Symbol) and self.signature.is_builtin(root):
-                raise TheoryError(
-                    f"{r.name}: builtin operator {root.name} cannot head a left-hand side"
-                )
+                raise TheoryError(f"{r.name}: builtin operator {root.name} cannot head a left-hand side")
         for decl in self.signature.ops():
             if decl.builtin:
                 op = builtin_ops.REGISTRY.get(decl.symbol.name)
                 if op is None:
                     raise TheoryError(f"no builtin implementation for {decl.symbol.name}")
                 if op.arity != decl.symbol.arity:
-                    raise TheoryError(
-                        f"{decl.symbol.name}: builtin arity {op.arity}, declared {decl.symbol.arity}"
-                    )
+                    raise TheoryError(f"{decl.symbol.name}: builtin arity {op.arity}, declared {decl.symbol.arity}")
 
     def find_rule(self, name: str) -> Rule | None:
         return self._by_name.get(name)
@@ -205,6 +199,8 @@ class RewriteTheory:
 
 @dataclass(frozen=True)
 class TraceStep:
+    """One elementary step of a trace, from before to after at position."""
+
     kind: str  # rule | equation | flat | unflat | builtin
     rule_name: str | None
     position: Position
@@ -225,8 +221,7 @@ class TraceStep:
         return regrouping_map(self.kind, subterm_at(self.before, q), after)
 
 
-@dataclass(frozen=True)
-class InstrumentedTrace:
+class InstrumentedTrace(_Record):
     """A trace of `theory` from `initial`. Every trace is checked once, when
     it is built: its steps chain and each one replays (`check_step`), or
     MalformedStep names the first that does not. Steps given as a `_Steps`
@@ -234,13 +229,10 @@ class InstrumentedTrace:
     replay, and the run and the loader chain them from `initial`. The trace
     is immutable (`steps` is stored as a tuple), so the check stays true."""
 
-    theory: RewriteTheory
-    initial: Term
-    steps: tuple[TraceStep, ...] = ()
+    _fields = ("theory", "initial", "steps")
 
-    def __post_init__(self):
-        steps = self.steps
-        object.__setattr__(self, "steps", tuple(steps))
+    def __init__(self, theory: RewriteTheory, initial: Term, steps: tuple[TraceStep, ...] = ()):
+        super().__init__(theory, initial, tuple(steps))
         if isinstance(steps, _Steps) and steps.th is self.theory:
             return  # made by `_Steps.add`
         prev, checked = self.initial, _Steps(self.theory, 0)

@@ -70,6 +70,8 @@ class Labeling(dict):
 
 @dataclass(frozen=True)
 class LabeledStep:
+    """A trace step with the labelings of its two sides (`label_step`)."""
+
     step: TraceStep
     before_labeling: Labeling
     after_labeling: Labeling

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .slicer import TraceSlice
-from .terms import Term, is_bullet
+from .terms import Term, _Record, is_bullet
 
 _HEADER = "rwslice-report 1"
 
@@ -32,11 +30,14 @@ def _kept_text(s: Term, skip: str) -> str:
     return ",".join(out) or "-"
 
 
-@dataclass
-class SliceReport:
-    slice: TraceSlice
-    theory_name: str = ""
-    seed: int = 0
+class SliceReport(_Record):
+    """A trace slice to render; unlike the other records, mutable and unhashable."""
+
+    _fields = ("slice", "theory_name", "seed")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, slice: TraceSlice, theory_name: str = "", seed: int = 0):
+        super().__init__(slice, theory_name, seed)
 
     def render_structured(self) -> str:
         """The report of docs/formats.md. Every pset but the last is printed

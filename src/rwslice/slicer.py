@@ -26,10 +26,9 @@ object is printed once (`TraceSlice.texts`).
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 from .acmatch import regrouping_paths
 from .engine import InstrumentedTrace, MalformedStep, RewriteTheory, TraceStep, apply_step
@@ -236,6 +235,8 @@ def concretizes(ts: Term, t: Term) -> bool:
 
 @dataclass(frozen=True)
 class SlicedStep:
+    """A step of a trace slice whose sliced sides differ."""
+
     index: int  # index of the originating step in the expanded trace
     kind: str
     rule_name: str | None
@@ -275,6 +276,8 @@ class RelevantSets(Sequence):
 
 @dataclass
 class TraceSlice:
+    """The slice of a trace for a criterion (`trace_slice`), with its sizes."""
+
     trace: InstrumentedTrace
     criterion: frozenset[Position]
     relevant: Sequence[frozenset[Position]]

@@ -7,7 +7,10 @@ positions are 1-based access paths and the empty path addresses the root.
 from __future__ import annotations
 
 import re
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError
+from functools import total_ordering
+
+_setattr = object.__setattr__  # sets a field past `_Record.__setattr__`
 
 
 class RwsliceError(Exception):
@@ -18,16 +21,58 @@ class PositionOutOfRange(RwsliceError):
     """A position does not address a node of the given term."""
 
 
-@dataclass(frozen=True, order=True)
-class Position:
-    """Access path in a term.
+class _Record:
+    """Base of the immutable values and records: each compares, hashes and
+    prints by the tuple of its `_fields`, as a frozen dataclass does, and
+    refuses assignment and deletion. `__init__` takes the fields in order."""
 
-    The dataclass ordering (tuple comparison on paths) is exactly the
-    lexicographic order on positions; the prefix order is a separate,
-    partial relation (`is_prefix_of`).
-    """
+    __slots__ = ()
 
-    path: tuple[int, ...] = ()
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values):
+            _setattr(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other) -> bool:
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(map('{}={!r}'.format, self._fields, self._values()))})"
+
+    def __reduce__(self):  # copies and pickles are built by the constructor, past `__setattr__`
+        return type(self), self._values()
+
+
+@total_ordering
+class Position(_Record):
+    """Access path in a term, a slotted immutable value. Its order, tuple
+    order on paths, is the lexicographic order on positions; the prefix
+    order is a separate, partial relation (`is_prefix_of`)."""
+
+    __slots__ = _fields = ("path",)
+
+    def __init__(self, path: tuple[int, ...] = ()):
+        _setattr(self, "path", path)
+
+    def __eq__(self, other) -> bool:
+        return self is other or (self.path == other.path if other.__class__ is Position else NotImplemented)
+
+    def __hash__(self) -> int:
+        return hash((self.path,))
+
+    def __lt__(self, other) -> bool:
+        return self.path < other.path if other.__class__ is Position else NotImplemented
 
     def child(self, i: int) -> "Position":
         return Position(self.path + (i,))
@@ -59,26 +104,42 @@ class Position:
 ROOT = Position()
 
 
-@dataclass(frozen=True)
-class Symbol:
-    """Operator symbol; kind distinguishes the two reserved leaf symbols
-    (context hole, slice bullet) and builtin operators from ordinary ones."""
+class Symbol(_Record):
+    """Operator symbol, a slotted immutable value; kind distinguishes the two reserved
+    leaf symbols (context hole, slice bullet) and builtin operators from ordinary ones."""
 
-    name: str
-    arity: int
-    kind: str = "constructor"  # constructor | defined | builtin | hole | bullet
+    __slots__ = _fields = ("name", "arity", "kind")
+
+    def __init__(self, name: str, arity: int, kind: str = "constructor"):  # constructor | defined | builtin | hole | bullet
+        super().__init__(name, arity, kind)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Symbol:
+            return NotImplemented
+        return self is other or self.name == other.name and self.arity == other.arity and self.kind == other.kind
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.arity, self.kind))
 
 
-@dataclass(frozen=True)
-class Variable:
-    name: str
+class Variable(_Record):
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        _setattr(self, "name", name)
+
+    def __eq__(self, other) -> bool:
+        return self is other or (self.name == other.name if other.__class__ is Variable else NotImplemented)
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
 
 
 HOLE = Symbol("□", 0, "hole")
 BULLET = Symbol("•", 0, "bullet")
 
 
-class Term:
+class Term(_Record):
     """Ordered tree of symbols and variables, immutable: a slotted class
     whose attributes cannot be assigned or deleted once built.
 
@@ -87,7 +148,7 @@ class Term:
     signature check is the authoritative validation.
     """
 
-    __slots__ = ("root", "args")
+    __slots__ = _fields = ("root", "args")
 
     def __init__(self, root: Symbol | Variable, args: tuple["Term", ...] = ()):
         if isinstance(root, Variable):
@@ -99,12 +160,6 @@ class Term:
             raise ValueError(f"{root.name} declared with arity {root.arity}, got {len(args)} arguments")
         _set_root(self, root)
         _set_args(self, args)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __eq__(self, other) -> bool:
         """The same tree, compared pair by pair from an explicit worklist,
@@ -134,7 +189,7 @@ class Term:
         return f"Term<{pretty(self)}>"
 
 
-# the slots' own setters, which `Term.__init__` calls past its refusing `__setattr__`
+# the slots' own setters, which `Term.__init__` calls past `_Record.__setattr__`
 _set_root, _set_args = Term.root.__set__, Term.args.__set__
 
 
@@ -284,10 +339,7 @@ class Substitution:
         return hash(frozenset(self._bindings.items()))
 
     def __repr__(self) -> str:
-        inner = ", ".join(
-            f"{v.name}/{pretty(t)}"
-            for v, t in sorted(self._bindings.items(), key=lambda kv: kv[0].name)
-        )
+        inner = ", ".join(f"{v.name}/{pretty(t)}" for v, t in sorted(self._bindings.items(), key=lambda kv: kv[0].name))
         return "{" + inner + "}"
 
 
@@ -400,13 +452,11 @@ class SignatureError(RwsliceError):
     pass
 
 
-@dataclass(frozen=True)
-class OpDecl:
-    symbol: Symbol
-    assoc: bool = False
-    comm: bool = False
-    builtin: bool = False
-    sort: str | None = None  # display only, never checked
+class OpDecl(_Record):
+    _fields = ("symbol", "assoc", "comm", "builtin", "sort")  # sort: display only, never checked
+
+    def __init__(self, symbol: Symbol, assoc: bool = False, comm: bool = False, builtin: bool = False, sort: str | None = None):
+        super().__init__(symbol, assoc, comm, builtin, sort)
 
     @property
     def ac(self) -> bool:

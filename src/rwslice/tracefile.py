@@ -111,14 +111,14 @@ def parse_trace(text: str, theory: RewriteTheory) -> InstrumentedTrace:
             name = None if rule == "-" and kind != "builtin" else rule
             # the print path: the record reads as `render_trace` writes it, its bindings in any
             # order, and no field is parsed; an unflat record's spine is read by print (`_read_spine`)
-            step = None
+            step = failed = None
             if before_txt == canon:
                 spine, moves = _read_spine(after_txt, canon, prev, position, lengths) if kind == "unflat" else (None, None)
                 if kind != "unflat" or spine is not None:
                     try:
                         step = steps.add(kind, name, position, prev, spine, moves)
-                    except MalformedStep:  # the parse path reports it
-                        pass
+                    except MalformedStep:  # the parse path reports it, with no second replay
+                        failed = True
             # a spine read by print replays as itself, so after_txt is its print
             if step is not None and (
                 bind == _render_bindings(step.matcher) or sorted(bind.split(";")) == sorted(_binding_texts(step.matcher))
@@ -126,14 +126,14 @@ def parse_trace(text: str, theory: RewriteTheory) -> InstrumentedTrace:
                 canon = after_txt
             else:
                 # the parse path: every field is parsed, from the left, so that the
-                # leftmost syntax error comes first; then the chain, and the replay unless
-                # the print path made it: that read no field but an unflat spine, read as parsed
+                # leftmost syntax error comes first; then the chain, and the replay unless the
+                # print path made or failed it: that read no field but an unflat spine, read as parsed
                 matcher = _parse_bindings(bind, parser)
                 before = parser.term(before_txt)
                 read = parser.term(after_txt)
                 if before != prev:
                     raise MalformedStep(f"line {lineno}: steps do not chain")
-                if step is None:
+                if step is None and not failed:
                     try:
                         step = steps.add(kind, name, position, prev, read)
                     except MalformedStep:

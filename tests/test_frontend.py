@@ -3,6 +3,7 @@ import gc
 from collections import Counter
 import os
 import re
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -254,6 +255,22 @@ def test_deep_terms_run_slice_report_save_and_load(tmp_path):
     save_trace(trace, tmp_path / "deep.rwtrace")
     loaded = load_trace(tmp_path / "deep.rwtrace", th)
     assert len(loaded.steps) == 3 and pretty(loaded.final()) == _deep(9_997)
+
+
+def test_cli_runs_in_its_own_process():
+    """`python -m rwslice.cli` in a fresh interpreter, which imports the
+    package as every run of the console script does, prints the golden
+    client_server report and exits 0; a rejected input exits 1 with its
+    message on stderr."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), PYTHONIOENCODING="utf-8")
+    command = [sys.executable, "-m", "rwslice.cli", "--theory", str(bundled_example_path("client_server.rwt"))]
+    command += ["--init", "net(srv(0),cli(1,3,none),cli(2,4,none))", "--steps", "6"]
+    done = subprocess.run(command + ["--criterion", "1.3", "--format", "structured"], env=env, capture_output=True, timeout=120)
+    with open(os.path.join(root, "tests", "golden", "client_server.report.txt"), "rb") as golden:
+        assert (done.returncode, done.stdout, done.stderr) == (0, golden.read(), b"")
+    rejected = subprocess.run(command + ["--criterion", "9"], env=env, capture_output=True, timeout=120)
+    assert rejected.returncode == 1 and rejected.stdout == b"" and rejected.stderr.startswith(b"rwslice: ")
 
 
 def test_cli_slices_deep_terms(tmp_path, capsys):
@@ -1013,6 +1030,21 @@ def test_regrouping_maps_are_computed_once_by_the_check(monkeypatch):
         InstrumentedTrace(trace.theory, trace.initial, [dataclasses.replace(s) for s in trace.steps])
         lazy = {("engine", "one_level_flat"): flat, ("engine", "regrouping_map"): unflat, ("acmatch", "_pair"): unflat}
         assert calls == Counter(lazy)
+
+
+def test_trace_load_replays_a_failing_record_once(monkeypatch):
+    """A record that reads as `render_trace` writes it but does not replay
+    fails on the print path, and the parse path reports it with no second
+    replay: a producer_consumer trace whose first rule record names no rule
+    is rejected there after one replay per record read."""
+    pc = parse_theory(bundled_example_path("producer_consumer.rwt").read_text(), name="pc")
+    lines = render_trace(run(parse_term("cfg(tok,prod(0),cons(0,0))", pc.signature), pc, 3)).splitlines()
+    at = next(i for i, line in enumerate(lines) if line.split()[1] == "rule")
+    lines[at] = lines[at].replace(" make ", " nosuch ", 1)
+    calls = _count_calls(monkeypatch, ("replay_step",))
+    with pytest.raises(MalformedStep, match=re.escape("line 6: rule step at 1 does not replay")):
+        parse_trace("\n".join(lines) + "\n", pc)
+    assert at == 5 and calls == Counter({("engine", "replay_step"): 3})
 
 
 def _check_kept_moves(th, trace):

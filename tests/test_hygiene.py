@@ -196,6 +196,38 @@ def test_no_recursive_dataclass_equality():
     assert {name: classes for name, classes in found.items() if classes} == {}
 
 
+def dataclass_classes(source: str) -> list[str]:
+    """The classes decorated with `dataclass`, plain, called or as an attribute."""
+    return [
+        node.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list))
+    ]
+
+
+def test_dataclass_classes_detected():
+    src = (
+        "@dataclass(frozen=True)\nclass A:\n    x: int\n"
+        "@dataclasses.dataclass\nclass B:\n    pass\n"
+        "@total_ordering\nclass C:\n    __slots__ = ()\n"
+        "class D(NamedTuple):\n    x: int\n"
+        "def make():\n    @dataclass\n    class E:\n        pass\n"
+    )
+    assert dataclass_classes(src) == ["A", "B", "E"]
+
+
+# the classes that stay dataclasses, as callers copy them with
+# `dataclasses.replace`; `dataclass` generates each class's methods with
+# `exec` when the module is imported, which every run of the CLI pays, so
+# the other value and record classes are written out (`terms._Record`)
+REPLACEABLE = ["LabeledStep", "SlicedStep", "TraceSlice", "TraceStep"]
+
+
+def test_only_the_replaceable_classes_are_dataclasses():
+    found = sorted(c for p in sorted((ROOT / "src").rglob("*.py")) for c in dataclass_classes(p.read_text(encoding="utf-8")))
+    assert found == REPLACEABLE
+
+
 # exception classes that do not report an input error; the list may only shrink
 NOT_INPUT_ERRORS = ["ReplayFailure"]
 

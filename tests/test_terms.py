@@ -1,13 +1,21 @@
+import copy
 import dataclasses
+import pickle
 import random
 import sys
 
 import pytest
 
+from rwslice import bundled_example_path
+from rwslice.builtin_ops import REGISTRY, BuiltinOp
+from rwslice.engine import InstrumentedTrace, Rule, run
+from rwslice.report import SliceReport
+from rwslice.slicer import trace_slice
 from rwslice.terms import (
     BULLET,
     HOLE,
     HOLE_TERM,
+    OpDecl,
     Position,
     PositionOutOfRange,
     Signature,
@@ -23,7 +31,7 @@ from rwslice.terms import (
     subterm_at,
     term_cmp,
 )
-from rwslice.theoryfile import parse_term
+from rwslice.theoryfile import parse_term, parse_theory
 
 from genutil import random_ground_term
 
@@ -210,6 +218,64 @@ def test_terms_are_slotted_and_immutable(sig):
             delattr(t, name)
     assert t.root is root and t.args is args and pretty(t) == "f(a,h(b))"
     assert repr(t) == "Term<f(a,h(b))>" and hash(t) == hash(parse_term("f(a,h(b))", sig))
+
+
+def test_records_act_as_frozen_dataclasses():
+    """The value and record classes keep the behaviour of the dataclasses
+    they were written as: built positionally or by keyword, with their
+    defaults; equal field by field, and to no other class; printed as
+    `Name(field=value, ...)`; hashed as the tuple of their fields; and,
+    but for the mutable, unhashable SliceReport, refusing assignment and
+    deletion with the dataclass error; values copy and pickle."""
+    th = parse_theory(bundled_example_path("producer_consumer.rwt").read_text(), name="pc")
+    trace = run(parse_term("cfg(tok,prod(0),cons(0,0))", th.signature), th, 1)
+    rule, plus = th.rules[0], REGISTRY["+"]
+    cases = {
+        Position: {"path": (1, 2)},
+        Symbol: {"name": "f", "arity": 2, "kind": "defined"},
+        Variable: {"name": "X"},
+        OpDecl: {"symbol": Symbol("f", 2), "assoc": True, "comm": True, "builtin": False, "sort": "Nat"},
+        BuiltinOp: {"name": "+", "arity": 2, "func": plus.func},
+        Rule: {"name": rule.name, "lhs": rule.lhs, "rhs": rule.rhs, "kind": "rule"},
+        InstrumentedTrace: {"theory": th, "initial": trace.initial, "steps": trace.steps},
+    }
+    for cls, fields in cases.items():
+        x, y = cls(*fields.values()), cls(**fields)
+        assert x == y and x is not y and not x != y
+        assert x.__eq__(object()) is NotImplemented and x != object()
+        assert hash(x) == hash(y) == hash(tuple(fields.values())) and len({x, y}) == 1
+        assert repr(x) == cls.__name__ + "(" + ", ".join(f"{k}={v!r}" for k, v in fields.items()) + ")"
+        for name in list(fields) + ["other"]:
+            with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot assign to field '{name}'$"):
+                setattr(x, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot delete field '{name}'$"):
+                delattr(x, name)
+        assert x == y and all(getattr(x, k) is v for k, v in fields.items())
+    assert Position() == Position(()) == Position(path=()) and Symbol("f", 2) == Symbol("f", 2, "constructor")
+    assert OpDecl(Symbol("f", 2)) == OpDecl(Symbol("f", 2), False, False, False, None)
+    assert Rule(rule.name, rule.lhs, rule.rhs).kind == "rule" and InstrumentedTrace(th, trace.initial).steps == ()
+    assert Position((1,)) < Position((1, 2)) <= Position((1, 2)) < Position((2,)) and Position((2,)) >= Position((1, 3)) > Position(())
+    assert Symbol("X", 0) != Variable("X") and Position((1,)) != (1,)
+    with pytest.raises(TypeError):
+        Position((1,)) < (2,)
+    assert BuiltinOp("+", 2, plus.func) == plus
+    for value in (Position((1, 2)), Symbol("f", 2), Variable("X"), OpDecl(Symbol("f", 2)), plus):
+        assert copy.copy(value) == copy.deepcopy(value) == value
+        assert value is plus or pickle.loads(pickle.dumps(value)) == value
+    # a copy of a trace is a trace whose fields can be set past the refusal
+    copied = copy.copy(trace)
+    assert copied == trace and copied is not trace and copied.steps is trace.steps
+    object.__setattr__(copied, "steps", ())
+    assert copied.steps == () and copied != trace and len(trace.steps) > 0
+    ts = trace_slice(trace, [Position()])
+    report = SliceReport(ts, theory_name="pc", seed=3)
+    assert report == SliceReport(ts, "pc", 3) != SliceReport(ts, "pc") and SliceReport(ts).seed == 0
+    assert repr(report) == f"SliceReport(slice={ts!r}, theory_name='pc', seed=3)"
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(report)
+    report.seed = 4
+    del report.theory_name
+    assert report.seed == 4 and "theory_name" not in vars(report)
 
 
 def test_pretty_is_canonical(sig):
