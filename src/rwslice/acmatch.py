@@ -21,6 +21,8 @@ from .terms import (
     Symbol,
     Term,
     Variable,
+    match,
+    preorder,
     pretty,
     replace_at,
     subterm_at,
@@ -230,7 +232,7 @@ def regroupings(node: Term, target: Term, sig: Signature) -> Iterator[tuple[Posi
             todo += [(pos.child(i), node.args[i - 1], tgt.args[i - 1]) for i in range(len(tgt.args), 0, -1)]
 
 
-def match_modulo_ac(pattern: Term, subject: Term, sig: Signature) -> list[tuple[Substitution, Term]]:
+def match_modulo_ac(pattern: Term, subject: Term, sig: Signature, memo: dict | None = None) -> list[tuple[Substitution, Term]]:
     """All matchers of pattern against an AC-canonical subject.
 
     Each matcher is paired with the instantiated pattern, i.e. the nesting
@@ -238,14 +240,24 @@ def match_modulo_ac(pattern: Term, subject: Term, sig: Signature) -> list[tuple[
     order is deterministic: argument choices are explored by increasing
     index and increasing subset size, and duplicate substitutions arising
     from equal arguments are removed.
+
+    With a run's `memo`, subject is a group of an AC node's own argument
+    objects, one for each spine subpattern of pattern, each subpattern
+    neither a variable nor holding an AC symbol (`ac_groups`). Its matchers
+    are then the join of the standalone matches the memo keeps (`_joined`),
+    in the same order, each with pattern's spine built over the group's
+    argument objects when every subpattern hangs off the root.
     """
+    found = ((raw, None) for raw in _match_gen(pattern, subject, {}, sig)) if memo is None else _joined(pattern, subject, memo)
     results: list[tuple[Substitution, Term]] = []
     seen: set[Substitution] = set()
-    for raw in _match_gen(pattern, subject, {}, sig):
+    for raw, shape in found:
         sub = Substitution(raw)
-        if sub not in seen:
+        if memo is None or len(found) > 1:  # one joined matcher has no duplicate
+            if sub in seen:
+                continue
             seen.add(sub)
-            results.append((sub, sub.apply(pattern)))
+        results.append((sub, sub.apply(pattern) if shape is None else shape))
     return results
 
 
@@ -278,41 +290,117 @@ def _seq_match(ps, ss, binding, sig):
         yield from _seq_match(ps[1:], ss[1:], b, sig)
 
 
-def spine_roots(pattern: Term) -> tuple[int, Counter, bool, bool]:
+def spine_roots(pattern: Term) -> tuple[int, Counter, bool, bool, tuple, frozenset]:
     """The number of spine subpatterns of a pattern (`spine_leaves`), the
     multiset of their non-variable root symbols, whether one is a variable,
-    and whether one is a variable that occurs nowhere else in the pattern."""
+    whether one is a variable that occurs nowhere else in the pattern, per
+    root of that multiset in its order the subpatterns with that root, and
+    the symbols the subpatterns hold."""
     spine = [leaf for _, leaf in spine_leaves(pattern)]
     roots = Counter(p.root for p in spine if not isinstance(p.root, Variable))
     named = Counter(p.root for p in spine if isinstance(p.root, Variable))
     nested = {v for p in spine for v in vars_of(p) if p.args}
-    return len(spine), roots, bool(named), any(k == 1 and v not in nested for v, k in named.items())
+    by_root = tuple(tuple(p for p in spine if p.root == r) for r in roots)
+    symbols = frozenset(node.root for p in spine for _, node in preorder(p) if isinstance(node.root, Symbol))
+    return len(spine), roots, bool(named), any(k == 1 and v not in nested for v, k in named.items()), by_root, symbols
 
 
-def ac_groups(spine: tuple[int, Counter, bool, bool], args: tuple[Term, ...]):
+def ac_groups(spine: tuple, args: tuple[Term, ...], memo: dict | None = None):
     """The argument index groups of a flattened AC node that a pattern with
     these `spine_roots` may match, largest first, in `combinations` order
     within a size; the whole node is the group of all indices. A spine
     subpattern that is not a variable takes one argument with its own root
     (`_ac_args_match`), so the node's roots must cover the spine's, and
-    without a spine variable a group has exactly the spine's roots."""
-    m, need, vary, _ = spine
-    roots = [a.root for a in args]
-    have = Counter(roots)
-    if any(have[r] < c for r, c in need.items()):
-        return
+    without a spine variable a group has exactly the spine's roots. With a
+    run's `memo` (a spine of subpatterns that are not variables and hold no
+    AC symbol), an argument that no subpattern with its root matches on its
+    own (`_slot`) is in no group: no group holding it has a matcher, and
+    `combinations` over a subsequence of the indices yields a subsequence of
+    its order over all of them."""
+    m, need, vary, _, by_root, _ = spine
     n = len(args)
-    if vary:
-        for size in range(n, m - 1, -1):
-            yield from combinations(range(n), size)
-        return
-    # each argument with a spine root, as the index of that root in `keys`
-    keys = list(need)
-    slots = {i: keys.index(r) for i, r in enumerate(roots) if r in need}
-    want = sorted(keys.index(r) for r in need.elements())
+    if memo is None:
+        roots = [a.root for a in args]
+        have = Counter(roots)
+        if any(have[r] < c for r, c in need.items()):
+            return
+        if vary:
+            for size in range(n, m - 1, -1):
+                yield from combinations(range(n), size)
+            return
+        # each argument with a spine root, as the index of that root in `need`
+        keys = list(need)
+        slots = {i: keys.index(r) for i, r in enumerate(roots) if r in need}
+    else:
+        slots = {}
+        for i, a in enumerate(args):
+            entry = memo.get((id(by_root), id(a)))
+            k = _slot(by_root, a, memo) if entry is None else entry[2]
+            if k is not None:
+                slots[i] = k
+        have = Counter(slots.values())
+        if any(have[k] < len(pats) for k, pats in enumerate(by_root)):
+            return
+    want = [k for k, pats in enumerate(by_root) for _ in pats]
     for idxs in combinations(slots, m):
         if sorted(slots[i] for i in idxs) == want:
             yield idxs
+
+
+def _alone(p: Term, arg: Term, memo: dict) -> Substitution | None:
+    """The syntactic matcher of spine subpattern p, neither a variable nor
+    holding an AC symbol, against the argument arg on its own (`match`: p's
+    one matcher modulo AC, as `_candidates_at` reads an AC-free left-hand
+    side), or None. Kept in the run's memo under the ids of the two objects,
+    with both, so neither id is reused while the memo lives."""
+    entry = memo.get((id(p), id(arg)))
+    if entry is None:
+        entry = memo[id(p), id(arg)] = p, arg, match(p, arg)
+    return entry[2]
+
+
+def _slot(by_root: tuple, arg: Term, memo: dict) -> int | None:
+    """The index in by_root (`spine_roots`) of the subpatterns with arg's
+    root, when one of them matches arg on its own (`_alone`), else None;
+    kept in the memo as `_alone` keeps its matchers."""
+    k = next((k for k, pats in enumerate(by_root) if pats[0].root == arg.root), None)
+    if k is not None and all(_alone(p, arg, memo) is None for p in by_root[k]):
+        k = None
+    memo[id(by_root), id(arg)] = by_root, arg, k
+    return k
+
+
+def _joined(pattern: Term, group: Term, memo: dict) -> list[tuple[dict, Term | None]]:
+    """What `_ac_args_match` yields for pattern's spine subpatterns, neither
+    variables nor holding an AC symbol, against the group's arguments, one
+    argument each, in its order: subpattern by subpattern, arguments by
+    increasing index, each binding consistent on the variables the earlier
+    subpatterns bound. It joins the standalone matchers (`_alone`) by a
+    depth-first search on an explicit stack. Each binding comes with
+    pattern's spine over the arguments it took, when every subpattern is an
+    argument of pattern, else None."""
+    pats = [leaf for _, leaf in spine_leaves(pattern)]
+    args, flat = group.args, len(pats) == len(pattern.args)
+    if len(pats) != len(args):
+        return []
+    table = [[_alone(p, a, memo) for a in args] for p in pats]
+    out, todo = [], [((), {})]  # the partial joins, each the indices it took and its binding
+    while todo:
+        taken, binding = todo.pop()
+        if len(taken) == len(pats):
+            out.append((binding, Term(pattern.root, tuple(args[i] for i in taken)) if flat else None))
+            continue
+        for i in reversed(range(len(args))):  # so the lowest index is popped first
+            alone = table[len(taken)][i]
+            if alone is not None and i not in taken:
+                joined = dict(binding)
+                for v, t in alone.items():
+                    bound = joined.setdefault(v, t)
+                    if bound is not t and bound != t:
+                        break
+                else:
+                    todo.append(((*taken, i), joined))
+    return out
 
 
 def _ac_args_match(pats: list[Term], args: list[Term], op: Symbol, binding: dict, sig: Signature):

@@ -71,7 +71,7 @@ def main(argv=None) -> int:
         init = parse_term(args.init, th.signature)
         budget = _budget(args)
         if args.trace is not None:
-            trace = parse_trace(_read(args.trace), th)
+            trace = parse_trace(_read(args.trace), th, max_steps=budget)
             if trace.initial != init:
                 raise CliError(f"--init {pretty(init)} does not match the trace's initial term {pretty(trace.initial)}")
         elif args.steps is not None:

@@ -113,7 +113,7 @@ class Rule(_Record):
         return _occurrences(self.rhs)
 
     @cached_property
-    def lhs_spine(self) -> tuple[int, Counter, bool, bool]:
+    def lhs_spine(self) -> tuple[int, Counter, bool, bool, tuple, frozenset]:
         """`acmatch.spine_roots` of the left-hand side, computed once per
         rule; the engine reads it at AC nodes (`ac_groups`, `_candidates_at`)."""
         return spine_roots(self.lhs)
@@ -284,7 +284,11 @@ class _Steps(list):
     arities admits the kinds of each, which the tests tell apart; a name
     not in it admits none, and its nodes are not tested. `searched` is the
     one memo of the walk (`first`), read by the scan and by the replay's
-    canonical check (`add`, `replay_step`). `simplify` and `rewrite` are
+    canonical check (`add`, `replay_step`). `joins` is the rule tests'
+    memo of the standalone match of each spine subpattern against each
+    argument of an AC node, and of the subpatterns each argument can take
+    the place of (`acmatch.ac_groups`), so a step matches only the
+    arguments it built. `simplify` and `rewrite` are
     the masks of the kinds some root admits. A check or a load that makes
     no step keeps one with `limit` 0 for its memo alone."""
 
@@ -292,11 +296,12 @@ class _Steps(list):
         super().__init__()
         self.th, self.limit = th, limit
         sig = th.signature
+        self.joins = joins = {}  # bound below without `self`, so the run frees it without the collector
         self.tests = {
             "flat": lambda node: needs_flat(node, sig) or None,
             "builtin": lambda node: _builtin_value(node, sig),
-            "equation": lambda node: next(_candidates_at(node, th.equations, sig), None),
-            "rule": lambda node: next(_candidates_at(node, th.rules, sig), None),
+            "equation": lambda node: next(_candidates_at(node, th.equations, sig, joins), None),
+            "rule": lambda node: next(_candidates_at(node, th.rules, sig, joins), None),
         }
         roots: dict[str, int] = {}
         admitted = 0
@@ -412,7 +417,7 @@ class _Steps(list):
         return step
 
 
-def _candidates_at(node: Term, rules: list[Rule], sig: Signature):
+def _candidates_at(node: Term, rules: list[Rule], sig: Signature, joins: dict):
     """Deterministic candidate enumeration at one node: rules in declaration
     order; per rule, matches over the whole node first, then over proper
     sub-multisets of a flattened AC node (the remaining arguments stay put,
@@ -426,9 +431,13 @@ def _candidates_at(node: Term, rules: list[Rule], sig: Signature):
     spine subpattern that is not a variable takes exactly one argument,
     with its own root, so the node's roots must cover the spine's, and
     without a spine variable a group has exactly the spine's roots: every
-    other group has no matcher. `combinations` over a subset of the
-    indices yields a subsequence of its order over all of them, so the
-    candidate sequence is the one over all groups of all sizes. No group
+    other group has no matcher. When no spine subpattern is a variable or
+    holds an AC symbol, the run's memo `joins` drops each argument that
+    matches none of them on its own, and a group smaller than the node is
+    matched by joining those standalone matches. `combinations` over a
+    subset of the indices yields a subsequence of its order over all of
+    them, so the candidate sequence is the one over all groups of all
+    sizes. No group
     has a matcher when the whole node has none and a spine variable occurs
     once in the left-hand side: it could take the other arguments too. Each
     candidate is (rule, matcher, regrouped subtree, rewrite position
@@ -443,15 +452,17 @@ def _candidates_at(node: Term, rules: list[Rule], sig: Signature):
             if sub is not None:
                 yield rule, sub, node, ROOT
             continue
-        for idxs in ac_groups(rule.lhs_spine, node.args) if sig.is_ac(root) else (range(n),):
+        spine = rule.lhs_spine
+        memo = joins if not spine[2] and spine[5].isdisjoint(sig.ac_symbols) else None
+        for idxs in ac_groups(spine, node.args, memo) if sig.is_ac(root) else (range(n),):
             if len(idxs) == n:
                 whole = match_modulo_ac(rule.lhs, node, sig)
                 yield from ((rule, sub, shape, ROOT) for sub, shape in whole)
-                if not whole and rule.lhs_spine[3]:
+                if not whole and spine[3]:
                     break
                 continue
             group = Term(node.root, tuple(node.args[i] for i in idxs))
-            for sub, shape in match_modulo_ac(rule.lhs, group, sig):
+            for sub, shape in match_modulo_ac(rule.lhs, group, sig, memo):
                 rest = tuple(node.args[i] for i in range(n) if i not in idxs)
                 target = Term(node.root, (shape,) + rest)
                 yield (rule, sub, target, Position((1,)))

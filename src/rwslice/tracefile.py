@@ -80,17 +80,22 @@ def _parse_bindings(text: str, parser: _TermParser) -> Substitution:
     return Substitution(bindings)
 
 
-def parse_trace(text: str, theory: RewriteTheory) -> InstrumentedTrace:
+def parse_trace(text: str, theory: RewriteTheory, max_steps: int | None = None) -> InstrumentedTrace:
+    """The trace the text holds, its steps made within `max_steps` when
+    given (StepBudgetExceeded past it), as a run's are."""
     # (physical line number, text) of the non-blank lines
     lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
-    if not lines or lines[0][1].strip() != _HEADER:
+    if not lines or lines[0][1].split() != _HEADER.split():
         raise MalformedStep(f"expected header {_HEADER!r}")
-    if len(lines) < 3 or not lines[1][1].startswith("theory ") or not lines[2][1].startswith("init "):
+    # the keyword of each line, and the init term's text from its field's start
+    heads = [ln.split(None, 1) for _, ln in lines[1:3]]
+    if [h[0] for h in heads] != ["theory", "init"] or min(map(len, heads)) < 2:
         raise MalformedStep("expected theory and init lines")
     # one parser for the whole file, so that all its terms share subterms
     parser = _TermParser(theory.signature, set(), allow_bullet=False)
     lineno, line = lines[2]
-    canon = line[len("init ") :]
+    canon = heads[1][1]
+    limit = len(lines) - 3 if max_steps is None else min(len(lines) - 3, max_steps)
     try:
         initial = prev = parser.term(canon)
         lengths: dict[int, int] = {}  # `printed_length` of the nodes read so far
@@ -99,7 +104,7 @@ def parse_trace(text: str, theory: RewriteTheory) -> InstrumentedTrace:
         canon = canon if len(canon) == printed_length(prev, lengths) else pretty(prev)
         size = len(canon)  # of the trace's print so far (`printed_size`)
         positions: dict[str, Position] = {}
-        steps = _Steps(theory, len(lines) - 3)  # one per file: its memo holds the nodes known canonical
+        steps = _Steps(theory, limit)  # one per file: its memo holds the nodes known canonical
         for lineno, line in lines[3:]:
             fields = line.split()
             if len(fields) != 7 or fields[0] != "step":
@@ -155,11 +160,13 @@ def parse_trace(text: str, theory: RewriteTheory) -> InstrumentedTrace:
 
 
 def _located(exc: TheorySyntaxError, lineno: int, line: str) -> MalformedStep:
-    """exc at its line and column in the file. The loader reads the init term, or a step's
-    binding values, before and after fields left to right: exc's is the first with its text."""
-    start = len("init ")
-    if not line.startswith("init "):
-        bind, *sides = list(re.finditer(r"\S+", line))[4:]
+    """exc at its line and column in the file. The loader reads the init term, from its
+    field's start, or a step's binding values, before and after fields left to right:
+    exc's is the first with its text."""
+    fields = list(re.finditer(r"\S+", line))
+    start = fields[1].start()
+    if fields[0][0] != "init":
+        bind, *sides = fields[4:]
         values = re.finditer(r"(?:^|;)[^=;]*=([^;]*)", bind[0])  # as `_parse_bindings` reads them
         texts = [(bind.start() + m.start(1), m[1]) for m in values] + [(m.start(), m[0]) for m in sides]
         start = next(at for at, text in texts if text == exc.text)

@@ -355,8 +355,8 @@ def test_a_run_refuses_a_candidate_matcher_other_than_the_replays(monkeypatch, b
     sig = basic_theory.signature
     real = engine._candidates_at
 
-    def off(node, rules, sig):
-        for rule, sub, target, rel in real(node, rules, sig):
+    def off(node, rules, sig, joins):
+        for rule, sub, target, rel in real(node, rules, sig, joins):
             yield rule, Substitution({Variable("x"): T("b", sig)}), target, rel
 
     init = T("g(f(a))", sig)
@@ -511,16 +511,25 @@ def test_candidates_at_equals_all_sizes_reference():
         # a spine variable that occurs again below the spine
         Rule("nestedvar", T("f(e(x,y),y)", sig, xy), T("a", sig)),
         Rule("boundvar2", T("f(x,g(x))", sig, xy), T("a", sig)),
+        # spines the engine matches by joining each argument's standalone match
+        Rule("oneroot", T("f(g(a),g(x))", sig, xy), T("a", sig)),
+        Rule("shared", T("f(e(x,y),g(x))", sig, xy), T("a", sig)),
+        Rule("shared3", T("f(g(y),f(e(x,y),g(x)))", sig, xy), T("a", sig)),
+        Rule("constant", T("f(b,e(x,x))", sig, xy), T("a", sig)),
     ]
     leaves = [T(text, sig) for text in ("a", "b", "c", "g(a)", "g(b)", "g(g(a))", "k(a)", "k(g(b))", "e(a,a)", "e(b,g(a))")]
     rng = random.Random(7)
     matched = 0
-    for _ in range(120):
-        args = tuple(rng.choice(leaves) for _ in range(rng.randint(3, 7)))
-        node = flatten_term(Term(sig.lookup("f", 2).symbol, args), sig)
-        rules = rng.sample(pool, k=rng.randint(1, 4))
+    joins = {}  # one memo for every node, as in a run
+    # equal arguments that are distinct objects, each matched alone
+    fixed = [(T("f(g(a),g(a),g(b),e(a,a),e(a,a))", sig), pool[-4:] + pool[1:2])]
+    for node, rules in fixed + [(None, None)] * 120:
+        if node is None:
+            args = tuple(rng.choice(leaves) for _ in range(rng.randint(3, 7)))
+            node = flatten_term(Term(sig.lookup("f", 2).symbol, args), sig)
+            rules = rng.sample(pool, k=rng.randint(1, 4))
         expected = all_sizes_candidates(node, rules, sig)
-        assert list(engine._candidates_at(node, rules, sig)) == expected, (node, rules)
+        assert list(engine._candidates_at(node, rules, sig, joins)) == expected, (node, rules)
         matched += bool(expected)
     assert matched > 50
 
@@ -600,9 +609,9 @@ def test_match_calls_only_on_groups_with_the_spine_roots(monkeypatch):
 
 
 def test_candidates_only_at_nodes_with_the_rule_root(monkeypatch):
-    def same_root(pattern, subject, sig):
+    def same_root(pattern, subject, sig, memo=None):
         assert pattern.root == subject.root, (pattern, subject)
-        return match_modulo_ac(pattern, subject, sig)
+        return match_modulo_ac(pattern, subject, sig, memo)
 
     monkeypatch.setattr(engine, "match_modulo_ac", same_root)
     th = parse_theory(bundled_example_path("client_server.rwt").read_text())
@@ -710,13 +719,79 @@ def test_ac_free_rules_match_syntactically(generated_traces):
 
 def test_matching_work_on_client_server_is_unchanged(monkeypatch):
     """Every rule of client_server.rwt has the AC root net, so the scan
-    matches modulo AC as many times as it did before AC-free rules were
-    matched syntactically."""
+    matches modulo AC, and syntactic matching of AC-free rules changes
+    nothing here. The count was 16 until `ac_groups` dropped each argument
+    that no spine subpattern matches on its own: each of the 6 rule steps
+    now matches one group, the one its rule applies to."""
     th = parse_theory(bundled_example_path("client_server.rwt").read_text())
     calls = _count_match_calls(monkeypatch, 16)
     trace = run(T("net(srv(0),cli(1,3,none),cli(2,4,none))", th.signature), th, 6)
     assert sum(1 for s in trace.steps if s.kind == "rule") == 6
-    assert calls[0] == 16
+    assert calls[0] == 6
+
+
+BANK = (
+    "op net : 2 [assoc comm] .\nop acc : 2 .\nop tr : 3 .\nop cr : 2 .\n"
+    "op + : 2 [builtin] .\nop - : 2 [builtin] .\n"
+    "rl [debit] : net(acc(I,B),tr(I,J,A)) => net(acc(I,-(B,A)),cr(J,A)) .\n"
+    "rl [credit] : net(acc(J,B),cr(J,A)) => acc(J,+(B,A)) .\n"
+)
+
+
+def test_run_memo_gives_the_candidates_of_a_fresh_one(monkeypatch):
+    """Each rule and equation test of a run reads the run's memo of
+    standalone argument matches (`_Steps.joins`), filled over earlier
+    steps; its candidates are those a fresh memo gives, so no kept binding
+    goes stale. On both bundled theories, a wider client_server soup and a
+    bank soup whose debit and credit groups often fail to join."""
+    real = engine._candidates_at
+    checked = Counter()
+
+    def compared(node, rules, sig, joins):
+        found = list(real(node, rules, sig, joins))
+        assert found == list(real(node, rules, sig, {})), node
+        checked["filled" if joins else "empty"] += 1
+        checked["candidates"] += len(found)
+        yield from found
+
+    monkeypatch.setattr(engine, "_candidates_at", compared)
+    clients = ",".join(f"cli({i},{i + 2},none)" for i in range(1, 7))
+    accounts = ",".join(f"acc({i},10)" for i in range(6))
+    transfers = ",".join(f"tr({i % 6},{(i * 5 + 1) % 6},{i})" for i in range(10))
+    cases = [(bundled_example_path(theory).read_text(), init, rule_steps) for theory, init, rule_steps in BUNDLED_RUNS]
+    cases += [(bundled_example_path("client_server.rwt").read_text(), f"net(srv(0),{clients})", 18)]
+    cases += [(BANK, f"net({accounts},{transfers})", 20)]
+    for text, init, rule_steps in cases:
+        th = parse_theory(text)
+        trace = run(T(init, th.signature), th, rule_steps)
+        assert sum(1 for s in trace.steps if s.kind == "rule") == rule_steps
+    assert checked["filled"] > 50 and checked["candidates"] > 100
+
+
+@pytest.mark.parametrize("k, head_calls", [(2, 16), (8, 264), (16, 1_360)])
+def test_one_group_match_per_rule_step_on_client_server(monkeypatch, k, head_calls):
+    """With each argument matched alone once per run and groups joined from
+    those matches, the scan calls `match_modulo_ac` once per rule step on
+    client_server (it called it `head_calls` times before), and matches
+    each pair of a spine subpattern and an argument at most once a run."""
+    th = parse_theory(bundled_example_path("client_server.rwt").read_text())
+    leaves = {id(p) for r in th.rules for _, p in acmatch.spine_leaves(r.lhs)}
+    pairs, held = Counter(), []
+    real = acmatch.match
+
+    def counted(p, s):
+        if id(p) in leaves:
+            pairs[id(p), id(s)] += 1
+            held.append(s)  # so no id is reused while counting
+        return real(p, s)
+
+    monkeypatch.setattr(acmatch, "match", counted)
+    calls = _count_match_calls(monkeypatch, head_calls)
+    clients = ",".join(f"cli({i},{i + 2},none)" for i in range(1, k + 1))
+    trace = run(T(f"net(srv(0),{clients})", th.signature), th, 3 * k)
+    assert sum(1 for s in trace.steps if s.kind == "rule") == 3 * k
+    assert calls[0] == 3 * k
+    assert pairs and max(pairs.values()) == 1
 
 
 def test_a_run_frees_its_steps_without_the_collector(monkeypatch):

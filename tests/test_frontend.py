@@ -637,6 +637,42 @@ def test_cli_env_budget(theory_file, capsys, monkeypatch):
     assert "more than 0 elementary steps" in capsys.readouterr().err
 
 
+def test_cli_trace_is_loaded_within_the_step_budget(tmp_path, capsys, monkeypatch):
+    """A --trace request makes its steps within the elementary step budget,
+    as --steps does: a trace of n steps loads under a budget of n, by the
+    flag or the environment variable, and is refused under n - 1."""
+    path = str(bundled_example_path("producer_consumer.rwt"))
+    th = parse_theory(bundled_example_path("producer_consumer.rwt").read_text())
+    trace = run(parse_term("cfg(tok,prod(0),cons(0,0))", th.signature), th, 5)
+    n = len(trace.steps)
+    save_trace(trace, tmp_path / "pc.rwtrace")
+    args = ["--theory", path, "--init", "cfg(tok,prod(0),cons(0,0))", "--trace", str(tmp_path / "pc.rwtrace"), "--criterion", "1"]
+    assert n > 20
+    assert main(args + ["--max-steps", str(n)]) == 0
+    capsys.readouterr()
+    assert main(args + ["--max-steps", str(n - 1)]) == 1
+    assert capsys.readouterr().err == f"rwslice: more than {n - 1} elementary steps\n"
+    monkeypatch.setenv("RWSLICE_MAX_STEPS", str(n - 1))
+    assert main(args) == 1
+    assert capsys.readouterr().err == f"rwslice: more than {n - 1} elementary steps\n"
+    monkeypatch.setenv("RWSLICE_MAX_STEPS", str(n))
+    assert main(args) == 0
+
+
+def test_trace_load_reads_tab_separated_fields():
+    """Every line of a trace file, the header, theory and init lines too,
+    has whitespace-separated fields: a tab-separated copy of a rendered
+    trace loads equal to it, and an init term's error is located from its
+    field's start."""
+    th = parse_theory(bundled_example_path("producer_consumer.rwt").read_text())
+    text = render_trace(run(parse_term("cfg(tok,prod(0),cons(0,0))", th.signature), th, 6), "pc")
+    tabbed = text.replace(" ", "\t")
+    assert tabbed.count("\t") == text.count(" ") > 0
+    assert parse_trace(tabbed, th) == parse_trace(text, th)
+    with pytest.raises(MalformedStep, match=re.escape("line 3, column 12: unknown operator zz")):
+        parse_trace("rwtrace\t1\ntheory\tpc\ninit\t \tcfg(zz)\n", th)
+
+
 def test_cli_full_expansion_flag(capsys):
     path = str(bundled_example_path("producer_consumer.rwt"))
     base = [
