@@ -241,19 +241,23 @@ def match_modulo_ac(pattern: Term, subject: Term, sig: Signature, memo: dict | N
     index and increasing subset size, and duplicate substitutions arising
     from equal arguments are removed.
 
-    With a run's `memo`, subject is a group of an AC node's own argument
-    objects, one for each spine subpattern of pattern, each subpattern
-    neither a variable nor holding an AC symbol (`ac_groups`). Its matchers
-    are then the join of the standalone matches the memo keeps (`_joined`),
-    in the same order, each with pattern's spine built over the group's
-    argument objects when every subpattern hangs off the root.
+    `memo`, a run's own or a fresh one, keeps the standalone match of each
+    subpattern against each argument object (`_alone`). When pattern's
+    spine subpatterns are all its arguments, the instantiated pattern is
+    built over what they took (`_ac_args_match`), not by substitution.
     """
-    found = ((raw, None) for raw in _match_gen(pattern, subject, {}, sig)) if memo is None else _joined(pattern, subject, memo)
+    memo = {} if memo is None else memo
+    if sig.is_ac(pattern.root) and _same_op(subject.root, pattern.root):
+        pats = [leaf for _, leaf in spine_leaves(pattern)]
+        flat = len(pats) == len(pattern.args)
+        found = [(raw, Term(pattern.root, took) if flat else None) for raw, took in _ac_args_match(pats, list(subject.args), pattern.root, {}, sig, memo, ())]
+    else:
+        found = [(raw, None) for raw in _match_gen(pattern, subject, {}, sig, memo)]
     results: list[tuple[Substitution, Term]] = []
     seen: set[Substitution] = set()
     for raw, shape in found:
         sub = Substitution(raw)
-        if memo is None or len(found) > 1:  # one joined matcher has no duplicate
+        if len(found) > 1:  # one matcher has no duplicate
             if sub in seen:
                 continue
             seen.add(sub)
@@ -261,7 +265,7 @@ def match_modulo_ac(pattern: Term, subject: Term, sig: Signature, memo: dict | N
     return results
 
 
-def _match_gen(p: Term, s: Term, binding: dict, sig: Signature):
+def _match_gen(p: Term, s: Term, binding: dict, sig: Signature, memo: dict):
     if isinstance(p.root, Variable):
         bound = binding.get(p.root)
         if bound is None:
@@ -271,146 +275,112 @@ def _match_gen(p: Term, s: Term, binding: dict, sig: Signature):
         elif bound == s:
             yield binding
         return
-    if isinstance(s.root, Variable):
-        return
     if sig.is_ac(p.root) and _same_op(s.root, p.root):
         pats = [leaf for _, leaf in spine_leaves(p)]
-        yield from _ac_args_match(pats, list(s.args), p.root, binding, sig)
+        yield from (b for b, _ in _ac_args_match(pats, list(s.args), p.root, binding, sig, memo, ()))
         return
     if p.root != s.root or len(p.args) != len(s.args):
         return
-    yield from _seq_match(p.args, s.args, binding, sig)
+    yield from _seq_match(p.args, s.args, binding, sig, memo)
 
 
-def _seq_match(ps, ss, binding, sig):
+def _seq_match(ps, ss, binding, sig, memo):
     if not ps:
         yield binding
         return
-    for b in _match_gen(ps[0], ss[0], binding, sig):
-        yield from _seq_match(ps[1:], ss[1:], b, sig)
+    for b in _match_gen(ps[0], ss[0], binding, sig, memo):
+        yield from _seq_match(ps[1:], ss[1:], b, sig, memo)
 
 
-def spine_roots(pattern: Term) -> tuple[int, Counter, bool, bool, tuple, frozenset]:
-    """The number of spine subpatterns of a pattern (`spine_leaves`), the
-    multiset of their non-variable root symbols, whether one is a variable,
-    whether one is a variable that occurs nowhere else in the pattern, per
-    root of that multiset in its order the subpatterns with that root, and
-    the symbols the subpatterns hold."""
+def spine_roots(pattern: Term) -> tuple[int, bool, bool, tuple]:
+    """The number of spine subpatterns of a pattern (`spine_leaves`),
+    whether one is a variable, whether one is a variable that occurs
+    nowhere else in the pattern, and per non-variable root, in order of
+    first occurrence, the subpatterns with that root."""
     spine = [leaf for _, leaf in spine_leaves(pattern)]
-    roots = Counter(p.root for p in spine if not isinstance(p.root, Variable))
     named = Counter(p.root for p in spine if isinstance(p.root, Variable))
     nested = {v for p in spine for v in vars_of(p) if p.args}
+    roots = dict.fromkeys(p.root for p in spine if not isinstance(p.root, Variable))
     by_root = tuple(tuple(p for p in spine if p.root == r) for r in roots)
-    symbols = frozenset(node.root for p in spine for _, node in preorder(p) if isinstance(node.root, Symbol))
-    return len(spine), roots, bool(named), any(k == 1 and v not in nested for v, k in named.items()), by_root, symbols
+    return len(spine), bool(named), any(k == 1 and v not in nested for v, k in named.items()), by_root
 
 
-def ac_groups(spine: tuple, args: tuple[Term, ...], memo: dict | None = None):
+def ac_groups(spine: tuple, args: tuple[Term, ...], sig: Signature, memo: dict):
     """The argument index groups of a flattened AC node that a pattern with
     these `spine_roots` may match, largest first, in `combinations` order
     within a size; the whole node is the group of all indices. A spine
     subpattern that is not a variable takes one argument with its own root
-    (`_ac_args_match`), so the node's roots must cover the spine's, and
-    without a spine variable a group has exactly the spine's roots. With a
-    run's `memo` (a spine of subpatterns that are not variables and hold no
-    AC symbol), an argument that no subpattern with its root matches on its
-    own (`_slot`) is in no group: no group holding it has a matcher, and
-    `combinations` over a subsequence of the indices yields a subsequence of
-    its order over all of them."""
-    m, need, vary, _, by_root, _ = spine
+    that it may match (`_slot`, from the run's `memo`), so the node must
+    have one such argument per subpattern. With a spine variable that is
+    all the slots decide: the variable may take any argument. Without one,
+    a group has exactly one slotted argument per subpattern; any other
+    group holds an argument no subpattern can take, and `combinations`
+    over a subsequence of the indices yields a subsequence of its order
+    over all of them."""
+    m, vary, _, by_root = spine
     n = len(args)
-    if memo is None:
-        roots = [a.root for a in args]
-        have = Counter(roots)
-        if any(have[r] < c for r, c in need.items()):
-            return
-        if vary:
-            for size in range(n, m - 1, -1):
-                yield from combinations(range(n), size)
-            return
-        # each argument with a spine root, as the index of that root in `need`
-        keys = list(need)
-        slots = {i: keys.index(r) for i, r in enumerate(roots) if r in need}
-    else:
-        slots = {}
-        for i, a in enumerate(args):
-            entry = memo.get((id(by_root), id(a)))
-            k = _slot(by_root, a, memo) if entry is None else entry[2]
-            if k is not None:
-                slots[i] = k
-        have = Counter(slots.values())
-        if any(have[k] < len(pats) for k, pats in enumerate(by_root)):
-            return
+    slots = {}
+    for i, a in enumerate(args):
+        entry = memo.get((id(by_root), id(a)))
+        k = _slot(by_root, a, sig, memo) if entry is None else entry[2]
+        if k is not None:
+            slots[i] = k
+    have = Counter(slots.values())
+    if any(have[k] < len(pats) for k, pats in enumerate(by_root)):
+        return
+    if vary:
+        for size in range(n, m - 1, -1):
+            yield from combinations(range(n), size)
+        return
     want = [k for k, pats in enumerate(by_root) for _ in pats]
     for idxs in combinations(slots, m):
         if sorted(slots[i] for i in idxs) == want:
             yield idxs
 
 
+def _holds_ac(p: Term, sig: Signature, memo: dict) -> bool:
+    """Whether pattern p holds an AC symbol, decided once per object: kept
+    in the memo under p's id, with p."""
+    entry = memo.get(id(p))
+    if entry is None:
+        entry = memo[id(p)] = p, any(sig.is_ac(node.root) for _, node in preorder(p))
+    return entry[1]
+
+
 def _alone(p: Term, arg: Term, memo: dict) -> Substitution | None:
-    """The syntactic matcher of spine subpattern p, neither a variable nor
-    holding an AC symbol, against the argument arg on its own (`match`: p's
-    one matcher modulo AC, as `_candidates_at` reads an AC-free left-hand
-    side), or None. Kept in the run's memo under the ids of the two objects,
-    with both, so neither id is reused while the memo lives."""
+    """The syntactic matcher (`match`) of subpattern p, neither a variable
+    nor holding an AC symbol, against the argument arg on its own, or None:
+    p's one matcher modulo AC. Kept in the memo under the ids of the two
+    objects, with both, so neither id is reused while the memo lives."""
     entry = memo.get((id(p), id(arg)))
     if entry is None:
         entry = memo[id(p), id(arg)] = p, arg, match(p, arg)
     return entry[2]
 
 
-def _slot(by_root: tuple, arg: Term, memo: dict) -> int | None:
+def _slot(by_root: tuple, arg: Term, sig: Signature, memo: dict) -> int | None:
     """The index in by_root (`spine_roots`) of the subpatterns with arg's
-    root, when one of them matches arg on its own (`_alone`), else None;
-    kept in the memo as `_alone` keeps its matchers."""
+    root, when one of them may match arg: it holds an AC symbol, or it
+    matches arg on its own (`_alone`); else None. Kept in the memo as
+    `_alone` keeps its matchers."""
     k = next((k for k, pats in enumerate(by_root) if pats[0].root == arg.root), None)
-    if k is not None and all(_alone(p, arg, memo) is None for p in by_root[k]):
+    if k is not None and not any(_holds_ac(p, sig, memo) or _alone(p, arg, memo) is not None for p in by_root[k]):
         k = None
     memo[id(by_root), id(arg)] = by_root, arg, k
     return k
 
 
-def _joined(pattern: Term, group: Term, memo: dict) -> list[tuple[dict, Term | None]]:
-    """What `_ac_args_match` yields for pattern's spine subpatterns, neither
-    variables nor holding an AC symbol, against the group's arguments, one
-    argument each, in its order: subpattern by subpattern, arguments by
-    increasing index, each binding consistent on the variables the earlier
-    subpatterns bound. It joins the standalone matchers (`_alone`) by a
-    depth-first search on an explicit stack. Each binding comes with
-    pattern's spine over the arguments it took, when every subpattern is an
-    argument of pattern, else None."""
-    pats = [leaf for _, leaf in spine_leaves(pattern)]
-    args, flat = group.args, len(pats) == len(pattern.args)
-    if len(pats) != len(args):
-        return []
-    table = [[_alone(p, a, memo) for a in args] for p in pats]
-    out, todo = [], [((), {})]  # the partial joins, each the indices it took and its binding
-    while todo:
-        taken, binding = todo.pop()
-        if len(taken) == len(pats):
-            out.append((binding, Term(pattern.root, tuple(args[i] for i in taken)) if flat else None))
-            continue
-        for i in reversed(range(len(args))):  # so the lowest index is popped first
-            alone = table[len(taken)][i]
-            if alone is not None and i not in taken:
-                joined = dict(binding)
-                for v, t in alone.items():
-                    bound = joined.setdefault(v, t)
-                    if bound is not t and bound != t:
-                        break
-                else:
-                    todo.append(((*taken, i), joined))
-    return out
-
-
-def _ac_args_match(pats: list[Term], args: list[Term], op: Symbol, binding: dict, sig: Signature):
+def _ac_args_match(pats: list[Term], args: list[Term], op: Symbol, binding: dict, sig: Signature, memo: dict, took: tuple):
     """Backtracking multiset match of spine subpatterns against a flattened
-    argument list. Variables absorb any nonempty subset (a single argument,
-    or the flattened node over several); other subpatterns take exactly one
-    argument each."""
+    argument list, yielding each binding with what the subpatterns took
+    (`took` holds the earlier ones'). Variables absorb any nonempty subset
+    (a single argument, or the flattened node over several); other
+    subpatterns take exactly one argument each: one holding an AC symbol by
+    `_match_gen` with the binding, any other by joining its standalone
+    match (`_alone`) to the binding."""
     if not pats:
         if not args:
-            yield binding
+            yield binding, took
         return
     head, rest = pats[0], pats[1:]
     if isinstance(head.root, Variable):
@@ -420,7 +390,7 @@ def _ac_args_match(pats: list[Term], args: list[Term], op: Symbol, binding: dict
             taken = _pair(need, args)
             if taken is not None:
                 remaining = [a for i, a in enumerate(args) if i not in taken]
-                yield from _ac_args_match(rest, remaining, op, binding, sig)
+                yield from _ac_args_match(rest, remaining, op, binding, sig, memo, took + (bound,))
             return
         # a variable leaves one argument per later subpattern; the last takes all
         max_take = len(args) - len(rest)
@@ -430,10 +400,21 @@ def _ac_args_match(pats: list[Term], args: list[Term], op: Symbol, binding: dict
                 extended = dict(binding)
                 extended[head.root] = value
                 remaining = [a for i, a in enumerate(args) if i not in idxs]
-                yield from _ac_args_match(rest, remaining, op, extended, sig)
+                yield from _ac_args_match(rest, remaining, op, extended, sig, memo, took + (value,))
+        return
+    if _holds_ac(head, sig, memo):
+        for i, arg in enumerate(args):
+            for b in _match_gen(head, arg, binding, sig, memo):
+                yield from _ac_args_match(rest, args[:i] + args[i + 1 :], op, b, sig, memo, took + (Substitution(b).apply(head),))
         return
     for i, arg in enumerate(args):
-        for b in _match_gen(head, arg, binding, sig):
-            remaining = args[:i] + args[i + 1 :]
-            yield from _ac_args_match(rest, remaining, op, b, sig)
-
+        alone = _alone(head, arg, memo)
+        if alone is None:
+            continue
+        joined = dict(binding)
+        for v, t in alone.items():
+            bound = joined.setdefault(v, t)
+            if bound is not t and bound != t:
+                break
+        else:
+            yield from _ac_args_match(rest, args[:i] + args[i + 1 :], op, joined, sig, memo, took + (arg,))

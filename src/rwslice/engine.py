@@ -9,7 +9,6 @@ Every elementary transformation becomes one trace step.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
@@ -113,7 +112,7 @@ class Rule(_Record):
         return _occurrences(self.rhs)
 
     @cached_property
-    def lhs_spine(self) -> tuple[int, Counter, bool, bool, tuple, frozenset]:
+    def lhs_spine(self) -> tuple[int, bool, bool, tuple]:
         """`acmatch.spine_roots` of the left-hand side, computed once per
         rule; the engine reads it at AC nodes (`ac_groups`, `_candidates_at`)."""
         return spine_roots(self.lhs)
@@ -284,13 +283,11 @@ class _Steps(list):
     arities admits the kinds of each, which the tests tell apart; a name
     not in it admits none, and its nodes are not tested. `searched` is the
     one memo of the walk (`first`), read by the scan and by the replay's
-    canonical check (`add`, `replay_step`). `joins` is the rule tests'
-    memo of the standalone match of each spine subpattern against each
-    argument of an AC node, and of the subpatterns each argument can take
-    the place of (`acmatch.ac_groups`), so a step matches only the
-    arguments it built. `simplify` and `rewrite` are
-    the masks of the kinds some root admits. A check or a load that makes
-    no step keeps one with `limit` 0 for its memo alone."""
+    canonical check (`add`, `replay_step`). `joins` is the equation and
+    rule tests' memo (`acmatch.match_modulo_ac`, `acmatch.ac_groups`), so
+    a step matches only the arguments it built. `simplify` and `rewrite`
+    are the masks of the kinds some root admits. A check or a load that
+    makes no step keeps one with `limit` 0 for its memo alone."""
 
     def __init__(self, th: RewriteTheory, limit: int):
         super().__init__()
@@ -426,22 +423,15 @@ def _candidates_at(node: Term, rules: list[Rule], sig: Signature, joins: dict):
     cannot match there, and a flattened AC node keeps its binary symbol as
     root. A left-hand side with no AC symbol is matched syntactically
     (`match`): its one matcher, if any, with the node itself as the
-    regrouped subtree. Other left-hand sides go to `match_modulo_ac`, and
-    at an AC node only the groups `ac_groups` gives are matched. A
-    spine subpattern that is not a variable takes exactly one argument,
-    with its own root, so the node's roots must cover the spine's, and
-    without a spine variable a group has exactly the spine's roots: every
-    other group has no matcher. When no spine subpattern is a variable or
-    holds an AC symbol, the run's memo `joins` drops each argument that
-    matches none of them on its own, and a group smaller than the node is
-    matched by joining those standalone matches. `combinations` over a
-    subset of the indices yields a subsequence of its order over all of
-    them, so the candidate sequence is the one over all groups of all
-    sizes. No group
-    has a matcher when the whole node has none and a spine variable occurs
-    once in the left-hand side: it could take the other arguments too. Each
-    candidate is (rule, matcher, regrouped subtree, rewrite position
-    relative to the node)."""
+    regrouped subtree. Other left-hand sides go to `match_modulo_ac` with
+    the run's memo `joins`, which matches each spine subpattern against
+    each argument object once a run and joins those matches. At an AC
+    node only the groups `ac_groups` gives are matched: every other group
+    has no matcher, so the candidates are those of all groups of all
+    sizes, in order. No group has a matcher when the whole node has none
+    and a spine variable occurs once in the left-hand side: it could take
+    the other arguments too. Each candidate is (rule, matcher, regrouped
+    subtree, rewrite position relative to the node)."""
     n = len(node.args)
     for rule in rules:
         root = rule.lhs.root
@@ -453,16 +443,15 @@ def _candidates_at(node: Term, rules: list[Rule], sig: Signature, joins: dict):
                 yield rule, sub, node, ROOT
             continue
         spine = rule.lhs_spine
-        memo = joins if not spine[2] and spine[5].isdisjoint(sig.ac_symbols) else None
-        for idxs in ac_groups(spine, node.args, memo) if sig.is_ac(root) else (range(n),):
+        for idxs in ac_groups(spine, node.args, sig, joins) if sig.is_ac(root) else (range(n),):
             if len(idxs) == n:
-                whole = match_modulo_ac(rule.lhs, node, sig)
+                whole = match_modulo_ac(rule.lhs, node, sig, joins)
                 yield from ((rule, sub, shape, ROOT) for sub, shape in whole)
-                if not whole and spine[3]:
+                if not whole and spine[2]:
                     break
                 continue
             group = Term(node.root, tuple(node.args[i] for i in idxs))
-            for sub, shape in match_modulo_ac(rule.lhs, group, sig, memo):
+            for sub, shape in match_modulo_ac(rule.lhs, group, sig, joins):
                 rest = tuple(node.args[i] for i in range(n) if i not in idxs)
                 target = Term(node.root, (shape,) + rest)
                 yield (rule, sub, target, Position((1,)))

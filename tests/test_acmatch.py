@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -194,6 +195,31 @@ def test_oracle_equivalence_small(sig):
         pat = _random_pattern(rng, sig)
         ours = {m for m, _ in match_modulo_ac(pat, subj, sig)}
         assert ours == oracle_ac_matchers(pat, subj, sig), (pretty(pat), pretty(subj))
+
+
+def test_spine_subpatterns_holding_an_ac_symbol_match_as_the_oracle(sig):
+    """A spine subpattern that holds an AC symbol is matched with the
+    binding (`_match_gen`), the others by joining their standalone
+    matches. The matchers are the oracle's, and each shape is the pattern
+    instantiated and flattens back to the subject, both with a fresh memo
+    and with one memo shared across subjects built from the same argument
+    objects, as in a run."""
+    xyz = {"x", "y", "z"}
+    patterns = [T(text, sig, xyz) for text in ("f(g(f(x,a)),y)", "f(g(f(x,y)),h(x,b))", "f(g(f(a,x)),g(f(x,y)),z)", "f(h(f(x,a),y),x,z)")]
+    pool = [flatten_term(T(text, sig), sig) for text in ("g(f(a,b))", "g(f(a,b,b))", "g(f(b,c))", "h(a,b)", "h(f(a,c),b)", "c")]
+    rng = random.Random(5)
+    groups = list(itertools.combinations(pool, 2)) + [rng.sample(pool, rng.randint(3, 4)) for _ in range(20)]
+    shared, variants, matched = {}, {}, Counter()
+    for group in groups:
+        subj = flatten_term(Term(sig.lookup("f", 2).symbol, tuple(group)), sig)
+        for pat in patterns:
+            expected = oracle_ac_matchers(pat, subj, sig, variants)
+            for memo in (None, shared):
+                found = match_modulo_ac(pat, subj, sig, memo)
+                assert {m for m, _ in found} == expected, (pretty(pat), pretty(subj))
+                assert all(shape == m.apply(pat) and flatten_term(shape, sig) == subj for m, shape in found)
+            matched[pat] += bool(expected)
+    assert min(matched[pat] for pat in patterns) > 0 and sum(matched.values()) > 30
 
 
 def _random_pattern(rng, sig):

@@ -523,6 +523,13 @@ def test_candidates_at_equals_all_sizes_reference():
     joins = {}  # one memo for every node, as in a run
     # equal arguments that are distinct objects, each matched alone
     fixed = [(T("f(g(a),g(a),g(b),e(a,a),e(a,a))", sig), pool[-4:] + pool[1:2])]
+    # spine subpatterns that hold an AC symbol, matched with the binding
+    acleaves = [
+        Rule("acleaf", T("f(k(f(x,a)),y)", sig, xy), T("a", sig)),
+        Rule("acleafjoin", T("f(k(f(x,y)),g(x))", sig, xy), T("a", sig)),
+        Rule("acleaves", T("f(k(f(a,x)),k(f(x,y)))", sig, xy), T("a", sig)),
+    ]
+    fixed += [(flatten_term(T("f(k(f(a,b)),g(a),k(f(a,b,c)),g(b),k(f(b,c)),c)", sig), sig), acleaves)]
     for node, rules in fixed + [(None, None)] * 120:
         if node is None:
             args = tuple(rng.choice(leaves) for _ in range(rng.randint(3, 7)))
@@ -768,6 +775,25 @@ def test_run_memo_gives_the_candidates_of_a_fresh_one(monkeypatch):
     assert checked["filled"] > 50 and checked["candidates"] > 100
 
 
+def _count_spine_matches(monkeypatch, th):
+    """Count each match of a spine subpattern of th's rules against an
+    argument, by `match` or by `_match_gen`, keyed by the two objects."""
+    leaves = {id(p) for r in th.rules for _, p in acmatch.spine_leaves(r.lhs)}
+    pairs, held = Counter(), []
+
+    def counting(real):
+        def counted(p, s, *rest):
+            if id(p) in leaves:
+                pairs[id(p), id(s)] += 1
+                held.append(s)  # so no id is reused while counting
+            return real(p, s, *rest)
+        return counted
+
+    monkeypatch.setattr(acmatch, "match", counting(acmatch.match))
+    monkeypatch.setattr(acmatch, "_match_gen", counting(acmatch._match_gen))
+    return pairs
+
+
 @pytest.mark.parametrize("k, head_calls", [(2, 16), (8, 264), (16, 1_360)])
 def test_one_group_match_per_rule_step_on_client_server(monkeypatch, k, head_calls):
     """With each argument matched alone once per run and groups joined from
@@ -775,22 +801,36 @@ def test_one_group_match_per_rule_step_on_client_server(monkeypatch, k, head_cal
     client_server (it called it `head_calls` times before), and matches
     each pair of a spine subpattern and an argument at most once a run."""
     th = parse_theory(bundled_example_path("client_server.rwt").read_text())
-    leaves = {id(p) for r in th.rules for _, p in acmatch.spine_leaves(r.lhs)}
-    pairs, held = Counter(), []
-    real = acmatch.match
-
-    def counted(p, s):
-        if id(p) in leaves:
-            pairs[id(p), id(s)] += 1
-            held.append(s)  # so no id is reused while counting
-        return real(p, s)
-
-    monkeypatch.setattr(acmatch, "match", counted)
+    pairs = _count_spine_matches(monkeypatch, th)
     calls = _count_match_calls(monkeypatch, head_calls)
     clients = ",".join(f"cli({i},{i + 2},none)" for i in range(1, k + 1))
     trace = run(T(f"net(srv(0),{clients})", th.signature), th, 3 * k)
     assert sum(1 for s in trace.steps if s.kind == "rule") == 3 * k
     assert calls[0] == 3 * k
+    assert pairs and max(pairs.values()) == 1
+
+
+SPINE_VAR = "op c : 2 [assoc comm] .\nop a : 1 .\nop b : 1 .\nop d : 0 .\nrl [r] : c(a(X),b(X),R) => c(d,R) .\n"
+
+
+@pytest.mark.parametrize(
+    "theory, init, rule_steps",
+    [
+        (SPINE_VAR, "c(" + ",".join(f"a({i})" for i in range(8)) + ",b(2),b(5),b(7))", 3),
+        (bundled_example_path("client_server.rwt").read_text(), "net(srv(0),cli(1,3,none))", 3),
+    ],
+    ids=["spine_variable", "whole_node"],
+)
+def test_each_spine_subpattern_matches_each_argument_once_a_run(monkeypatch, theory, init, rule_steps):
+    """Spines with a spine variable and the whole-node group read the run's
+    memo too: each spine subpattern is matched against each argument
+    object at most once a run, by `match` or by `_match_gen`. The spine
+    variable case made 221 matches for its 24 pairs when it matched every
+    group anew."""
+    th = parse_theory(theory)
+    pairs = _count_spine_matches(monkeypatch, th)
+    trace = run(T(init, th.signature), th, rule_steps)
+    assert sum(1 for s in trace.steps if s.kind == "rule") == rule_steps
     assert pairs and max(pairs.values()) == 1
 
 
