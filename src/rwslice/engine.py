@@ -10,7 +10,6 @@ Every elementary transformation becomes one trace step.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import builtin_ops
@@ -39,6 +38,7 @@ from .terms import (
     Term,
     Variable,
     _Record,
+    _setattr,
     is_ground,
     match,
     preorder,
@@ -196,25 +196,28 @@ class RewriteTheory:
         return self._by_name.get(name)
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(_Record):
     """One elementary step of a trace, from before to after at position."""
 
-    kind: str  # rule | equation | flat | unflat | builtin
-    rule_name: str | None
-    position: Position
-    matcher: Substitution
-    before: Term
-    after: Term
+    _fields = ("kind", "rule_name", "position", "matcher", "before", "after")
+
+    def __init__(self, kind: str, rule_name: str | None, position: Position, matcher: Substitution, before: Term, after: Term):
+        _setattr(self, "kind", kind)  # rule | equation | flat | unflat | builtin
+        _setattr(self, "rule_name", rule_name)
+        _setattr(self, "position", position)
+        _setattr(self, "matcher", matcher)
+        _setattr(self, "before", before)
+        _setattr(self, "after", after)
 
     @cached_property
     def moves(self) -> tuple | None:
         """The move map a flat or unflat step keeps, its `regrouping_map`:
-        one entry per moved argument, never a path per spine leaf. It is kept
-        where it is first known: by a flat step's replay (`one_level_flat`),
-        by `_Steps.add` for an unflat one (the run's `regroupings`, the
-        loader's `_read_spine`); another step computes it when first read. The
-        replay, the slicer and the labeling read it (`regrouping_paths`)."""
+        one entry per moved argument, never a path per spine leaf. `_Steps.add`
+        keeps the one its replay returns: a flat step's `one_level_flat` map,
+        an unflat one's as its producer knew it (the run's `regroupings`, the
+        loader's `_read_spine`) or else computed; a step built otherwise
+        computes it when first read. The slicer and the labeling read it
+        (`regrouping_paths`)."""
         q = self.position
         after = subterm_at(self.after, q) if self.kind == "unflat" else None
         return regrouping_map(self.kind, subterm_at(self.before, q), after)
@@ -399,17 +402,14 @@ class _Steps(list):
         """The one maker of the steps of a run and of a load: makes the step
         of `kind` named `name` at q from before by its replay (`replay_step`,
         whose canonical check reads and extends the flat bits of this memo),
-        with the replay's matcher and after term, appends it within `limit`
-        and returns it. Only an unflat step reads spine, the before term with
-        the spine at q, and moves, its move map when known."""
+        with the replay's matcher and after term, keeps the replay's move map
+        (`TraceStep.moves`), appends it within `limit` and returns it. Only an
+        unflat step reads spine and moves (`replay_step`)."""
         if len(self) >= self.limit:
             raise StepBudgetExceeded(f"more than {self.limit} elementary steps")
-        step = TraceStep(kind, name, q, EMPTY_SUBST, before, spine)
-        if moves is not None:
-            object.__setattr__(step, "moves", moves)  # kept: `TraceStep.moves`
-        sub, after = replay_step(step, self.th, steps=self)
-        object.__setattr__(step, "matcher", sub)
-        object.__setattr__(step, "after", after)
+        sub, after, moves = replay_step(kind, name, q, before, self.th, spine=spine, moves=moves, steps=self)
+        step = TraceStep(kind, name, q, sub, before, after)
+        _setattr(step, "moves", moves)  # its cached property, known here
         self.append(step)
         return step
 
@@ -559,94 +559,96 @@ def apply_step(step: TraceStep, th: RewriteTheory, t: Term) -> Term:
     takes apart. Raises MalformedStep when the step does not apply to t."""
     q = step.position
     try:
-        return replace_at(t, q, _rewrite(step, th, subterm_at(t, q))[1])
+        node = subterm_at(t, q)
+        if step.kind not in ("flat", "unflat"):
+            return replace_at(t, q, _contract(step.kind, step.rule_name, th, node)[1])
+        if step.kind == "unflat" and step.moves is None:
+            raise MalformedStep(f"no regrouping at {q}")
+        # positional, independent of the order node's arguments would sort into
+        before = subterm_at(step.before, q)
+        def at(src):  # the subterm of node at a source path, node shaped like before on the way
+            sub, ref = node, before
+            for i in src:
+                if sub is not ref and (sub.root != ref.root or len(sub.args) != len(ref.args)):
+                    raise MalformedStep(f"{pretty(node)} is not shaped like {pretty(before)}")
+                sub, ref = sub.args[i - 1], ref.args[i - 1]
+            return sub
+        if step.kind == "flat":  # one level: the moved arguments in order, from the map
+            return replace_at(t, q, Term(node.root, tuple(map(at, step.moves))))
+        after = subterm_at(step.after, q)
+        return replace_at(t, q, rebuild_spine(after, ((d, at(s)) for d, s in regrouping_paths("unflat", step.moves, before, after))))
     except PositionOutOfRange as exc:
         raise MalformedStep(str(exc)) from None
 
 
-def _rewrite(step: TraceStep, th: RewriteTheory, node: Term) -> tuple[Substitution, Term]:
-    """The matcher the step binds at `node` and the node that replaces it
-    (`apply_step`)."""
-    if step.kind in ("rule", "equation"):
-        rule = th.find_rule(step.rule_name or "")
-        if rule is None or rule.kind != step.kind:
-            raise MalformedStep(f"no {step.kind} named {step.rule_name}")
+def _contract(kind: str, name: str | None, th: RewriteTheory, node: Term) -> tuple[Substitution, Term]:
+    """The matcher a rule, equation or builtin step named `name` binds at
+    `node` and the node that replaces it."""
+    if kind in ("rule", "equation"):
+        rule = th.find_rule(name or "")
+        if rule is None or rule.kind != kind:
+            raise MalformedStep(f"no {kind} named {name}")
         sub = match(rule.lhs, node)
         if sub is None:
             raise MalformedStep(f"{rule.name} does not match {pretty(node)}")
         return sub, sub.apply(rule.rhs)
-    if step.kind == "builtin":
+    if kind == "builtin":
         found = _builtin_value(node, th.signature)
-        if found is None or found[0] != step.rule_name:
-            raise MalformedStep(f"not a ground call of builtin {step.rule_name} that evaluates: {pretty(node)}")
+        if found is None or found[0] != name:
+            raise MalformedStep(f"not a ground call of builtin {name} that evaluates: {pretty(node)}")
         return EMPTY_SUBST, found[1]
-    if step.kind not in ("flat", "unflat"):
-        raise MalformedStep(f"unknown step kind {step.kind}")
-    if step.kind == "unflat" and step.moves is None:
-        raise MalformedStep(f"no regrouping at {step.position}")
-    # positional, independent of the order node's arguments would sort into
-    before = subterm_at(step.before, step.position)
-    def at(src):  # the subterm of node at a source path, node shaped like before on the way
-        sub, ref = node, before
-        for i in src:
-            if sub is not ref and (sub.root != ref.root or len(sub.args) != len(ref.args)):
-                raise MalformedStep(f"{pretty(node)} is not shaped like {pretty(before)}")
-            sub, ref = sub.args[i - 1], ref.args[i - 1]
-        return sub
-    if step.kind == "flat":  # one level: the moved arguments in order, from the map
-        return EMPTY_SUBST, Term(node.root, tuple(map(at, step.moves)))
-    after = subterm_at(step.after, step.position)
-    return EMPTY_SUBST, rebuild_spine(after, ((d, at(s)) for d, s in regrouping_paths("unflat", step.moves, before, after)))
+    raise MalformedStep(f"unknown step kind {kind}")
 
 
-def replay_step(step: TraceStep, th: RewriteTheory, *, steps: _Steps | None = None) -> tuple[Substitution, Term]:
-    """The matcher and the after term the theory gives the step from its
-    before term: the kind's preconditions hold, then its rewrite at the
-    step's position. The matcher is the rule's left-hand side's there for a
-    rule or equation step and empty for the other kinds; the step's own is
-    not read: `take` compares the replay's with its candidate's
-    (`_Steps.add`), `parse_trace` with its record's, `check_step` with the
-    step's own. Only a builtin step has a name, its operator's. Of the after
-    term, only an unflat step's is read, for the spine it records.
-    A flat step's precondition is an AC node whose move map is not the
-    identity (`needs_flat`); it takes the node and map `one_level_flat`
-    makes, and keeps the map (`TraceStep.moves`). An unflat step's, that
-    its node is AC and canonical (a flat walk, `first(node, FLAT)`, of
-    `steps`, which reads and extends the flat bits of its memo) and its
-    spine has the node's root, differs from it, and has exactly the node's
-    arguments as leaves (`moves`, as its producer kept it, else computed):
-    its new node is that spine. Other kinds rewrite as `apply_step` does.
-    `_Steps.add` passes its own `_Steps` as `steps`, a check one for all its
-    steps, else the walk uses a fresh one. Raises MalformedStep when the
-    step does not replay."""
-    q, sig = step.position, th.signature
+def replay_step(kind: str, name: str | None, q: Position, before: Term, th: RewriteTheory, *, spine: Term | None = None,
+                moves: tuple | None = None, steps: _Steps | None = None) -> tuple[Substitution, Term, tuple | None]:
+    """The matcher, the after term and the move map the theory gives the step
+    of `kind` named `name` at q from before: the kind's preconditions hold,
+    then its rewrite at q. The matcher is the rule's left-hand side's there
+    for a rule or equation step, else empty: `take` compares it with its
+    candidate's (`_Steps.add`), `parse_trace` with its record's,
+    `check_step` with the step's own. Only a builtin step has a name, its
+    operator's; only a flat or unflat step has a move map. A flat step's
+    precondition is an AC node whose move map is not the identity
+    (`needs_flat`); it takes the node and map `one_level_flat` makes. An
+    unflat step's new node is spine's at q, and its map is moves, as its
+    producer knew it, else `regrouping_map`'s; its precondition is that its
+    node is AC and canonical (a flat walk, `first(node, FLAT)`, of `steps`,
+    which reads and extends the flat bits of its memo) and the new node has
+    its root, differs from it, and has a map: exactly its arguments as
+    leaves. Other kinds rewrite as `apply_step` does. `_Steps.add` passes
+    its own `_Steps` as `steps`, a check one for all its steps, else the
+    walk uses a fresh one. Raises MalformedStep when the step does not
+    replay."""
+    sig = th.signature
     try:
-        node = subterm_at(step.before, q)
-        if step.kind not in ("flat", "unflat"):
-            sub, new_node = _rewrite(step, th, node)
-            return sub, replace_at(step.before, q, new_node)
-        if step.kind == "flat":
+        node = subterm_at(before, q)
+        if kind not in ("flat", "unflat"):
+            sub, new_node = _contract(kind, name, th, node)
+            return sub, replace_at(before, q, new_node), None
+        if kind == "flat":
             new_node, moves = one_level_flat(node) if sig.is_ac(node.root) else (node, None)
             if moves is None or moves == tuple(zip(range(1, len(node.args) + 1))):
                 raise MalformedStep(f"nothing to flatten at {q}")
-            object.__setattr__(step, "moves", moves)  # kept: `TraceStep.moves`
         else:
-            new_node = subterm_at(step.after, q)
-            regroups = step.moves is not None and sig.is_ac(node.root) and new_node.root == node.root and new_node != node
+            new_node = subterm_at(spine, q)
+            moves = regrouping_map(kind, node, new_node) if moves is None else moves
+            regroups = moves is not None and sig.is_ac(node.root) and new_node.root == node.root and new_node != node
             if not regroups or (_Steps(th, 0) if steps is None else steps).first(node, FLAT):
                 raise MalformedStep(f"no regrouping at {q}")
-        if step.rule_name is not None:
-            raise MalformedStep(f"a {step.kind} step has no name")
-        return EMPTY_SUBST, replace_at(step.before, q, new_node)
+        if name is not None:
+            raise MalformedStep(f"a {kind} step has no name")
+        return EMPTY_SUBST, replace_at(before, q, new_node), moves
     except PositionOutOfRange as exc:
         raise MalformedStep(str(exc)) from None
 
 
 def check_step(step: TraceStep, th: RewriteTheory, *, steps: _Steps | None = None) -> bool:
-    """Replay check: the step replays (`replay_step`, with the memo of
-    `steps` when given), and its matcher and after term are the replay's."""
+    """Replay check: the step replays from its own fields, its after term
+    as the spine (`replay_step`, with the memo of `steps` when given), and
+    its matcher and after term are the replay's."""
     try:
-        sub, after = replay_step(step, th, steps=steps)
+        sub, after, _ = replay_step(step.kind, step.rule_name, step.position, step.before, th, spine=step.after, steps=steps)
         return sub == step.matcher and after == step.after
     except MalformedStep:
         return False

@@ -12,8 +12,6 @@ every symbol of the target term traces back to its true origins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .acmatch import regrouping_paths
 from .engine import MalformedStep, RewriteTheory, Rule, TraceStep
 from .terms import (
@@ -23,6 +21,7 @@ from .terms import (
     Substitution,
     Term,
     Variable,
+    _Record,
     positions,
     replace_at,
     subterm_at,
@@ -68,13 +67,13 @@ class Labeling(dict):
         return out
 
 
-@dataclass(frozen=True)
-class LabeledStep:
+class LabeledStep(_Record):
     """A trace step with the labelings of its two sides (`label_step`)."""
 
-    step: TraceStep
-    before_labeling: Labeling
-    after_labeling: Labeling
+    _fields = ("step", "before_labeling", "after_labeling")
+
+    def __init__(self, step: TraceStep, before_labeling: Labeling, after_labeling: Labeling):
+        super().__init__(step, before_labeling, after_labeling)
 
 
 def initial_labeling(t: Term, supply: LabelSupply) -> Labeling:

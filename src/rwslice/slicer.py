@@ -27,7 +27,6 @@ object is printed once (`TraceSlice.texts`).
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from functools import cached_property
 
 from .acmatch import regrouping_paths
@@ -40,6 +39,7 @@ from .terms import (
     RwsliceError,
     Substitution,
     Term,
+    _Record,
     is_bullet,
     match,
     preorder,
@@ -233,16 +233,14 @@ def concretizes(ts: Term, t: Term) -> bool:
     return match(ts, t) is not None
 
 
-@dataclass(frozen=True)
-class SlicedStep:
-    """A step of a trace slice whose sliced sides differ."""
+class SlicedStep(_Record):
+    """A step of a trace slice whose sliced sides differ; index is the
+    originating step's in the expanded trace."""
 
-    index: int  # index of the originating step in the expanded trace
-    kind: str
-    rule_name: str | None
-    position: Position
-    before_slice: Term
-    after_slice: Term
+    _fields = ("index", "kind", "rule_name", "position", "before_slice", "after_slice")
+
+    def __init__(self, index: int, kind: str, rule_name: str | None, position: Position, before_slice: Term, after_slice: Term):
+        super().__init__(index, kind, rule_name, position, before_slice, after_slice)
 
 
 class RelevantSets(Sequence):
@@ -260,8 +258,10 @@ class RelevantSets(Sequence):
     def __len__(self) -> int:
         return len(self._slices)
 
-    def __getitem__(self, j: int) -> frozenset[Position]:
+    def __getitem__(self, j: int | slice) -> frozenset[Position] | list[frozenset[Position]]:
         j = range(len(self._slices))[j]  # IndexError past either end
+        if isinstance(j, range):
+            return [self[i] for i in j]
         if j == len(self._steps):
             return self._criterion
         kept = _kept_positions(self._slices[j])
@@ -274,20 +274,19 @@ class RelevantSets(Sequence):
         return NotImplemented
 
 
-@dataclass
-class TraceSlice:
-    """The slice of a trace for a criterion (`trace_slice`), with its sizes."""
+class TraceSlice(_Record):
+    """The slice of a trace for a criterion (`trace_slice`), with its sizes;
+    mutable and unhashable. `steps` are the steps whose sliced sides differ,
+    a step's sides being slices[index] and slices[index + 1]."""
 
-    trace: InstrumentedTrace
-    criterion: frozenset[Position]
-    relevant: Sequence[frozenset[Position]]
-    slices: list[Term]
-    # steps whose sliced sides differ; a step's sides are slices[index]
-    # and slices[index + 1]
-    steps: list[SlicedStep]
-    original_size: int
-    sliced_size: int
-    reduction_percent: float
+    _fields = ("trace", "criterion", "relevant", "slices", "steps", "original_size", "sliced_size", "reduction_percent")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(
+        self, trace: InstrumentedTrace, criterion: frozenset[Position], relevant: Sequence[frozenset[Position]],
+        slices: list[Term], steps: list[SlicedStep], original_size: int, sliced_size: int, reduction_percent: float,
+    ):
+        super().__init__(trace, criterion, relevant, slices, steps, original_size, sliced_size, reduction_percent)
 
     @cached_property
     def texts(self) -> list[str]:

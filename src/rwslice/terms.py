@@ -7,7 +7,6 @@ positions are 1-based access paths and the empty path addresses the root.
 from __future__ import annotations
 
 import re
-from dataclasses import FrozenInstanceError
 from functools import total_ordering
 
 _setattr = object.__setattr__  # sets a field past `_Record.__setattr__`
@@ -22,9 +21,10 @@ class PositionOutOfRange(RwsliceError):
 
 
 class _Record:
-    """Base of the immutable values and records: each compares, hashes and
-    prints by the tuple of its `_fields`, as a frozen dataclass does, and
-    refuses assignment and deletion. `__init__` takes the fields in order."""
+    """Base of the values and records: each compares, hashes and prints by
+    the tuple of its `_fields` and refuses assignment and deletion, but for
+    the mutable, unhashable `SliceReport` and `TraceSlice`. `__init__` takes
+    the fields in order."""
 
     __slots__ = ()
 
@@ -33,10 +33,10 @@ class _Record:
             _setattr(self, name, value)
 
     def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)

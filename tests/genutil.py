@@ -32,6 +32,12 @@ from rwslice.terms import (
 V = lambda name: Term(Variable(name))
 
 
+def replaced(record, **changes):
+    """A new record of record's class (`terms._Record`), built by keyword
+    from its fields with `changes` applied; it keeps no cached property."""
+    return type(record)(**{**dict(zip(record._fields, record._values())), **changes})
+
+
 # ---------------------------------------------------------------- oracles
 
 

@@ -15,8 +15,8 @@ from rwslice.acmatch import (
     regrouping_map,
     spine_leaves,
 )
-from rwslice.engine import MalformedStep, RewriteTheory, TraceStep, _Steps, replay_step
-from rwslice.terms import EMPTY_SUBST, ROOT, Position, Signature, Substitution, Symbol, Term, Variable, pretty, replace_at, subterm_at, term_cmp
+from rwslice.engine import MalformedStep, RewriteTheory, _Steps, replay_step
+from rwslice.terms import ROOT, Position, Signature, Substitution, Symbol, Term, Variable, pretty, replace_at, subterm_at, term_cmp
 from rwslice.theoryfile import parse_term
 
 from genutil import ac_variants, flatten_reference, oracle_ac_matchers, random_soup, seeded_traces
@@ -314,7 +314,7 @@ def test_replay_unflat_agrees_with_flatten_term():
 
     def replays(flat, grouped, steps=None):
         try:
-            replay_step(TraceStep("unflat", None, ROOT, EMPTY_SUBST, flat, grouped), th, steps=steps)
+            replay_step("unflat", None, ROOT, flat, th, spine=grouped, steps=steps)
         except MalformedStep:
             return False
         return True
@@ -465,9 +465,9 @@ def test_spine_walks_survive_a_deep_comb(sig):
     assert rewalked == DEEP + 1
     assert regrouping_map("unflat", flat, comb) == tuple(range(DEEP + 1))
     th = RewriteTheory(sig)
-    replay_step(TraceStep("unflat", None, ROOT, EMPTY_SUBST, flat, comb), th)
+    replay_step("unflat", None, ROOT, flat, th, spine=comb)
     with pytest.raises(MalformedStep, match="no regrouping"):
-        replay_step(TraceStep("unflat", None, ROOT, EMPTY_SUBST, flat, wrapped), th)
+        replay_step("unflat", None, ROOT, flat, th, spine=wrapped)
 
 
 def test_ac_variants_oracle_is_sane(sig):

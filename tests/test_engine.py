@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import hashlib
 import random
@@ -43,9 +42,9 @@ from rwslice.terms import (
     subterm_at,
 )
 from rwslice.theoryfile import parse_term, parse_theory
-from rwslice.tracefile import render_trace
+from rwslice.tracefile import parse_trace, render_trace
 
-from genutil import BUNDLED_RUNS, WIDE_STATE, all_sizes_candidates, postorder_scan, random_soup, seeded_traces, wide_tree
+from genutil import BUNDLED_RUNS, WIDE_STATE, all_sizes_candidates, postorder_scan, random_soup, replaced, seeded_traces, wide_tree
 
 
 def T(text, sig, variables=None):
@@ -244,31 +243,31 @@ def test_check_step_rejects_single_field_tampering(generated_steps):
     swapped_kind = {"flat": "unflat", "unflat": "flat"}
     for th, s in generated_steps:
         tampered = [
-            dataclasses.replace(s, after=replace_at(s.after, positions(s.after)[-1], BULLET_TERM)),
-            *(dataclasses.replace(s, position=p) for p in positions(s.before) if p != s.position),
+            replaced(s, after=replace_at(s.after, positions(s.after)[-1], BULLET_TERM)),
+            *(replaced(s, position=p) for p in positions(s.before) if p != s.position),
         ]
         if s.kind in ("rule", "equation"):
             others = [r.name for r in th.equations + th.rules if r.name != s.rule_name]
-            tampered += [dataclasses.replace(s, rule_name=n) for n in others + ["unknown"]]
+            tampered += [replaced(s, rule_name=n) for n in others + ["unknown"]]
         if s.kind in swapped_kind:
-            tampered.append(dataclasses.replace(s, kind=swapped_kind[s.kind]))
+            tampered.append(replaced(s, kind=swapped_kind[s.kind]))
         for v, _ in s.matcher.items():
             rebound = Substitution({**dict(s.matcher.items()), v: BULLET_TERM})
-            tampered.append(dataclasses.replace(s, matcher=rebound))
+            tampered.append(replaced(s, matcher=rebound))
         if s.kind in ("rule", "equation"):
             # a binding of a variable the left-hand side does not have
             extra = Substitution({**dict(s.matcher.items()), Variable("Zextra"): subterm_at(s.before, s.position)})
-            tampered.append(dataclasses.replace(s, matcher=extra))
+            tampered.append(replaced(s, matcher=extra))
         if s.kind == "flat":
             # the flattened node with its last argument dropped, or another root
             node = subterm_at(s.after, s.position)
             if len(node.args) > 2:
-                tampered.append(dataclasses.replace(s, after=replace_at(s.after, s.position, Term(node.root, node.args[:-1]))))
-            tampered.append(dataclasses.replace(s, after=replace_at(s.after, s.position, Term(Symbol("zz", 2), node.args))))
+                tampered.append(replaced(s, after=replace_at(s.after, s.position, Term(node.root, node.args[:-1]))))
+            tampered.append(replaced(s, after=replace_at(s.after, s.position, Term(Symbol("zz", 2), node.args))))
         if s.kind in ("flat", "unflat", "builtin"):
             # only a builtin step has a name, its own operator's, and none binds
-            tampered += [dataclasses.replace(s, rule_name=n) for n in ("serve", "+", "-") if n != s.rule_name]
-            tampered.append(dataclasses.replace(s, matcher=Substitution({Variable("X"): s.before})))
+            tampered += [replaced(s, rule_name=n) for n in ("serve", "+", "-") if n != s.rule_name]
+            tampered.append(replaced(s, matcher=Substitution({Variable("X"): s.before})))
         for bad in tampered:
             assert not check_step(bad, th), bad
 
@@ -322,7 +321,7 @@ def test_constructor_accepts_copies_of_engine_steps():
     cases.append((cs, run(T(f"net(srv(0),{clients})", cs.signature), cs, 24)))
     assert {s.kind for _, trace in cases for s in trace.steps} == {"rule", "equation", "builtin", "flat", "unflat"}
     for th, trace in cases:
-        copies = [dataclasses.replace(s) for s in trace.steps]
+        copies = [replaced(s) for s in trace.steps]
         assert InstrumentedTrace(th, trace.initial, copies).steps == trace.steps
 
 
@@ -391,7 +390,7 @@ def test_replay_rejects_an_unflat_whose_leaves_are_not_the_arguments():
     assert flatten_term(after, th.signature) == before
     step = TraceStep("unflat", None, ROOT, EMPTY_SUBST, before, after)
     with pytest.raises(MalformedStep, match=r"no regrouping at \^"):
-        engine.replay_step(step, th)
+        engine.replay_step("unflat", None, ROOT, before, th, spine=after)
     assert not check_step(step, th)
 
 
@@ -423,7 +422,7 @@ def test_flat_precondition_is_needs_flat(generated_traces):
                 continue
             seen.add(id(node))
             try:
-                engine.replay_step(TraceStep("flat", None, ROOT, EMPTY_SUBST, node, node), th)
+                engine.replay_step("flat", None, ROOT, node, th)
                 holds = True
             except MalformedStep as exc:
                 holds = exc.reason != "nothing to flatten at ^"
@@ -435,8 +434,9 @@ def test_flat_precondition_is_needs_flat(generated_traces):
 def test_flat_replay_builds_the_one_level_flat_node(generated_traces):
     """A flat step's replay builds its node from the move map alone: on
     every flat step of the seeded traces, the node at its position is
-    `one_level_flat`'s of the before node, from a replay of a copy that
-    keeps no map, and from `apply_step` on the step's own before term."""
+    `one_level_flat`'s of the before node, from a replay of the step's
+    kind, position and before term, which returns the step's move map, and
+    from `apply_step` on the step's own before term."""
     flats = 0
     for th, trace in generated_traces:
         for step in trace.steps:
@@ -444,11 +444,30 @@ def test_flat_replay_builds_the_one_level_flat_node(generated_traces):
                 continue
             q = step.position
             expected = acmatch.one_level_flat(subterm_at(step.before, q))[0]
-            sub, after = engine.replay_step(dataclasses.replace(step), th)
-            assert sub == EMPTY_SUBST and subterm_at(after, q) == expected and after == step.after
+            sub, after, moves = engine.replay_step("flat", None, q, step.before, th)
+            assert sub == EMPTY_SUBST and subterm_at(after, q) == expected and after == step.after and moves == step.moves
             assert subterm_at(apply_step(step, th, step.before), q) == expected
             flats += 1
     assert flats > 100
+
+
+def test_replay_returns_each_steps_matcher_after_term_and_kept_moves():
+    """`replay_step`, given what a step is made from (its kind, name,
+    position and before term, and for an unflat step its after term as the
+    spine, with no move map), returns the step's matcher, its after term and
+    the move map the step keeps: on every step of the bundled runs and of a
+    load of each one's `render_trace`."""
+    kinds = Counter()
+    for theory, init, rule_steps in BUNDLED_RUNS:
+        th = parse_theory(bundled_example_path(theory).read_text(), name=theory)
+        trace = run(T(init, th.signature), th, rule_steps)
+        for steps in (trace.steps, parse_trace(render_trace(trace), th).steps):
+            for s in steps:
+                spine = s.after if s.kind == "unflat" else None
+                sub, after, moves = engine.replay_step(s.kind, s.rule_name, s.position, s.before, th, spine=spine)
+                assert sub == s.matcher and after == s.after and moves == vars(s)["moves"], s
+                kinds[s.kind] += 1
+    assert kinds["flat"] > 50 and kinds["unflat"] > 10 and kinds["rule"] == 2 * (12 + 6)
 
 
 def _soup_signature():
@@ -475,7 +494,7 @@ def test_unflat_step_keeps_one_entry_per_leaf():
     trace = InstrumentedTrace(th, flat, [step])
     ts = trace_slice(trace, [Position((2,) * 10 + (1,))])
     assert ts.slices[0].args[10] == leaves[10] and ts.steps[0].index == 0
-    assert set(vars(step)) == {f.name for f in dataclasses.fields(TraceStep)} | {"moves"}
+    assert set(vars(step)) == set(TraceStep._fields) | {"moves"}
     assert step.moves == tuple(range(500)) and all(type(i) is int for i in step.moves)
 
 

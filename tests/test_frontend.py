@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 from collections import Counter
 import os
@@ -12,7 +11,7 @@ import pytest
 
 from rwslice import acmatch, bundled_example_path, cli, engine, slicer, theoryfile, tracefile
 from rwslice.cli import main
-from rwslice.engine import InstrumentedTrace, MalformedStep, Rule, TheoryError, check_step, run
+from rwslice.engine import InstrumentedTrace, MalformedStep, Rule, TheoryError, apply_step, check_step, run
 from rwslice.report import SliceReport
 from rwslice.terms import Position, Signature, SignatureError, Term, Variable, pretty, replace_at, subterm_at
 from rwslice.theoryfile import (
@@ -26,7 +25,7 @@ from rwslice.theoryfile import (
 from rwslice.slicer import trace_slice
 from rwslice.tracefile import load_trace, parse_trace, render_trace, save_trace
 
-from genutil import BUNDLED_RUNS, WIDE_STATE, seeded_traces, wide_tree
+from genutil import BUNDLED_RUNS, WIDE_STATE, replaced, seeded_traces, wide_tree
 
 
 def test_parse_rule_example():
@@ -1063,7 +1062,7 @@ def test_regrouping_maps_are_computed_once_by_the_check(monkeypatch):
             trace_slice(trace, criterion)
         assert not calls
         # the constructor's check, on copies of the steps, which keep no map yet
-        InstrumentedTrace(trace.theory, trace.initial, [dataclasses.replace(s) for s in trace.steps])
+        InstrumentedTrace(trace.theory, trace.initial, [replaced(s) for s in trace.steps])
         lazy = {("engine", "one_level_flat"): flat, ("engine", "regrouping_map"): unflat, ("acmatch", "_pair"): unflat}
         assert calls == Counter(lazy)
 
@@ -1086,8 +1085,8 @@ def test_trace_load_replays_a_failing_record_once(monkeypatch):
 def _check_kept_moves(th, trace):
     """Each flat or unflat step of trace keeps a move map, which is
     `regrouping_map` recomputed from its before and after nodes, and the
-    node its replay made is the one `_rewrite` makes from the map on the
-    step's own before node. The number of such steps, by kind."""
+    node its replay made is the one `apply_step` makes from the map on the
+    step's own before term. The number of such steps, by kind."""
     n = Counter()
     for step in trace.steps:
         if step.kind in ("flat", "unflat"):
@@ -1095,7 +1094,7 @@ def _check_kept_moves(th, trace):
             before, after = subterm_at(step.before, q), subterm_at(step.after, q)
             assert "moves" in vars(step), step  # set where it was made, not computed when read
             assert step.moves == acmatch.regrouping_map(step.kind, before, after if step.kind == "unflat" else None)
-            assert engine._rewrite(step, th, before)[1] == after
+            assert subterm_at(apply_step(step, th, step.before), q) == after
             n[step.kind] += 1
     return n
 
@@ -1161,23 +1160,26 @@ def test_each_step_is_checked_once(tmp_path, monkeypatch, capsys):
     calls = []
     real = engine.replay_step
 
-    def counted(step, theory, **kwargs):
-        calls.append(step)
-        return real(step, theory, **kwargs)
+    def recorded(kind, name, q, before, theory, **kwargs):
+        sub, after, moves = real(kind, name, q, before, theory, **kwargs)
+        calls.append((kind, name, q, before, sub, after))
+        return sub, after, moves
 
-    # the constructor, the run and the loader all replay through engine's name
-    monkeypatch.setattr(engine, "replay_step", counted)
+    # the run and the loader both replay through engine's name, once per step,
+    # from the step's kind, name, position and before term to its matcher and after term
+    monkeypatch.setattr(engine, "replay_step", recorded)
     base = ["--theory", str(th_path), "--init", init, "--criterion", "1"]
+    fields = [(s.kind, s.rule_name, s.position, s.before, s.matcher, s.after) for s in trace.steps]
     for source in (["--trace", str(tr_path)], ["--steps", "5"], ["--end", pretty(trace.final())]):
         calls.clear()
         assert main(base + source) == 0, capsys.readouterr().err
-        assert calls == list(trace.steps), source
-    tampered = dataclasses.replace(trace.steps[-1], after=trace.steps[-1].before)
+        assert calls == fields, source
+    tampered = replaced(trace.steps[-1], after=trace.steps[-1].before)
     with pytest.raises(MalformedStep, match=f"step {len(trace.steps) - 1}: "):
         InstrumentedTrace(th, trace.initial, [*trace.steps[:-1], tampered])
     # a built trace cannot be changed afterwards
     assert isinstance(trace.steps, tuple)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError, match="^cannot assign to field 'steps'$"):
         trace.steps = [*trace.steps[:-1], tampered]
 
 

@@ -3,6 +3,8 @@ package, need only the standard library."""
 
 import ast
 import importlib
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -216,16 +218,24 @@ def test_dataclass_classes_detected():
     assert dataclass_classes(src) == ["A", "B", "E"]
 
 
-# the classes that stay dataclasses, as callers copy them with
-# `dataclasses.replace`; `dataclass` generates each class's methods with
-# `exec` when the module is imported, which every run of the CLI pays, so
-# the other value and record classes are written out (`terms._Record`)
-REPLACEABLE = ["LabeledStep", "SlicedStep", "TraceSlice", "TraceStep"]
+# the classes that stay dataclasses: none. `dataclass` generates each
+# class's methods with `exec` when the module is imported, and `dataclasses`
+# imports `inspect`, which every run of the CLI would pay, so the value and
+# record classes are written out (`terms._Record`)
+REPLACEABLE = []
 
 
 def test_only_the_replaceable_classes_are_dataclasses():
     found = sorted(c for p in sorted((ROOT / "src").rglob("*.py")) for c in dataclass_classes(p.read_text(encoding="utf-8")))
     assert found == REPLACEABLE
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """A fresh interpreter, isolated and without `site`, that imports the
+    package from the source tree has not imported `dataclasses` or `inspect`."""
+    code = f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import rwslice; print(sorted({{'dataclasses', 'inspect'}} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 # exception classes that do not report an input error; the list may only shrink

@@ -83,6 +83,7 @@ def assert_psets_print_relevant_sets(ts):
     assert psets == [",".join(str(p) for p in sorted(w)) or "-" for w in sets]
     listed = [sets[j] for j in range(len(sets))]
     assert sets == listed and listed == sets and list(sets) == listed
+    assert sets[1:3] == listed[1:3] and sets[::-2] == listed[::-2] and sets[5:1] == []
     assert sets[-1] == ts.criterion
     with pytest.raises(IndexError):
         sets[len(sets)]

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import random
 import sys
 
@@ -32,7 +31,7 @@ from rwslice.terms import (
 )
 from rwslice.theoryfile import parse_term
 
-from genutil import category_seed, random_criterion, seeded_traces, soundness_case
+from genutil import category_seed, random_criterion, replaced, seeded_traces, soundness_case
 
 
 def P(text):
@@ -101,7 +100,7 @@ def test_origin_positions_composite_label_needs_one_containing_label(labeled_ste
     # {1,2} lies inside the union of the path labels {1} and {2}, but in
     # neither of them
     _, ls = labeled_step
-    ls = dataclasses.replace(
+    ls = replaced(
         ls,
         before_labeling=Labeling({P("^"): frozenset({1, 2}), P("1"): frozenset({2})}),
         after_labeling=Labeling({P("^"): frozenset({1}), P("1"): frozenset({2})}),
@@ -362,7 +361,7 @@ def test_check_soundness_names_a_replay_that_escapes_its_slices(step_theory, lab
     conc = T("d(f(g(c,h(c)),a),j(b))", step_theory.signature)
     b = T("b", step_theory.signature)
     for side in ("before", "after"):
-        tampered = dataclasses.replace(ts, steps=[dataclasses.replace(ts.steps[0], **{f"{side}_slice": b})])
+        tampered = replaced(ts, steps=[replaced(ts.steps[0], **{f"{side}_slice": b})])
         with pytest.raises(ReplayFailure, match=f"sliced step 0: replayed term escaped the {side} slice"):
             check_soundness(tampered, step_theory, conc)
 
@@ -401,11 +400,11 @@ def test_check_soundness_names_failing_step():
     assert k > 0
     steps = list(ts.trace.steps)
     j = ts.steps[k].index
-    steps[j] = dataclasses.replace(steps[j], rule_name="unknown")
+    steps[j] = replaced(steps[j], rule_name="unknown")
     # a broken trace cannot be built: corrupt a copy of a built one
     trace = copy.copy(ts.trace)
     object.__setattr__(trace, "steps", tuple(steps))
-    broken = dataclasses.replace(ts, trace=trace)
+    broken = replaced(ts, trace=trace)
     with pytest.raises(ReplayFailure) as info:
         check_soundness(broken, th, conc)
     assert info.value.index == k

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import pickle
 import random
 import sys
@@ -8,9 +7,10 @@ import pytest
 
 from rwslice import bundled_example_path
 from rwslice.builtin_ops import REGISTRY, BuiltinOp
-from rwslice.engine import InstrumentedTrace, Rule, run
+from rwslice.engine import InstrumentedTrace, Rule, TraceStep, run
+from rwslice.labeling import LabeledStep, Labeling
 from rwslice.report import SliceReport
-from rwslice.slicer import trace_slice
+from rwslice.slicer import SlicedStep, TraceSlice, trace_slice
 from rwslice.terms import (
     BULLET,
     HOLE,
@@ -212,9 +212,9 @@ def test_terms_are_slotted_and_immutable(sig):
     root, args = t.root, t.args
     assert not hasattr(t, "__dict__") and Term.__slots__ == ("root", "args")
     for name in ("root", "args", "other"):
-        with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
             setattr(t, name, root)
-        with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot delete field '{name}'"):
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
             delattr(t, name)
     assert t.root is root and t.args is args and pretty(t) == "f(a,h(b))"
     assert repr(t) == "Term<f(a,h(b))>" and hash(t) == hash(parse_term("f(a,h(b))", sig))
@@ -225,11 +225,13 @@ def test_records_act_as_frozen_dataclasses():
     they were written as: built positionally or by keyword, with their
     defaults; equal field by field, and to no other class; printed as
     `Name(field=value, ...)`; hashed as the tuple of their fields; and,
-    but for the mutable, unhashable SliceReport, refusing assignment and
-    deletion with the dataclass error; values copy and pickle."""
+    but for the mutable, unhashable SliceReport and TraceSlice, refusing
+    assignment and deletion with an AttributeError and the dataclass's
+    message; values copy and pickle."""
     th = parse_theory(bundled_example_path("producer_consumer.rwt").read_text(), name="pc")
     trace = run(parse_term("cfg(tok,prod(0),cons(0,0))", th.signature), th, 1)
-    rule, plus = th.rules[0], REGISTRY["+"]
+    rule, plus, step = th.rules[0], REGISTRY["+"], trace.steps[-1]
+    labeling = Labeling({Position(): frozenset({1})})
     cases = {
         Position: {"path": (1, 2)},
         Symbol: {"name": "f", "arity": 2, "kind": "defined"},
@@ -238,17 +240,27 @@ def test_records_act_as_frozen_dataclasses():
         BuiltinOp: {"name": "+", "arity": 2, "func": plus.func},
         Rule: {"name": rule.name, "lhs": rule.lhs, "rhs": rule.rhs, "kind": "rule"},
         InstrumentedTrace: {"theory": th, "initial": trace.initial, "steps": trace.steps},
+        TraceStep: {"kind": step.kind, "rule_name": step.rule_name, "position": step.position,
+                    "matcher": step.matcher, "before": step.before, "after": step.after},
+        LabeledStep: {"step": step, "before_labeling": labeling, "after_labeling": Labeling()},
+        SlicedStep: {"index": 3, "kind": "rule", "rule_name": "r", "position": Position((1,)),
+                     "before_slice": step.before, "after_slice": step.after},
     }
     for cls, fields in cases.items():
         x, y = cls(*fields.values()), cls(**fields)
         assert x == y and x is not y and not x != y
         assert x.__eq__(object()) is NotImplemented and x != object()
-        assert hash(x) == hash(y) == hash(tuple(fields.values())) and len({x, y}) == 1
+        if cls is LabeledStep:  # its labelings are dicts, so it hashes as their tuple does
+            with pytest.raises(TypeError, match="unhashable type: 'Labeling'"):
+                hash(x)
+        else:
+            assert hash(x) == hash(y) == hash(tuple(fields.values())) and len({x, y}) == 1
         assert repr(x) == cls.__name__ + "(" + ", ".join(f"{k}={v!r}" for k, v in fields.items()) + ")"
         for name in list(fields) + ["other"]:
-            with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot assign to field '{name}'$"):
+            with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$") as raised:
                 setattr(x, name, None)
-            with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot delete field '{name}'$"):
+            assert type(raised.value) is AttributeError
+            with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
                 delattr(x, name)
         assert x == y and all(getattr(x, k) is v for k, v in fields.items())
     assert Position() == Position(()) == Position(path=()) and Symbol("f", 2) == Symbol("f", 2, "constructor")
@@ -273,6 +285,16 @@ def test_records_act_as_frozen_dataclasses():
     assert repr(report) == f"SliceReport(slice={ts!r}, theory_name='pc', seed=3)"
     with pytest.raises(TypeError, match="unhashable"):
         hash(report)
+    fields = {name: getattr(ts, name) for name in TraceSlice._fields}
+    copied = TraceSlice(**fields)
+    assert copied == TraceSlice(*fields.values()) == ts and copied is not ts
+    assert repr(ts) == "TraceSlice(" + ", ".join(f"{k}={v!r}" for k, v in fields.items()) + ")"
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(ts)
+    copied.sliced_size += 1
+    assert copied != ts and copied.sliced_size == ts.sliced_size + 1
+    del copied.reduction_percent
+    assert not hasattr(copied, "reduction_percent")
     report.seed = 4
     del report.theory_name
     assert report.seed == 4 and "theory_name" not in vars(report)
