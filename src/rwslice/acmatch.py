@@ -175,6 +175,26 @@ def regrouping_map(kind: str, before: Term, after: Term | None) -> tuple | None:
     return tuple(taken) if taken is not None and len(taken) == len(before.args) else None
 
 
+def match_moves(node: Term, shape: Term, rest: tuple[Term, ...]) -> tuple | None:
+    """The unflat `regrouping_map` from the canonical AC node to node.root
+    over (shape, *rest), or to shape when rest is empty, read off the
+    argument objects a match took: the spine leaves of shape, in subpattern
+    order, then rest, the others in index order. None where they are not,
+    or where a taken argument has an equal untaken left neighbour, which
+    `_pair` would take: equal arguments of a canonical node are adjacent."""
+    args, group, left, order, taken = node.args, [], [], [], [False] * len(node.args)
+    for i, a in enumerate(args):  # rest is a subsequence of args
+        (left if len(left) < len(rest) and rest[len(left)] is a else group).append(i)
+    for _, leaf in spine_leaves(shape):  # each takes the first untaken index of its object
+        j = next((j for j, i in enumerate(group) if args[i] is leaf), None)
+        i = None if j is None else group.pop(j)
+        if i is None or i and not taken[i - 1] and args[i - 1] == leaf:
+            return None
+        taken[i] = True
+        order.append(i)
+    return tuple(order + left) if len(left) == len(rest) and not group else None
+
+
 def regrouping_paths(kind: str, moves, before: Term, after: Term | None):
     """The paths of a flat or unflat step's `regrouping_map` `moves`: per
     moved subterm, its path in node `after` and its source path in node
@@ -203,11 +223,11 @@ def regroupings(node: Term, target: Term, sig: Signature) -> Iterator[tuple[Posi
     """The steps that regroup the canonical `node` into `target`, which must
     flatten back to it, made one at a time: each step's position below node,
     the same-operator spine the target prescribes there, built over the
-    flattened node's argument objects, and the step's move map, the
-    `regrouping_map` of that node and spine, as the pairing found it (the
-    engine keeps it as `TraceStep.moves`). Deeper differences come in later
+    flattened node's argument objects, and the step's move map, its
+    `regrouping_map`, as `_pair` found it. Deeper differences come in later
     steps, in preorder, from a stack of (position, node, target); the target's
-    spine leaves are flattened only when one does not pair with an argument."""
+    spine leaves are flattened only when one does not pair with an argument.
+    A run makes a match's one step without it where `match_moves` can."""
     todo = [(Position(), node, target)]
     while todo:
         pos, node, tgt = todo.pop()
@@ -340,7 +360,7 @@ def ac_groups(spine: tuple, args: tuple[Term, ...], sig: Signature, memo: dict):
 
 def _holds_ac(p: Term, sig: Signature, memo: dict) -> bool:
     """Whether pattern p holds an AC symbol, decided once per object: kept
-    in the memo under p's id, with p."""
+    in the memo under p's id, with p (a run's from `RewriteTheory.holds_ac`)."""
     entry = memo.get(id(p))
     if entry is None:
         entry = memo[id(p)] = p, any(sig.is_ac(node.root) for _, node in preorder(p))

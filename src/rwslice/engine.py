@@ -17,6 +17,7 @@ from .acmatch import (
     ac_groups,
     flatten_term,
     match_modulo_ac,
+    match_moves,
     needs_flat,
     one_level_flat,
     rebuild_spine,
@@ -195,6 +196,19 @@ class RewriteTheory:
     def find_rule(self, name: str) -> Rule | None:
         return self._by_name.get(name)
 
+    @cached_property
+    def holds_ac(self) -> dict:
+        """`acmatch._holds_ac`'s memo entries for the subpatterns of each AC
+        left-hand side, made once, children first; each run's memo copies it."""
+        memo, sig = {}, self.signature
+        for r in self.equations + self.rules:
+            nodes = [r.lhs] if not r.lhs_symbols.isdisjoint(sig.ac_symbols) else []
+            for node in nodes:  # the list grows as it is read
+                nodes += node.args
+            for p in reversed(nodes):  # an AC operator takes arguments, so a leaf's is not one
+                memo[id(p)] = p, bool(p.args) and (sig.is_ac(p.root) or any(memo[id(a)][1] for a in p.args))
+        return memo
+
 
 class TraceStep(_Record):
     """One elementary step of a trace, from before to after at position."""
@@ -211,13 +225,11 @@ class TraceStep(_Record):
 
     @cached_property
     def moves(self) -> tuple | None:
-        """The move map a flat or unflat step keeps, its `regrouping_map`:
-        one entry per moved argument, never a path per spine leaf. `_Steps.add`
-        keeps the one its replay returns: a flat step's `one_level_flat` map,
-        an unflat one's as its producer knew it (the run's `regroupings`, the
-        loader's `_read_spine`) or else computed; a step built otherwise
-        computes it when first read. The slicer and the labeling read it
-        (`regrouping_paths`)."""
+        """The move map a flat or unflat step keeps, its `regrouping_map`: one
+        entry per moved argument. `_Steps.add` keeps its replay's: a flat
+        step's `one_level_flat` map, an unflat one's as its producer knew it
+        (a run's AC match, `match_moves`, or `regroupings`; the loader's
+        `_read_spine`). A step built otherwise computes it when first read."""
         q = self.position
         after = subterm_at(self.after, q) if self.kind == "unflat" else None
         return regrouping_map(self.kind, subterm_at(self.before, q), after)
@@ -256,12 +268,24 @@ class InstrumentedTrace(_Record):
         only at the step's position, so each term's length is the previous
         one's, minus the printed length of the step's redex, plus that of
         its contractum (`printed_length`, its memo kept for the call; the
-        trace keeps every node alive)."""
+        trace keeps every node alive). A flat step drops len(op) + 2, for a
+        name and two parentheses, per child it merges, and an unflat step
+        adds that per spine node below the top: read off the move map and
+        the spine, not printed."""
         lengths: dict[int, int] = {}
         size = total = printed_length(self.initial, lengths)
         for step in self.steps:
             q = step.position
-            size += printed_length(subterm_at(step.after, q), lengths) - printed_length(subterm_at(step.before, q), lengths)
+            if step.kind not in ("flat", "unflat"):
+                size += printed_length(subterm_at(step.after, q), lengths) - printed_length(subterm_at(step.before, q), lengths)
+            elif step.kind == "flat":  # the children with no move (i,) are merged
+                node = subterm_at(step.before, q)
+                size -= (len(node.root.name) + 2) * (len(node.args) - 2 * len(step.moves) + sum(map(len, step.moves)))
+            else:
+                spine = [subterm_at(step.after, q)]
+                for node in spine:  # the list grows as it is read
+                    spine += [a for a in node.args if a.args and a.root == spine[0].root]
+                size += (len(spine) - 1) * (len(spine[0].root.name) + 2)
             total += 4 + size  # " -> " before each later term
         return total
 
@@ -296,7 +320,7 @@ class _Steps(list):
         super().__init__()
         self.th, self.limit = th, limit
         sig = th.signature
-        self.joins = joins = {}  # bound below without `self`, so the run frees it without the collector
+        self.joins = joins = dict(th.holds_ac)  # bound below without `self`, so the run frees it without the collector
         self.tests = {
             "flat": lambda node: needs_flat(node, sig) or None,
             "builtin": lambda node: _builtin_value(node, sig),
@@ -383,16 +407,31 @@ class _Steps(list):
         return best
 
     def take(self, t: Term, kind: str, q: Position, hit) -> Term:
-        """Makes the step for `first`'s hit at q in t, a flat or builtin
-        step, or the unflat steps an equation or rule candidate needs (with
-        the move maps `regroupings` found) and then its step, which must
-        bind the candidate's matcher; returns the term it leads to."""
-        if kind in ("flat", "builtin"):
-            return self.add(kind, hit[0] if kind == "builtin" else None, q, t).after
+        """Makes the step for `first`'s hit at q in t: a flat step, whose node
+        it records as flat-settled in `searched` when no argument has the
+        node's root and each is a leaf that admits no flat or a node with
+        the flat bit there; a builtin step; or a rule or equation candidate's
+        unflat step, its target with the map `match_moves` reads off the AC
+        match, or else the steps `regroupings` makes, then its own step,
+        which must bind its matcher. Returns the term it leads to."""
+        if kind == "builtin":
+            return self.add(kind, hit[0], q, t).after
+        if kind == "flat":
+            t = self.add(kind, None, q, t).after
+            node, searched, admits = subterm_at(t, q), self.searched, self.roots.get
+            if all(a.root != node.root and (searched.get(id(a), (0, 0))[1] & FLAT if a.args else not admits(a.root.name, 0) & FLAT) for a in node.args):
+                searched[id(node)] = node, FLAT, None
+            return t
         rule, sub, target, rel = hit  # relative to the node at q (`_candidates_at`)
-        for pos, spine, moves in regroupings(subterm_at(t, q), target, self.th.signature):
-            pos = q.concat(pos)
-            t = self.add("unflat", None, pos, t, replace_at(t, pos, spine), moves).after
+        node, sig = subterm_at(t, q), self.th.signature
+        moves = None if target is node or not sig.is_ac(node.root) else match_moves(
+            node, *((target.args[0], target.args[1:]) if rel.path else (target, ())))
+        if moves is None:
+            for pos, spine, moves in regroupings(node, target, sig):
+                pos = q.concat(pos)
+                t = self.add("unflat", None, pos, t, replace_at(t, pos, spine), moves).after
+        elif target != node:
+            t = self.add("unflat", None, q, t, replace_at(t, q, target), moves).after
         step = self.add(kind, rule.name, q.concat(rel), t)
         if step.matcher != sub:
             raise MalformedStep(f"the matcher at {step.position} is {step.matcher}, not {sub}")

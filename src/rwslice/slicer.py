@@ -202,7 +202,8 @@ def _local_origins(step: TraceStep, th: RewriteTheory, kept: Term) -> Term:
     Every target at or under q has q on its root path, whose label joins
     the redex pattern (rule, equation), the call's arguments (builtin),
     the node and its merged children (flat) or the flattened node
-    (unflat); the labels below q come from the subterms the step moves."""
+    (unflat); the labels below q come from the subterms the step moves:
+    kept argument d from move d (flat), a spine leaf from its argument."""
     node = subterm_at(step.before, step.position)
     if step.kind in ("rule", "equation"):
         rule = th.find_rule(step.rule_name or "")
@@ -219,8 +220,8 @@ def _local_origins(step: TraceStep, th: RewriteTheory, kept: Term) -> Term:
         return node if node.args else BULLET_TERM
     # flat, unflat: each moved subterm's slice goes back to its source path,
     # and the node and the merged children of a flat step keep their symbols
-    paths = regrouping_paths(step.kind, step.moves, node, subterm_at(step.after, step.position))
-    back = {src: _kept_at(kept, dst) for dst, src in paths}
+    back = dict(zip(step.moves, kept.args)) if step.kind == "flat" else {
+        src: _kept_at(kept, dst) for dst, src in regrouping_paths("unflat", step.moves, node, subterm_at(step.after, step.position))}
     return Term(node.root, tuple(
         back[i,] if (i,) in back else Term(a.root, tuple(back[i, j] for j in range(1, len(a.args) + 1)))
         for i, a in enumerate(node.args, 1)

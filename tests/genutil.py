@@ -376,6 +376,16 @@ BUNDLED_RUNS = [
 ]
 
 
+# a bank soup, whose debit and credit groups join on the account id and
+# often fail to join
+BANK = (
+    "op net : 2 [assoc comm] .\nop acc : 2 .\nop tr : 3 .\nop cr : 2 .\n"
+    "op + : 2 [builtin] .\nop - : 2 [builtin] .\n"
+    "rl [debit] : net(acc(I,B),tr(I,J,A)) => net(acc(I,-(B,A)),cr(J,A)) .\n"
+    "rl [credit] : net(acc(J,B),cr(J,A)) => acc(J,+(B,A)) .\n"
+)
+
+
 # the bench/wide_state.rwt theory: a pair whose left cell is on absorbs
 # the value of its right cell and switches off
 WIDE_STATE = """

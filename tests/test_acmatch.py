@@ -1,5 +1,6 @@
 import itertools
 import random
+from functools import cmp_to_key
 
 import pytest
 
@@ -435,6 +436,35 @@ def test_unflat_leaf_mapping_stability(sig):
     # the first b (arg 2) lands at 1.1, the second (arg 3) at 2.2
     as_dict = {str(Position(path)): idx for (path, _), idx in zip(walked, mapping)}
     assert as_dict == {"1.1": 1, "1.2": 3, "2.1": 0, "2.2": 2}
+
+
+def test_match_moves_is_the_pairing_or_none(sig):
+    """`match_moves` reads an unflat map off the argument objects a match
+    took. On random canonical nodes with equal arguments, some one shared
+    object and some distinct, a random group taken in random order gives
+    `regrouping_map`'s pairing or None; never None without two equal
+    neighbours; and None for a leaf that is a copy of an argument."""
+    rng = random.Random(31)
+    f = sig.lookup("f", 2).symbol
+    pool = [T(text, sig) for text in ("a", "b", "g(a)", "h(a,b)")]
+    found = Counter()
+    for _ in range(600):
+        args = [rng.choice(pool) for _ in range(rng.randint(2, 7))]
+        args = [a if rng.random() < 0.5 else T(pretty(a), sig) for a in args]
+        node = Term(f, tuple(sorted(args, key=cmp_to_key(term_cmp))))
+        n = len(node.args)
+        group = sorted(rng.sample(range(n), rng.randint(2, n)))
+        took = rng.sample(group, len(group))
+        shape = Term(f, tuple(node.args[i] for i in took))
+        rest = tuple(node.args[i] for i in range(n) if i not in group)
+        moves = acmatch.match_moves(node, shape, rest)
+        assert moves in (None, regrouping_map("unflat", node, Term(f, (shape,) + rest) if rest else shape))
+        equal = any(a == b for a, b in zip(node.args, node.args[1:]))
+        assert moves is not None or equal
+        found["none" if moves is None else "equal" if equal else "distinct"] += 1
+        copied = Term(f, (T(pretty(shape.args[0]), sig),) + shape.args[1:])
+        assert acmatch.match_moves(node, copied, rest) is None
+    assert min(found.values()) > 50, found
 
 
 DEEP = 10_000

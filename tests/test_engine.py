@@ -24,7 +24,7 @@ from rwslice.engine import (
     run,
     run_until,
 )
-from rwslice.slicer import trace_slice
+from rwslice.slicer import trace_slice, trace_string
 from rwslice.terms import (
     BULLET_TERM,
     EMPTY_SUBST,
@@ -37,6 +37,7 @@ from rwslice.terms import (
     Variable,
     match,
     positions,
+    preorder,
     pretty,
     replace_at,
     subterm_at,
@@ -44,7 +45,7 @@ from rwslice.terms import (
 from rwslice.theoryfile import parse_term, parse_theory
 from rwslice.tracefile import parse_trace, render_trace
 
-from genutil import BUNDLED_RUNS, WIDE_STATE, all_sizes_candidates, postorder_scan, random_soup, replaced, seeded_traces, wide_tree
+from genutil import BANK, BUNDLED_RUNS, WIDE_STATE, all_sizes_candidates, postorder_scan, random_soup, replaced, seeded_traces, wide_tree
 
 
 def T(text, sig, variables=None):
@@ -756,12 +757,70 @@ def test_matching_work_on_client_server_is_unchanged(monkeypatch):
     assert calls[0] == 6
 
 
-BANK = (
-    "op net : 2 [assoc comm] .\nop acc : 2 .\nop tr : 3 .\nop cr : 2 .\n"
-    "op + : 2 [builtin] .\nop - : 2 [builtin] .\n"
-    "rl [debit] : net(acc(I,B),tr(I,J,A)) => net(acc(I,-(B,A)),cr(J,A)) .\n"
-    "rl [credit] : net(acc(J,B),cr(J,A)) => acc(J,+(B,A)) .\n"
-)
+def test_unflat_maps_of_equal_arguments_are_the_pairings():
+    """A run reads each unflat step's move map off its AC match where that
+    is the leftmost pairing `_pair` makes, and pairs it otherwise: with one
+    client twice in the soup, once as the one object the parser shares and
+    once as equal distinct objects, every unflat step's map is the
+    `regrouping_map` of its before and after nodes, and the trace's printed
+    size (from the move maps) is the length of its print."""
+    th = parse_theory(bundled_example_path("client_server.rwt").read_text())
+    shared = parse_term("net(srv(0),cli(1,3,none),cli(1,3,none),cli(2,4,none))", th.signature)
+    distinct = Term(shared.root, tuple(parse_term(pretty(a), th.signature) for a in shared.args))
+    assert shared.args[1] is shared.args[2] and distinct.args[1] is not distinct.args[2]
+    for init in (shared, distinct):
+        trace = run(init, th, 9)
+        unflat = [s for s in trace.steps if s.kind == "unflat"]
+        assert len(unflat) == 9
+        for s in unflat:
+            before, after = subterm_at(s.before, s.position), subterm_at(s.after, s.position)
+            assert s.moves == acmatch.regrouping_map("unflat", before, after), pretty(after)
+        assert trace.printed_size == len(trace_string(trace.terms()))
+
+
+def test_a_flat_step_settles_its_node_only_where_exact():
+    """`_Steps.take` records the node a flat step builds as flat-settled in
+    the walk's memo only when no argument has its root and each is a leaf
+    that admits no flat or a node with the flat bit there; then a flat walk
+    of the node ends at once. A merged argument that is an AC node nobody
+    searched, here an unsorted g node, leaves the node unmarked, and the
+    walk still finds that argument's flat step."""
+    sig = Signature()
+    for name in "fg":
+        sig.declare(name, 2, assoc=True, comm=True)
+    for name in "abc":
+        sig.declare(name, 0)
+    steps = engine._Steps(RewriteTheory(sig), 10)
+    settled = steps.take(T("f(f(b,a),c)", sig), "flat", ROOT, True)
+    assert steps.searched[id(settled)] == (settled, engine.FLAT, None)
+    assert steps.first(settled, engine.FLAT) is None
+    built = steps.take(T("f(f(a,b),g(b,a))", sig), "flat", ROOT, True)
+    assert pretty(built) == "f(a,b,g(b,a))" and id(built) not in steps.searched
+    assert steps.first(built, engine.FLAT) == ("flat", Position((3,)), True)
+
+
+def test_the_theory_decides_which_subpatterns_hold_an_ac_symbol(monkeypatch):
+    """`RewriteTheory.holds_ac` keeps `acmatch._holds_ac`'s answer for every
+    subpattern of each left-hand side with an AC symbol, and none for the
+    others; each run's memo starts with it, so a run whose spine
+    subpatterns hold AC symbols decides none of them again."""
+    sig = Signature()
+    sig.declare("f", 2, assoc=True, comm=True)
+    for name, arity in (("k", 1), ("g", 1), ("a", 0), ("b", 0), ("c", 0)):
+        sig.declare(name, arity)
+    xy = {"x", "y"}
+    th = RewriteTheory(sig, rules=[
+        Rule("acleaf", T("f(k(f(x,a)),y)", sig, xy), T("g(y)", sig, xy)),
+        Rule("plain", T("g(k(x))", sig, xy), T("x", sig, xy)),
+    ])
+    acleaf = th.rules[0]
+    nodes = [node for _, node in preorder(acleaf.lhs)]
+    assert th.holds_ac == {id(p): (p, acmatch._holds_ac(p, sig, {})) for p in nodes}
+    assert [p for p in nodes if th.holds_ac[id(p)][1]] == [acleaf.lhs, nodes[1], nodes[2]]
+    decided = []
+    monkeypatch.setattr(acmatch, "preorder", lambda t: decided.append(t) or preorder(t))
+    trace = run(T("f(k(f(a,b,c)),b,c)", sig), th, 1)
+    assert pretty(trace.final()) == "g(f(b,c))" and decided == []
 
 
 def test_run_memo_gives_the_candidates_of_a_fresh_one(monkeypatch):

@@ -1033,9 +1033,9 @@ def _count_calls(monkeypatch, names):
 def test_regrouping_maps_are_computed_once_by_the_check(monkeypatch):
     """Each flat or unflat step's move map is made once, where it is first
     known, and kept: a flat step's by its replay's `one_level_flat`
-    (engine's name), an unflat step's by the run's `regroupings` (one
-    `regrouping_map`, `_pair` and `rebuild_spine` in acmatch per step) or
-    by the loader's `_read_spine`, which calls none of them. So one load of
+    (engine's name), an unflat step's by the run's AC match (`match_moves`,
+    over the candidate's own target) or by the loader's `_read_spine`;
+    neither calls `regrouping_map`, `_pair` or `rebuild_spine`. So one load of
     the 200-rule-step producer_consumer trace makes 401 `one_level_flat`
     calls and no other. No replay pairs or rebuilds a spine or flattens a
     leaf, slicing computes no map, and a step copied without its map
@@ -1047,8 +1047,7 @@ def test_regrouping_maps_are_computed_once_by_the_check(monkeypatch):
     text = render_trace(run(parse_term("cfg(tok,prod(0),cons(0,0))", pc.signature), pc, 200))
     # (trace, its flat and unflat step counts, the acmatch calls that make its unflat maps)
     for build, counts, unflat_sources in (
-        (lambda: run(parse_term(f"net(srv(0),{clients})", cs.signature), cs, 15), (25, 15),
-         ("regrouping_map", "_pair", "rebuild_spine")),
+        (lambda: run(parse_term(f"net(srv(0),{clients})", cs.signature), cs, 15), (25, 15), ()),
         (lambda: parse_trace(text, pc), (401, 200), ()),
     ):
         calls.clear()
@@ -1065,6 +1064,47 @@ def test_regrouping_maps_are_computed_once_by_the_check(monkeypatch):
         InstrumentedTrace(trace.theory, trace.initial, [replaced(s) for s in trace.steps])
         lazy = {("engine", "one_level_flat"): flat, ("engine", "regrouping_map"): unflat, ("acmatch", "_pair"): unflat}
         assert calls == Counter(lazy)
+
+
+def test_regrouping_steps_reuse_what_their_maker_knows(monkeypatch):
+    """On a client_server run with 16 distinct clients and 48 rule steps,
+    no flat or unflat step works out again what its maker knew (each count
+    below was 48 or more before): the run pairs, rebuilds or recomputes no
+    unflat map; `needs_flat` compares the arguments (`term_cmp`) of no node
+    a flat step of the run built, as the run records it flat-settled;
+    `printed_size` measures (`printed_length`) no flat or unflat step; and
+    `trace_slice` reads no flat step's map through `regrouping_paths`."""
+    calls = _count_calls(monkeypatch, ("_pair", "rebuild_spine", "regrouping_map"))
+    compared, testing = [], []
+    real_needs, real_cmp = engine.needs_flat, acmatch.term_cmp
+
+    def needs_flat(node, sig):
+        testing.append(node)
+        try:
+            return real_needs(node, sig)
+        finally:
+            testing.pop()
+
+    def term_cmp(a, b):
+        compared.extend(testing[-1:])
+        return real_cmp(a, b)
+
+    monkeypatch.setattr(engine, "needs_flat", needs_flat)
+    monkeypatch.setattr(acmatch, "term_cmp", term_cmp)
+    cs = parse_theory(bundled_example_path("client_server.rwt").read_text())
+    clients = ",".join(f"cli({i},{i + 2},none)" for i in range(1, 17))
+    trace = run(parse_term(f"net(srv(0),{clients})", cs.signature), cs, 48)
+    kinds = Counter(s.kind for s in trace.steps)
+    assert kinds["rule"] == 48 and kinds["unflat"] == 48 and not calls
+    built = {id(subterm_at(s.after, s.position)) for s in trace.steps if s.kind == "flat"}
+    assert compared and not [node for node in compared if id(node) in built]
+    measured = _count_calls(monkeypatch, ("printed_length",))
+    assert trace.printed_size == len(slicer.trace_string(trace.terms()))
+    assert measured[("engine", "printed_length")] == 1 + 2 * (len(trace.steps) - kinds["flat"] - kinds["unflat"])
+    read = []
+    monkeypatch.setattr(slicer, "regrouping_paths", lambda kind, *args: read.append(kind) or acmatch.regrouping_paths(kind, *args))
+    trace_slice(trace, [Position((i,)) for i in range(1, len(trace.final().args) + 1)])
+    assert read and set(read) == {"unflat"}
 
 
 def test_trace_load_replays_a_failing_record_once(monkeypatch):

@@ -1,5 +1,5 @@
-"""Source hygiene checks. All but the exception lint, which imports the
-package, need only the standard library."""
+"""Source hygiene checks. All but the exception lint and the bench
+checks, which import the package, need only the standard library."""
 
 import ast
 import importlib
@@ -312,3 +312,74 @@ def test_only_the_engine_makes_steps():
     module builds a `TraceStep` or replays one."""
     found = {p.name: step_makers(p.read_text(encoding="utf-8")) for p in sorted((ROOT / "src").rglob("*.py")) if p.name != "engine.py"}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def rwslice_reads(source: str) -> set[tuple[str, ...]]:
+    """The attribute chains a source reads from the rwslice modules it
+    imports (`import rwslice`, `from rwslice import m`), each as the module
+    and the attribute names: ("rwslice.engine", "run") for `engine.run`.
+    Assigning such an attribute is not reading it."""
+    tree = ast.parse(source)
+    modules = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update({a.asname or a.name: a.name for a in node.names if a.name == "rwslice"})
+        elif isinstance(node, ast.ImportFrom) and node.module == "rwslice":
+            modules.update({a.asname or a.name: f"rwslice.{a.name}" for a in node.names})
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            chain, value = [node.attr], node.value
+            while isinstance(value, ast.Attribute):
+                chain.append(value.attr)
+                value = value.value
+            if isinstance(value, ast.Name) and value.id in modules:
+                out.add((modules[value.id], *reversed(chain)))
+    return out
+
+
+def test_rwslice_reads_detected():
+    src = (
+        "import rwslice\nfrom rwslice import engine as e, slicer\nx = e.run\ne.check = None\n"
+        "slicer.T.parse(rwslice.__file__)\nother.attr\n"
+    )
+    assert rwslice_reads(src) == {
+        ("rwslice.engine", "run"), ("rwslice.slicer", "T"), ("rwslice.slicer", "T", "parse"), ("rwslice", "__file__"),
+    }
+
+
+def test_bench_reads_only_what_rwslice_has():
+    """Every attribute bench/worker.py reads from an rwslice module exists,
+    so a rename in the package fails here, not first in CI's traced bench
+    run; the bench itself changes only with the benchmark."""
+    reads = rwslice_reads((ROOT / "bench" / "worker.py").read_text(encoding="utf-8"))
+    missing = []
+    for module, *names in sorted(reads):
+        value = importlib.import_module(module)
+        for name in names:
+            if not hasattr(value, name):
+                missing.append(".".join([module, *names]))
+                break
+            value = getattr(value, name)
+    assert missing == []
+    assert {
+        ("rwslice.engine", "check_step"), ("rwslice.engine", "match_modulo_ac"), ("rwslice.slicer", "TraceSlice"),
+        ("rwslice.slicer", "SlicedStep"), ("rwslice.slicer", "relevant_positions"), ("rwslice.slicer", "slice_term"),
+        ("rwslice.slicer", "trace_string"), ("rwslice.report", "SliceReport"), ("rwslice.terms", "positions"),
+        ("rwslice.tracefile", "load_trace"), ("rwslice.tracefile", "save_trace"), ("rwslice.tracefile", "render_trace"),
+        ("rwslice.theoryfile", "parse_theory"), ("rwslice.theoryfile", "parse_term"),
+    } <= reads
+
+
+def test_candidates_at_matches_through_the_engine_global(monkeypatch):
+    """The traced bench counts AC matches by wrapping the engine's global
+    `match_modulo_ac`, so `_candidates_at` must call it by that name."""
+    from rwslice import bundled_example_path, engine
+    from rwslice.theoryfile import parse_term, parse_theory
+
+    calls = []
+    real = engine.match_modulo_ac
+    monkeypatch.setattr(engine, "match_modulo_ac", lambda *args: calls.append(args) or real(*args))
+    th = parse_theory(bundled_example_path("client_server.rwt").read_text())
+    node = parse_term("net(cli(1,3,none),srv(0))", th.signature)
+    assert next(engine._candidates_at(node, th.rules, th.signature, {}), None) is not None and calls

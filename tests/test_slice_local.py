@@ -36,7 +36,7 @@ from rwslice.terms import (
 from rwslice.theoryfile import parse_term, parse_theory
 from rwslice.tracefile import parse_trace, render_trace, save_trace
 
-from genutil import BUNDLED_RUNS, random_criterion, seeded_traces
+from genutil import BANK, BUNDLED_RUNS, random_criterion, seeded_traces
 
 
 def reference_slice(trace, labeled, crit) -> TraceSlice:
@@ -341,11 +341,19 @@ def test_deep_terms_print_without_recursion():
 def test_printed_length_equals_printed_trace():
     """A trace's printed size, computed from its terms or summed by the
     loader from the fields it accepts, is the length of the printed trace;
-    also when the loader reads fields that are not the canonical print."""
+    also when the loader reads fields that are not the canonical print.
+    The runs include a nested client_server soup, whose flat steps merge
+    children, and a bank soup."""
     cases = list(seeded_traces())
-    for theory, init, rule_steps in BUNDLED_RUNS:
-        th = parse_theory(bundled_example_path(theory).read_text(), name=theory)
+    nested = "net(net(cli(3,5,none),srv(0)),net(net(cli(1,3,none),cli(2,4,none)),cli(4,6,none)))"
+    accounts = ",".join(f"acc({i},10)" for i in range(6))
+    transfers = ",".join(f"tr({i % 6},{(i * 5 + 1) % 6},{i})" for i in range(10))
+    runs = [(bundled_example_path(theory).read_text(), init, rule_steps) for theory, init, rule_steps in BUNDLED_RUNS]
+    runs += [(bundled_example_path("client_server.rwt").read_text(), nested, 8), (BANK, f"net({accounts},{transfers})", 20)]
+    for text, init, rule_steps in runs:
+        th = parse_theory(text)
         cases.append((th, run(parse_term(init, th.signature), th, rule_steps)))
+        assert sum(1 for s in cases[-1][1].steps if s.kind == "rule") == rule_steps
     th, step = _deep_step(10_000)
     cases.append((th, InstrumentedTrace(th, step.before, [step])))
     for th, trace in cases:
